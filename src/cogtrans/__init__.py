@@ -60,4 +60,4 @@ from .training import (
     train,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

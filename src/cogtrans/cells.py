@@ -1,4 +1,4 @@
-"""Recurrent cells, embeddings, dropout and layer normalization.
+"""Recurrent cells, embeddings and dropout.
 
 LSTM and GRU steps accept either single vectors (d,) or batched rows (B, d);
 all gate matrices are (input_dim + hidden_dim, hidden_dim) so one concat and
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import EmptyInput, InvalidArgument, InvalidShape
+from .errors import InvalidArgument, InvalidShape
 from .tensor import Tensor
 
 LSTM_GATES = ("i", "f", "g", "o")
@@ -26,9 +26,7 @@ class CellParams:
     input_dim: int
     hidden_dim: int
     weights: dict = field(default_factory=dict)   # name -> Tensor
-
-    def tensors(self):
-        return self.weights
+    prefix: str = ""                # weight-name prefix inside ``weights``
 
 
 def init_cell_params(kind, input_dim, hidden_dim, rng, prefix=""):
@@ -41,14 +39,12 @@ def init_cell_params(kind, input_dim, hidden_dim, rng, prefix=""):
             b += FORGET_BIAS
         w[f"{prefix}W_{g}"] = Tensor(mat, requires_grad=True)
         w[f"{prefix}b_{g}"] = Tensor(b, requires_grad=True)
-    p = CellParams(kind, input_dim, hidden_dim, w)
-    p._prefix = prefix
-    return p
+    return CellParams(kind, input_dim, hidden_dim, w, prefix)
 
 
 def _gate(p, name, z):
-    pre = getattr(p, "_prefix", "")
-    return z @ p.weights[f"{pre}W_{name}"] + p.weights[f"{pre}b_{name}"]
+    w = p.weights
+    return z @ w[f"{p.prefix}W_{name}"] + w[f"{p.prefix}b_{name}"]
 
 
 def _check_dims(x, h, p):
@@ -113,27 +109,6 @@ def zero_state(p, batch=None):
     return (Tensor(np.zeros(shape)),)
 
 
-def bidirectional_encode(seq, p_fwd, p_bwd):
-    """Run the cell forward and backward over seq; concat states per position.
-
-    seq is a list of input Tensors; output states have dim 2*hidden_dim.
-    """
-    if len(seq) == 0:
-        raise EmptyInput("bidirectional_encode on empty sequence")
-    fwd = []
-    state = zero_state(p_fwd)
-    for x in seq:
-        h, state = cell_step(x, state, p_fwd)
-        fwd.append(h)
-    bwd = []
-    state = zero_state(p_bwd)
-    for x in reversed(seq):
-        h, state = cell_step(x, state, p_bwd)
-        bwd.append(h)
-    bwd.reverse()
-    return [T.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-
-
 def dropout(x, rate, mode, rng):
     """Inverted dropout: kept units scaled by 1/(1-rate) so E[out] == x."""
     if not 0.0 <= rate < 1.0:
@@ -144,12 +119,6 @@ def dropout(x, rate, mode, rng):
         raise InvalidArgument(f"unknown dropout mode {mode!r}")
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * Tensor(mask)
-
-
-def layer_norm(x, gain, bias):
-    if x.shape[-1] != gain.shape[-1] or x.shape[-1] != bias.shape[-1]:
-        raise InvalidShape("layer_norm dims mismatch")
-    return T.layer_norm(x, gain, bias)
 
 
 @dataclass
@@ -164,9 +133,6 @@ class EmbeddingTable:
     @property
     def embed_dim(self):
         return self.table.shape[1]
-
-    def lookup(self, ids):
-        return T.embedding(self.table, ids)
 
 
 def init_embedding(vocab_size, embed_dim, rng, pretrained=None, trainable=True):

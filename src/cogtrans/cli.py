@@ -10,19 +10,17 @@ import sys
 
 import numpy as np
 
-from . import data_io, devanagari, embeddings, metrics, oov, synthetic, training
+from . import data_io, embeddings, metrics, oov, synthetic, training
 from .devanagari import (
     CharVocab,
     build_vocab,
     classify_errors,
-    strip_trailing_repeats,
     wx_decode,
     wx_encode,
 )
 from .errors import CogtransError
-from .models import ModelConfig, build_model, transduce_greedy
+from .models import ModelConfig, transduce_greedy
 from .training import (
-    Checkpoint,
     OptimizerSpec,
     TrainConfig,
     average_checkpoints,
@@ -33,52 +31,41 @@ from .training import (
 )
 
 
-class CogtransArgumentParser(argparse.ArgumentParser):
-    pass
+def _config(cls, args, extra=None):
+    """A ``cls`` config from the flags named after its fields, then the
+    matching keys of a ``--config`` section; the file wins over the flags."""
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    kwargs = {n: getattr(args, n) for n in names
+              if getattr(args, n, None) is not None}
+    kwargs.update({k: v for k, v in (extra or {}).items() if k in names})
+    for f in fields:
+        if f.name not in kwargs and f.default is dataclasses.MISSING:
+            raise CogtransError(f"no {f.name} given")
+    return cls(**kwargs)
 
 
-def _model_config(args, extra=None):
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    kwargs = {}
-    for name in ("architecture", "cell", "hidden_dim", "embed_dim", "dropout",
-                 "l2", "num_layers", "num_heads", "d_model", "ffn_dim",
-                 "chunk_size", "max_decode_len"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    for key, value in (extra or {}).items():
-        if key in fields:
-            kwargs[key] = value
-    return ModelConfig(**kwargs).validate()
+_AXIS_TYPES = {f.name: f.type for cls in (ModelConfig, TrainConfig, OptimizerSpec)
+               for f in dataclasses.fields(cls)}
 
 
-def _train_config(args, extra=None):
-    kwargs = {}
-    for name in ("batch_size", "max_epochs", "patience", "l2", "seed",
-                 "val_fraction", "metrics_every"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    for key, value in (extra or {}).items():
-        if key in fields:
-            kwargs[key] = value
-    return TrainConfig(**kwargs).validate()
-
-
-def _opt_spec(args, extra=None):
-    kwargs = {}
-    if getattr(args, "optimizer", None) is not None:
-        kwargs["kind"] = args.optimizer
-    for name in ("lr", "decay", "momentum"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    fields = {f.name for f in dataclasses.fields(OptimizerSpec)}
-    for key, value in (extra or {}).items():
-        if key in fields:
-            kwargs[key] = value
-    return OptimizerSpec(**kwargs).normalized()
+def _axis(text):
+    """``name=v1,v2,...`` -> (name, values converted to the field's type)."""
+    if "=" not in text:
+        raise CogtransError(f"--axis expects name=v1,v2,..., got {text!r}")
+    name, values = text.split("=", 1)
+    kind = _AXIS_TYPES.get(name)
+    out = []
+    for raw in values.split(","):
+        value = data_io._coerce(raw)
+        if kind is float and type(value) is int:
+            value = float(value)
+        if kind is not None and type(value) is not kind:
+            raise CogtransError(
+                f"--axis {name}: {raw!r} is not a {kind.__name__}"
+            )
+        out.append(value)
+    return name, out
 
 
 def _maybe_wx(pairs, script):
@@ -139,14 +126,15 @@ def _loss_curve_svg(history, path):
 # subcommands
 
 def _cmd_train(args):
-    run_cfg = data_io.load_config(args.config) if args.config else None
+    run_cfg = (data_io.load_config(args.config) if args.config
+               else data_io.RunConfig())
     pairs = data_io.load_cognate_tsv(args.data)
-    script = args.script or (run_cfg.script if run_cfg else "raw")
+    script = args.script or run_cfg.script
     pairs = _maybe_wx(pairs, script)
     split = data_io.split_dataset(pairs, seed=args.split_seed)
-    model_cfg = _model_config(args, run_cfg.model if run_cfg else None)
-    train_cfg = _train_config(args, run_cfg.train if run_cfg else None)
-    opt = _opt_spec(args, run_cfg.optimizer if run_cfg else None)
+    model_cfg = _config(ModelConfig, args, run_cfg.model).validate()
+    train_cfg = _config(TrainConfig, args, run_cfg.train).validate()
+    opt = _config(OptimizerSpec, args, run_cfg.optimizer).normalized()
     embedding = None
     if args.embed_vectors:
         store = embeddings.WordVectorStore.load(args.embed_vectors)
@@ -161,9 +149,7 @@ def _cmd_train(args):
                 f"model expects {model_cfg.embed_dim}"
             )
         embedding = table
-    post = strip_trailing_repeats if model_cfg.architecture == "han" else None
-    result = train(model_cfg, train_cfg, opt, split, embedding=embedding,
-                   postprocess=post)
+    result = train(model_cfg, train_cfg, opt, split, embedding=embedding)
     ckpt = result.best
     if args.avg_last and args.avg_last > 1:
         avg = average_checkpoints(result.history, args.avg_last)
@@ -175,8 +161,7 @@ def _cmd_train(args):
     test_metrics = {}
     if split.test:
         model = restore_model(ckpt)
-        test_metrics = training.evaluate_model(model, split.test,
-                                               postprocess=post)
+        test_metrics = training.evaluate_model(model, split.test)
     print(f"checkpoint: {out}")
     print(f"epochs run: {len(result.history)}  best epoch: {result.best.epoch}")
     print(f"best validation loss: {result.best.val_loss:.6f}")
@@ -186,15 +171,12 @@ def _cmd_train(args):
 
 
 def _cmd_transduce(args):
-    ckpt = load_checkpoint(args.model)
-    model = restore_model(ckpt)
+    model = restore_model(load_checkpoint(args.model))
     word = args.word
     if args.script == "devanagari":
         word = wx_encode(word)
     result = transduce_greedy(model, word)
     out = result.word
-    if ckpt.model_config.architecture == "han":
-        out = strip_trailing_repeats(out)
     if args.script == "devanagari":
         out = wx_decode(out)
     print(out)
@@ -206,17 +188,6 @@ def _cmd_transduce(args):
     return 0
 
 
-def _predictions(model, pairs, architecture):
-    post = strip_trailing_repeats if architecture == "han" else None
-    triples = []
-    for src, gold in pairs:
-        pred = transduce_greedy(model, src).word
-        if post:
-            pred = post(pred)
-        triples.append((src, gold, pred))
-    return triples
-
-
 def _cmd_evaluate(args):
     pairs = _maybe_wx(data_io.load_cognate_tsv(args.data), args.script)
     reports = {}
@@ -224,7 +195,8 @@ def _cmd_evaluate(args):
         ckpt = load_checkpoint(path)
         model = restore_model(ckpt)
         arch = ckpt.model_config.architecture
-        triples = _predictions(model, pairs, arch)
+        triples = [(src, gold, transduce_greedy(model, src).word)
+                   for src, gold in pairs]
         tags_fn = None
         if args.script in ("devanagari", "wx"):
             def tags_fn(s, g, p):
@@ -256,7 +228,6 @@ def _cmd_pretrain_embed(args):
         store = embeddings.WordVectorStore.load(args.vectors)
         with open(args.corpus, "r", encoding="utf-8") as fh:
             tokens = fh.read().split()
-        table, missing = embeddings.ft_avg_embed(store, tokens)
         vocab = CharVocab({c for t in tokens for c in t})
         table, missing = embeddings.ft_avg_embed(store, tokens, vocab=vocab)
         real = [m for m in missing if m not in CharVocab.SPECIALS]
@@ -275,14 +246,11 @@ def _cmd_pretrain_embed(args):
 def _cmd_tune(args):
     pairs = _maybe_wx(data_io.load_cognate_tsv(args.data), args.script)
     split = data_io.split_dataset(pairs, seed=args.split_seed)
-    space = {}
-    for axis in args.axis:
-        if "=" not in axis:
-            raise CogtransError(f"--axis expects name=v1,v2,..., got {axis!r}")
-        name, values = axis.split("=", 1)
-        space[name] = [data_io._coerce(v) for v in values.split(",")]
+    space = dict(_axis(axis) for axis in args.axis)
     rows, skipped = training.grid_search(
-        space, _model_config(args), _train_config(args), _opt_spec(args),
+        space, _config(ModelConfig, args).validate(),
+        _config(TrainConfig, args).validate(),
+        _config(OptimizerSpec, args).normalized(),
         split, base_seed=args.seed or 0,
     )
     print(training.grid_table(rows, sorted(space), metric=args.metric))
@@ -294,14 +262,10 @@ def _cmd_tune(args):
 
 def _cmd_oov_correct(args):
     records = oov.load_pipeline_file(args.sentences, args.matrices)
-    ckpt = load_checkpoint(args.model)
-    model = restore_model(ckpt)
-    post = (strip_trailing_repeats
-            if ckpt.model_config.architecture == "han" else None)
+    model = restore_model(load_checkpoint(args.model))
 
     def transducer(word):
-        out = transduce_greedy(model, word).word
-        return post(out) if post else out
+        return transduce_greedy(model, word).word
 
     with open(args.shortlist_corpus, "r", encoding="utf-8") as fh:
         corpus = fh.read().splitlines()
@@ -375,7 +339,7 @@ def _cmd_error_report(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    parser = CogtransArgumentParser(prog="cogtrans")
+    parser = argparse.ArgumentParser(prog="cogtrans")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
@@ -399,7 +363,8 @@ def build_parser():
         p.add_argument("--seed", type=int)
         p.add_argument("--val-fraction", dest="val_fraction", type=float)
         p.add_argument("--metrics-every", dest="metrics_every", type=int)
-        p.add_argument("--optimizer", choices=training.OPTIMIZER_KINDS)
+        p.add_argument("--optimizer", dest="kind",
+                       choices=training.OPTIMIZER_KINDS)
         p.add_argument("--lr", type=float)
         p.add_argument("--decay", type=float)
         p.add_argument("--momentum", type=float)

@@ -11,13 +11,13 @@ All models share the taped tensor core, train on padded batches with loss
 masks, and decode greedily one word at a time.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cells, tensor as T
-from .cells import CellParams, cell_step, init_cell_params, init_embedding, zero_state
-from .devanagari import CharVocab
+from .cells import cell_step, init_cell_params, init_embedding, zero_state
+from .devanagari import CharVocab, strip_trailing_repeats
 from .errors import EmptyInput, InvalidArgument, InvalidShape
 from .tensor import Tensor
 
@@ -35,7 +35,6 @@ class ModelConfig:
     decoder_layers: int = 1
     embed_dim: int = 32
     dropout: float = 0.0
-    l2: float = 0.0
     # transformer-only
     num_layers: int = 2
     num_heads: int = 4
@@ -44,7 +43,6 @@ class ModelConfig:
     # han-only
     chunk_size: int = 3
     max_decode_len: int = 32
-    beam_width: int = 1
 
     def validate(self):
         if self.architecture not in ARCHITECTURES:
@@ -62,10 +60,13 @@ class ModelConfig:
 
 
 @dataclass
-class DecoderState:
-    layers: list                    # per decoder layer: (h, c) or (h,)
-    prev_symbol: int
-    context: Tensor | None = None
+class EncoderOutput:
+    """What a recurrent encoder hands the decoder for one batch."""
+
+    H: Tensor                       # (B, T, 2h) states the decoder attends over
+    final: Tensor                   # (B, 2h) summary: decoder init, seq2seq context
+    mask: np.ndarray | None         # (B, T) 0/1 over H's rows; None = all real
+    char_alpha: np.ndarray | None = None   # han: (B, K, chunk) char-level weights
 
 
 @dataclass
@@ -169,7 +170,12 @@ def _uniform(rng, *shape):
 
 
 class TransductionModel:
-    """Common parameter registry, batching and greedy decoding."""
+    """Common parameter registry, batching and greedy decoding.
+
+    Subclasses build their parameters in ``_build`` and provide
+    ``loss_batch`` (teacher-forced loss of a padded batch) and
+    ``transduce_ids`` (greedy decoding of one word's ids).
+    """
 
     def __init__(self, cfg, vocab, seed=0, embedding=None):
         cfg.validate()
@@ -245,13 +251,6 @@ class TransductionModel:
         return T.softmax(logits, axis=-1)
 
     # -- public API --------------------------------------------------------
-    def loss_batch(self, src, src_len, src_mask, tgt, tgt_len, tgt_mask,
-                   train=True, rng=None):
-        raise NotImplementedError
-
-    def transduce_ids(self, ids):
-        raise NotImplementedError
-
     def loss_words(self, pairs, train=True, rng=None):
         src, sl, sm = encode_batch(self.vocab, [p[0] for p in pairs])
         tgt, tl, tm = encode_batch(self.vocab, [p[1] for p in pairs])
@@ -259,7 +258,7 @@ class TransductionModel:
 
     def _loss_from_probs(self, probs_flat, tgt, tgt_len, tgt_mask):
         """Mean CE over real target chars per word, then mean over words."""
-        B, steps = tgt.shape[0], tgt.shape[1] - 1
+        B = tgt.shape[0]
         targets = tgt[:, 1:].reshape(-1)
         w = tgt_mask[:, 1:] / (tgt_len - 1.0)[:, None] / B
         return T.cross_entropy_rows(probs_flat, targets, w.reshape(-1))
@@ -286,8 +285,7 @@ class _RecurrentModel(TransductionModel):
         cfg = self.cfg
         self._rng = rng
         V = len(self.vocab)
-        emb = init_embedding(V, cfg.embed_dim, rng,
-                             pretrained=None if embedding is None else embedding)
+        emb = init_embedding(V, cfg.embed_dim, rng, pretrained=embedding)
         self.params["embedding"] = emb.table
         self.enc_cells = []
         if self.builds_encoder:
@@ -298,7 +296,7 @@ class _RecurrentModel(TransductionModel):
                      self._add_cell(in_dim, f"enc{l}_bwd_"))
                 )
                 in_dim = 2 * cfg.hidden_dim
-        ctx_dim = self._context_dim()
+        ctx_dim = 2 * cfg.hidden_dim
         self.dec_cells = []
         in_dim = cfg.embed_dim + ctx_dim
         for l in range(cfg.decoder_layers):
@@ -314,19 +312,14 @@ class _RecurrentModel(TransductionModel):
             self._add("v", _uniform(rng, cfg.hidden_dim, 1))
         del self._rng
 
-    def _context_dim(self):
-        return 2 * self.cfg.hidden_dim
-
     def _encode(self, src, src_mask, train, rng):
-        xs = None
         emb = self._embed(self.params["embedding"], src, train, rng)
         steps = [emb[:, t] for t in range(src.shape[1])]
         for fwd_cell, bwd_cell in self.enc_cells:
-            states, f_fin, b_fin = self._run_birnn(steps, src_mask, fwd_cell, bwd_cell)
-            steps = states
-        H = T.stack(states, axis=1)                     # (B, T, 2h)
+            steps, f_fin, b_fin = self._run_birnn(steps, src_mask, fwd_cell, bwd_cell)
+        H = T.stack(steps, axis=1)                      # (B, T, 2h)
         final = T.concat([f_fin, b_fin], axis=-1)       # (B, 2h)
-        return H, final
+        return EncoderOutput(H, final, src_mask)
 
     def _init_dec_state(self, final, batch):
         s0 = T.tanh(final @ self.params["W_init"] + self.params["b_init"])
@@ -337,11 +330,13 @@ class _RecurrentModel(TransductionModel):
             layers.append(tuple(st))
         return layers
 
-    def _attn_params(self):
-        return {k: self.params[k] for k in ("W_s", "W_h", "v")}
-
-    def _context(self, dec_layers, H, src_mask, cache):
-        raise NotImplementedError
+    def _context(self, layers, enc):
+        """Context for the next step from the previous top decoder state:
+        the encoder summary (seq2seq) or attention over H (am, han)."""
+        if not self.uses_attention:
+            return enc.final, None
+        p = {k: self.params[k] for k in ("W_s", "W_h", "v")}
+        return attend_bahdanau(layers[-1][0], enc.H, p, mask=enc.mask)
 
     def _run_dec_stack(self, x, layers, train, rng):
         new_layers = []
@@ -353,51 +348,48 @@ class _RecurrentModel(TransductionModel):
             h = cells.dropout(h, self.cfg.dropout, "train", rng)
         return h, new_layers
 
+    def decode_step(self, x_emb, layers, enc, train, rng):
+        """One decoder step for a batch of rows.
+
+        x_emb: (B, embed) embedded previous symbols; layers: per decoder
+        layer (h, c) or (h,).  Returns the next-char distribution (B, V),
+        the new layers and the attention weights (None without attention).
+        """
+        ctx, alpha = self._context(layers, enc)
+        x = T.concat([x_emb, ctx], axis=-1)
+        h, layers = self._run_dec_stack(x, layers, train, rng)
+        return self._output_dist(h, ctx), layers, alpha
+
     def loss_batch(self, src, src_len, src_mask, tgt, tgt_len, tgt_mask,
                    train=True, rng=None):
         rng = rng or np.random.default_rng(0)
-        B = src.shape[0]
-        H, final = self._encode(src, src_mask, train, rng)
-        layers = self._init_dec_state(final, B)
-        cache = self._make_cache(H, final)
+        enc = self._encode(src, src_mask, train, rng)
+        layers = self._init_dec_state(enc.final, src.shape[0])
         emb_in = self._embed(self.params["embedding"], tgt[:, :-1], train, rng)
         prob_rows = []
         for t in range(tgt.shape[1] - 1):
-            ctx, _ = self._context(layers, H, src_mask, cache)
-            x = T.concat([emb_in[:, t], ctx], axis=-1)
-            h, layers = self._run_dec_stack(x, layers, train, rng)
-            prob_rows.append(self._output_dist(h, ctx))
+            probs, layers, _ = self.decode_step(emb_in[:, t], layers, enc,
+                                                train, rng)
+            prob_rows.append(probs)
         probs = T.reshape(T.stack(prob_rows, axis=1), (-1, len(self.vocab)))
         return self._loss_from_probs(probs, tgt, tgt_len, tgt_mask)
-
-    def decode_step(self, y_prev, state, context):
-        """One greedy-decoding step: distribution over chars + next state."""
-        if not 0 <= y_prev < len(self.vocab):
-            raise IndexError(f"symbol id {y_prev} outside vocabulary")
-        emb = T.embedding(self.params["embedding"], np.array([y_prev]))
-        x = T.concat([emb, T.reshape(context, (1, -1))], axis=-1)
-        h, layers = self._run_dec_stack(x, state.layers, False, None)
-        dist = self._output_dist(h, T.reshape(context, (1, -1)))
-        return T.reshape(dist, (-1,)), DecoderState(layers, y_prev, context)
 
     def transduce_ids(self, ids):
         if len(ids) == 0:
             raise EmptyInput("cannot transduce an empty word")
         src = np.array([ids], dtype=np.intp)
+        out = []
+        rows = []
+        truncated = True
         with T.no_grad():
-            H, final = self._encode(src, None, False, None)
-            layers = self._init_dec_state(final, 1)
-            cache = self._make_cache(H, final)
-            state = DecoderState(layers, CharVocab.BOS)
-            out = []
-            rows = []
-            truncated = True
+            enc = self._encode(src, None, False, None)
+            layers = self._init_dec_state(enc.final, 1)
+            sym = CharVocab.BOS
             for _ in range(self.cfg.max_decode_len):
-                ctx, alpha = self._context(state.layers, H, None, cache)
-                dist, state = self.decode_step(state.prev_symbol, state, ctx)
-                rows.append(self._attention_row(alpha, len(ids)))
+                x = T.embedding(self.params["embedding"], np.array([sym]))
+                dist, layers, alpha = self.decode_step(x, layers, enc, False, None)
+                rows.append(self._attention_row(alpha, enc, len(ids)))
                 sym = int(np.argmax(dist.data))
-                state.prev_symbol = sym
                 if sym == CharVocab.EOS:
                     truncated = False
                     break
@@ -405,7 +397,7 @@ class _RecurrentModel(TransductionModel):
         att = np.vstack(rows) if rows else np.zeros((0, len(ids)))
         return out, att, truncated
 
-    def _attention_row(self, alpha, n_src):
+    def _attention_row(self, alpha, enc, n_src):
         if alpha is None:
             return np.full((1, n_src), 1.0 / n_src)
         return alpha.data.reshape(1, -1)
@@ -414,26 +406,11 @@ class _RecurrentModel(TransductionModel):
 class Seq2SeqPeekModel(_RecurrentModel):
     """No attention: the encoder summary is re-fed at every decoder step."""
 
-    uses_attention = False
-
-    def _make_cache(self, H, final):
-        return final
-
-    def _context(self, dec_layers, H, src_mask, cache):
-        return cache, None
-
 
 class AlignmentModel(_RecurrentModel):
     """Bahdanau-style additive attention over raw encoder states."""
 
     uses_attention = True
-
-    def _make_cache(self, H, final):
-        return None
-
-    def _context(self, dec_layers, H, src_mask, cache):
-        s_prev = dec_layers[-1][0]
-        return attend_bahdanau(s_prev, H, self._attn_params(), mask=src_mask)
 
 
 class HierarchicalAttentionModel(_RecurrentModel):
@@ -444,7 +421,6 @@ class HierarchicalAttentionModel(_RecurrentModel):
     builds_encoder = False
 
     def _build(self, rng, embedding):
-        self._rng = rng
         super()._build(rng, embedding)
         self._rng = rng
         cfg = self.cfg
@@ -501,24 +477,13 @@ class HierarchicalAttentionModel(_RecurrentModel):
         states, f_fin, b_fin = self._run_birnn(steps, chunk_mask, *self.chunk_cells)
         H = T.stack(states, axis=1)                     # (B, K, 2h)
         final = T.concat([f_fin, b_fin], axis=-1)
-        self._last_chunk_mask = chunk_mask
-        self._last_char_alpha = char_alpha.data.reshape(B, K, cs)
-        self._last_tmax = tmax
-        return H, final
+        return EncoderOutput(H, final, chunk_mask,
+                             char_alpha.data.reshape(B, K, cs))
 
-    def _make_cache(self, H, final):
-        return None
-
-    def _context(self, dec_layers, H, src_mask, cache):
-        s_prev = dec_layers[-1][0]
-        mask = self._last_chunk_mask
-        return attend_bahdanau(s_prev, H, self._attn_params(), mask=mask)
-
-    def _attention_row(self, alpha, n_src):
+    def _attention_row(self, alpha, enc, n_src):
         # expand chunk weights to char columns through the char-level weights
         chunk_w = alpha.data.reshape(-1)                 # (K,)
-        char_w = self._last_char_alpha[0]                # (K, cs)
-        row = (chunk_w[:, None] * char_w).reshape(-1)[: self._last_tmax]
+        row = (chunk_w[:, None] * enc.char_alpha[0]).reshape(-1)[:n_src]
         total = row.sum()
         return (row / total if total > 0 else row).reshape(1, -1)
 
@@ -528,8 +493,8 @@ class HierarchicalAttentionModel(_RecurrentModel):
             raise EmptyInput("empty word")
         src = np.array([word_ids], dtype=np.intp)
         with T.no_grad():
-            H, _ = self._encode(src, np.ones_like(src, dtype=np.float64), False, None)
-        return H.data[0], self._last_char_alpha[0]
+            enc = self._encode(src, np.ones_like(src, dtype=np.float64), False, None)
+        return enc.H.data[0], enc.char_alpha[0]
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +506,7 @@ class TransformerModel(TransductionModel):
         self._rng = rng
         V = len(self.vocab)
         d, f = cfg.d_model, cfg.ffn_dim
-        emb = init_embedding(V, d, rng,
-                            pretrained=None if embedding is None else embedding)
+        emb = init_embedding(V, d, rng, pretrained=embedding)
         self.params["embedding"] = emb.table
         for side, n in (("enc", cfg.num_layers), ("dec", cfg.num_layers)):
             for l in range(n):
@@ -599,15 +563,12 @@ class TransformerModel(TransductionModel):
             a = multi_head_attention(y, y, y, self.cfg.num_heads,
                                      self._mha_params("dec", l, "self"), causal=True)
             y = self._ln(y + a, "dec", l, 0)
-            if want_weights and l == self.cfg.num_layers - 1:
-                a, cross_w = multi_head_attention(
-                    y, enc_out, enc_out, self.cfg.num_heads,
-                    self._mha_params("dec", l, "cross"), key_mask=src_mask,
-                    return_weights=True)
-            else:
-                a = multi_head_attention(y, enc_out, enc_out, self.cfg.num_heads,
-                                         self._mha_params("dec", l, "cross"),
-                                         key_mask=src_mask)
+            last = want_weights and l == self.cfg.num_layers - 1
+            a = multi_head_attention(y, enc_out, enc_out, self.cfg.num_heads,
+                                     self._mha_params("dec", l, "cross"),
+                                     key_mask=src_mask, return_weights=last)
+            if last:
+                a, cross_w = a
             y = self._ln(y + a, "dec", l, 1)
             y = self._ln(y + self._ffn(y, "dec", l), "dec", l, 2)
         return y, cross_w
@@ -659,9 +620,16 @@ class TransformerModel(TransductionModel):
 
 def transduce_greedy(model, word):
     """Greedy transduction of one word; returns the string, the decoder-over-
-    encoder attention matrix, and a truncation flag."""
+    encoder attention matrix, and a truncation flag.
+
+    ``han`` output is cleaned of repeated trailing graphemes, as the paper
+    does before scoring; the attention matrix keeps one row per decoder step.
+    """
     if not word:
         raise EmptyInput("empty word")
     ids = model.vocab.encode(word)
     out_ids, att, truncated = model.transduce_ids(ids)
-    return Transduction(model.vocab.decode(out_ids), att, truncated)
+    out = model.vocab.decode(out_ids)
+    if model.cfg.architecture == "han":
+        out = strip_trailing_repeats(out)
+    return Transduction(out, att, truncated)

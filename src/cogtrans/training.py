@@ -208,20 +208,15 @@ def _epoch_split(pool, rng, train_cfg, fixed):
     return shuffled[n_val:], shuffled[:n_val]
 
 
-def evaluate_model(model, pairs, postprocess=None):
+def evaluate_model(model, pairs):
     """Greedy-decode every pair and aggregate BLEU/SS/WA."""
-    triples = []
-    for src, gold in pairs:
-        pred = transduce_greedy(model, src).word
-        if postprocess is not None:
-            pred = postprocess(pred)
-        triples.append((src, gold, pred))
+    triples = [(src, gold, transduce_greedy(model, src).word)
+               for src, gold in pairs]
     report = metrics.score_items(triples)
     return {"bleu": report.bleu, "ss": report.ss, "wa": report.wa}
 
 
-def train(model_cfg, train_cfg, opt_spec, data, embedding=None, vocab=None,
-          postprocess=None):
+def train(model_cfg, train_cfg, opt_spec, data, embedding=None, vocab=None):
     """Fit a model on a DatasetSplit-like object with .train/.validation.
 
     Returns a TrainResult whose history holds one Checkpoint per epoch and
@@ -269,7 +264,7 @@ def train(model_cfg, train_cfg, opt_spec, data, embedding=None, vocab=None,
             raise DivergedError(epoch)
         snap = None
         if train_cfg.metrics_every and (epoch + 1) % train_cfg.metrics_every == 0:
-            snap = evaluate_model(model, va or tr, postprocess=postprocess)
+            snap = evaluate_model(model, va or tr)
         ckpt = Checkpoint(
             params=model.export_params(),
             epoch=epoch,
@@ -334,16 +329,14 @@ def grid_search(space, model_cfg, train_cfg, opt_spec, data, base_seed=0):
     skipped = []
     for idx, values in enumerate(product(*(space[a] for a in axes))):
         combo = dict(zip(axes, values))
-        mc = dataclasses.replace(
-            model_cfg, **{k: v for k, v in combo.items() if k in _MODEL_FIELDS}
-        )
-        tc = dataclasses.replace(
-            train_cfg, **{k: v for k, v in combo.items() if k in _TRAIN_FIELDS}
+        mc, tc, op = (
+            dataclasses.replace(base, **{k: v for k, v in combo.items()
+                                         if k in names})
+            for base, names in ((model_cfg, _MODEL_FIELDS),
+                                (train_cfg, _TRAIN_FIELDS),
+                                (opt_spec, _OPT_FIELDS))
         )
         tc = dataclasses.replace(tc, seed=base_seed * 100003 + idx)
-        op = dataclasses.replace(
-            opt_spec, **{k: v for k, v in combo.items() if k in _OPT_FIELDS}
-        )
         try:
             mc.validate()
             tc.validate()
@@ -382,7 +375,7 @@ def grid_table(rows, axes, metric="bleu"):
 # checkpoint persistence
 
 CHECKPOINT_MAGIC = b"CGTCKPT\x01"
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 def _header_dict(ckpt):
@@ -450,7 +443,12 @@ def load_checkpoint(path, expect_architecture=None):
         raise IncompatibleCheckpoint(
             f"unsupported checkpoint format {header.get('format')!r}"
         )
-    cfg = ModelConfig(**header["model_config"])
+    try:
+        cfg = ModelConfig(**header["model_config"])
+    except TypeError as exc:
+        raise IncompatibleCheckpoint(
+            f"checkpoint model config does not fit this version ({exc})"
+        ) from None
     if expect_architecture is not None and cfg.architecture != expect_architecture:
         raise IncompatibleCheckpoint(
             f"checkpoint holds a {cfg.architecture!r} model, "

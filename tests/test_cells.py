@@ -3,7 +3,6 @@ import pytest
 
 from cogtrans import cells, tensor as T
 from cogtrans.cells import (
-    bidirectional_encode,
     cell_step,
     dropout,
     gru_step,
@@ -12,7 +11,9 @@ from cogtrans.cells import (
     lstm_step,
     zero_state,
 )
-from cogtrans.errors import EmptyInput, InvalidArgument, InvalidShape
+from cogtrans.devanagari import build_vocab
+from cogtrans.errors import InvalidArgument, InvalidShape
+from cogtrans.models import ModelConfig, build_model
 
 
 def _zeroed(kind, in_dim, h):
@@ -121,40 +122,43 @@ def test_cell_step_gradients(kind):
     assert T.finite_diff_check(f, p.weights) < 1e-4
 
 
+def _birnn(seq, pf, pb):
+    """The models' bidirectional runner over (1, d) rows; states only."""
+    model = build_model(ModelConfig(architecture="am"),
+                        build_vocab([("ab", "ab")]))
+    states, _, _ = model._run_birnn(seq, None, pf, pb)
+    return states
+
+
 class TestBidirectional:
     def test_length_and_dim(self):
         pf, pb = _rand("lstm", 3, 80, 0), _rand("lstm", 3, 80, 1)
-        seq = [T.Tensor(np.random.default_rng(i).normal(size=3))
+        seq = [T.Tensor(np.random.default_rng(i).normal(size=(1, 3)))
                for i in range(4)]
-        out = bidirectional_encode(seq, pf, pb)
+        out = _birnn(seq, pf, pb)
         assert len(out) == 4
         assert out[0].shape[-1] == 160
 
     def test_single_step_is_concat_of_both_directions(self):
         pf, pb = _rand("gru", 3, 2, 0), _rand("gru", 3, 2, 1)
-        x = T.Tensor(np.array([0.1, 0.2, 0.3]))
-        out = bidirectional_encode([x], pf, pb)
-        hf = gru_step(x, T.Tensor(np.zeros(2)), pf)
-        hb = gru_step(x, T.Tensor(np.zeros(2)), pb)
+        x = T.Tensor(np.array([[0.1, 0.2, 0.3]]))
+        out = _birnn([x], pf, pb)
+        hf = gru_step(x, T.Tensor(np.zeros((1, 2))), pf)
+        hb = gru_step(x, T.Tensor(np.zeros((1, 2))), pb)
         assert np.allclose(out[0].data,
-                           np.concatenate([hf.data, hb.data]))
+                           np.concatenate([hf.data, hb.data], axis=-1))
 
     def test_reversal_symmetry(self):
         pf, pb = _rand("lstm", 3, 2, 0), _rand("lstm", 3, 2, 1)
-        seq = [T.Tensor(np.random.default_rng(i).normal(size=3))
+        seq = [T.Tensor(np.random.default_rng(i).normal(size=(1, 3)))
                for i in range(5)]
-        ab = bidirectional_encode(seq, pf, pb)
-        ba = bidirectional_encode(seq[::-1], pb, pf)
+        ab = _birnn(seq, pf, pb)
+        ba = _birnn(seq[::-1], pb, pf)
         h = 2
         for t in range(5):
-            fwd, bwd = ab[t].data[:h], ab[t].data[h:]
-            rb, rf = ba[4 - t].data[:h], ba[4 - t].data[h:]
+            fwd, bwd = ab[t].data[0, :h], ab[t].data[0, h:]
+            rb, rf = ba[4 - t].data[0, :h], ba[4 - t].data[0, h:]
             assert np.allclose(fwd, rf) and np.allclose(bwd, rb)
-
-    def test_empty_sequence(self):
-        pf, pb = _rand("lstm", 3, 2, 0), _rand("lstm", 3, 2, 1)
-        with pytest.raises(EmptyInput):
-            bidirectional_encode([], pf, pb)
 
 
 class TestDropout:

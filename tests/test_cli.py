@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cogtrans.cli import run_cli
+from cogtrans.cli import _config, build_parser, run_cli
 from cogtrans.data_io import load_cognate_tsv
+from cogtrans.models import ModelConfig
 from cogtrans.oov import AlignedSentencePair, save_pipeline_file
 from cogtrans.synthetic import generate_pairs
-from cogtrans.training import load_checkpoint
+from cogtrans.training import OptimizerSpec, TrainConfig, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,42 @@ class TestTrainAndFriends:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("0.0") >= 2  # both grid rows present
+
+    def test_train_without_arch_exit_1(self, corpus, capsys):
+        assert run_cli(["train", "--data", str(corpus), "--epochs", "1"]) == 1
+        assert "architecture" in capsys.readouterr().err
+
+    def test_tune_without_arch_exit_1(self, corpus, capsys):
+        assert run_cli(["tune", "--data", str(corpus),
+                        "--axis", "lr=0.01"]) == 1
+        assert "architecture" in capsys.readouterr().err
+
+    def test_tune_bad_axis_value_exit_1(self, corpus, capsys):
+        assert run_cli(["tune", "--data", str(corpus), "--arch", "am",
+                        "--axis", "lr=0.01,abc"]) == 1
+        err = capsys.readouterr().err
+        assert "lr" in err and "'abc'" in err
+
+    def test_config_file_wins_over_flags(self, corpus, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("model.hidden_dim = 4\n", encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        assert run_cli([
+            "train", "--data", str(corpus), "--config", str(conf),
+            "--arch", "am", "--hidden-dim", "8", "--embed-dim", "6",
+            "--epochs", "1", "--batch-size", "16", "--metrics-every", "0",
+            "--out", str(out),
+        ]) == 0
+        cfg = load_checkpoint(out).model_config
+        assert (cfg.architecture, cfg.hidden_dim, cfg.embed_dim) == ("am", 4, 6)
+
+    def test_flags_fill_every_config(self):
+        args = build_parser().parse_args([
+            "train", "--data", "x", "--optimizer", "sgd", "--lr", "0.5",
+            "--l2", "0.25", "--cell", "gru", "--arch", "han"])
+        assert _config(OptimizerSpec, args) == OptimizerSpec("sgd", lr=0.5)
+        assert _config(TrainConfig, args).l2 == 0.25
+        assert _config(ModelConfig, args) == ModelConfig("han", cell="gru")
 
 
 class TestPretrainEmbed:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cogtrans import tensor as T
-from cogtrans.devanagari import CharVocab, build_vocab
+from cogtrans.devanagari import CharVocab, build_vocab, strip_trailing_repeats
 from cogtrans.errors import EmptyInput, InvalidArgument
 from cogtrans.models import (
     ModelConfig,
@@ -199,19 +199,17 @@ class TestDecoding:
         src = np.array([vocab.encode("abc")], dtype=np.intp)
         with T.no_grad():
             for model, varies in ((s2s, False), (am, True)):
-                H, final = model._encode(src, None, False, None)
-                layers = model._init_dec_state(final, 1)
-                cache = model._make_cache(H, final)
+                enc = model._encode(src, None, False, None)
+                layers = model._init_dec_state(enc.final, 1)
                 ctxs = []
-                state_layers = layers
-                for step in range(3):
-                    ctx, _ = model._context(state_layers, H, None, cache)
+                sym = 1
+                for _ in range(3):
+                    ctx, _ = model._context(layers, enc)
                     ctxs.append(ctx.data.copy())
-                    from cogtrans.models import DecoderState
-                    dist, st = model.decode_step(
-                        1 if step == 0 else int(np.argmax(dist.data)),
-                        DecoderState(state_layers, 0), ctx)
-                    state_layers = st.layers
+                    x = T.embedding(model.params["embedding"], np.array([sym]))
+                    dist, layers, _ = model.decode_step(x, layers, enc,
+                                                        False, None)
+                    sym = int(np.argmax(dist.data))
                     assert dist.data.sum() == pytest.approx(1.0, abs=1e-12)
                 deltas = [np.abs(ctxs[i] - ctxs[0]).max() for i in (1, 2)]
                 if varies:
@@ -237,6 +235,16 @@ class TestHan:
         chunk_states, char_alpha = model.han_encode(ids)
         assert chunk_states.shape[0] == 1
         assert char_alpha.shape[0] == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_output_cleaned_of_trailing_repeats(self, seed):
+        vocab = build_vocab([("aab", "abb")])
+        model = build_model(_cfg("han", max_decode_len=12), vocab, seed=seed)
+        for t in model.params.values():   # large random weights decode
+            t.data *= 30.0                # long runs of one character
+        for word in ("ab", "aab", "baba"):
+            out = transduce_greedy(model, word).word
+            assert strip_trailing_repeats(out) == out
 
 
 class TestTransformer:

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from cogtrans.training import (
     ADAGRAD_EPS,
     ADADELTA_EPS,
     ADADELTA_RHO,
+    CHECKPOINT_MAGIC,
     RMSPROP_EPS,
     RMSPROP_RHO,
     Checkpoint,
@@ -267,6 +271,42 @@ class TestCheckpointIO:
         save_checkpoint(res.best, path)
         with pytest.raises(IncompatibleCheckpoint):
             load_checkpoint(path, expect_architecture="tn")
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        """Re-save a checkpoint with an edited JSON header and a valid
+        checksum, as an older or foreign writer would have made it."""
+        body = path.read_bytes()[:-32]
+        off = len(CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack_from("<I", body, off)
+        header = json.loads(body[off + 4 : off + 4 + hlen])
+        edit(header)
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        blob = (CHECKPOINT_MAGIC + struct.pack("<I", len(raw)) + raw
+                + body[off + 4 + hlen :])
+        path.write_bytes(blob + hashlib.sha256(blob).digest())
+
+    def test_format_1_rejected(self, tmp_path):
+        res = self._trained()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(res.best, path)
+
+        def to_format_1(header):
+            header["format"] = 1
+            header["model_config"].update(beam_width=1, l2=0.0)
+
+        self._rewrite_header(path, to_format_1)
+        with pytest.raises(IncompatibleCheckpoint, match="format 1"):
+            load_checkpoint(path)
+
+    def test_unknown_model_config_key_rejected(self, tmp_path):
+        res = self._trained()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(res.best, path)
+        self._rewrite_header(
+            path, lambda header: header["model_config"].update(no_such_key=3))
+        with pytest.raises(IncompatibleCheckpoint, match="no_such_key"):
+            load_checkpoint(path)
 
     def test_restore_model_decodes(self, tmp_path):
         res = self._trained()
