@@ -195,13 +195,15 @@ def _cmd_evaluate(args):
         ckpt = load_checkpoint(path)
         model = restore_model(ckpt)
         arch = ckpt.model_config.architecture
-        triples = [(src, gold, transduce_greedy(model, src).word)
-                   for src, gold in pairs]
+        decoded = [transduce_greedy(model, src) for src, _ in pairs]
+        triples = [(src, gold, out.word)
+                   for (src, gold), out in zip(pairs, decoded)]
         tags_fn = None
         if args.script in ("devanagari", "wx"):
             def tags_fn(s, g, p):
                 return classify_errors(s, g, p, script="wx")
         report = metrics.score_items(triples, tags_fn=tags_fn)
+        report.truncated = sum(out.truncated for out in decoded)
         name = arch if arch not in reports else os.path.basename(path)
         reports[name] = report
         if args.report:
@@ -261,19 +263,32 @@ def _cmd_tune(args):
 
 
 def _cmd_oov_correct(args):
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise CogtransError(
+            f"--sizes expects comma-separated integers, got {args.sizes!r}"
+        ) from None
+    if len(sizes) > 1 and not args.references:
+        raise CogtransError(
+            "several --sizes need --references; a corrected corpus uses one size"
+        )
     records = oov.load_pipeline_file(args.sentences, args.matrices)
     model = restore_model(load_checkpoint(args.model))
+    memo = {}
 
     def transducer(word):
-        return transduce_greedy(model, word).word
+        # rare words recur across sentences and shortlist sizes: decode each once
+        if word not in memo:
+            memo[word] = transduce_greedy(model, word).word
+        return memo[word]
 
     with open(args.shortlist_corpus, "r", encoding="utf-8") as fh:
         corpus = fh.read().splitlines()
-    sizes = [int(s) for s in args.sizes.split(",")]
     if args.references:
-        refs = [line.split() for line in
-                open(args.references, "r", encoding="utf-8").read().splitlines()
-                if line.strip()]
+        with open(args.references, "r", encoding="utf-8") as fh:
+            refs = [line.split() for line in fh.read().splitlines()
+                    if line.strip()]
         rows = oov.evaluate_pipeline(records, refs, corpus, sizes, transducer)
         print("K\tbaseline\tcorrected\tdelta")
         for row in rows:

@@ -163,6 +163,7 @@ class EvalReport:
     wa: float = 0.0
     n_items: int = 0
     items: list = field(default_factory=list)
+    truncated: int = 0      # decodes cut at max_decode_len, set by the decoder's caller
 
     @classmethod
     def from_items(cls, items):
@@ -204,7 +205,8 @@ def score_items(triples, tags_fn=None, max_n=4):
 
 
 def write_report_tsv(report, path):
-    """One record per item plus an aggregate footer."""
+    """One record per item plus an aggregate footer of ``key=value`` fields,
+    the last of them the count of truncated decodes."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("source\tgold\tprediction\tss\twa\tbleu\ttags\n")
         for it in report.items:
@@ -214,7 +216,8 @@ def write_report_tsv(report, path):
             )
         fh.write(
             f"#aggregate\tn={report.n_items}\tbleu={report.bleu:.4f}\t"
-            f"ss={report.ss:.4f}\twa={report.wa:.4f}\n"
+            f"ss={report.ss:.4f}\twa={report.wa:.4f}\t"
+            f"truncated={report.truncated}\n"
         )
 
 

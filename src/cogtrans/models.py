@@ -8,10 +8,13 @@
 * tn       - transformer: multi-head self-attention, residuals, layer norm
 
 All models share the taped tensor core, train on padded batches with loss
-masks, and decode greedily one word at a time.
+masks, and decode greedily one word at a time.  ``tn`` decodes
+incrementally: it encodes the word once, projects each decoder layer's
+cross-attention keys/values once, and caches each layer's self-attention
+keys/values so every step runs the decoder on the new position only.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,34 +128,41 @@ def attend_bahdanau(s_prev, H, p, mask=None):
     return ctx, alpha
 
 
+def project_heads(x, W, heads):
+    """(B, t, d) inputs -> (B, heads, t, d/heads) projected head slices."""
+    B, t, d = x.shape
+    return T.transpose(T.reshape(x @ W, (B, t, heads, d // heads)), (0, 2, 1, 3))
+
+
 def multi_head_attention(Q, K, V, heads, p, causal=False, key_mask=None,
-                         return_weights=False):
+                         return_weights=False, kv=None):
     """Scaled dot-product attention over projected head slices.
 
-    Q/K/V: (Tq, d) / (Tk, d) matrices or (B, ...) batches.  The causal flag
-    masks position i from attending beyond i (decoder self-attention).
+    Q/K/V: (Tq, d) / (Tk, d) matrices or (B, ...) batches.  ``kv`` gives the
+    keys and values already projected (``project_heads``), and K/V are then
+    not used.  The causal flag masks query i, the (Tk - Tq + i)-th position,
+    from attending beyond itself (decoder self-attention), so the queries
+    may be the last Tq of the Tk positions.
     """
     single = Q.ndim == 2
     if single:
         Q = T.reshape(Q, (1,) + tuple(Q.shape))
-        K = T.reshape(K, (1,) + tuple(K.shape))
-        V = T.reshape(V, (1,) + tuple(V.shape))
+        if kv is None:
+            K = T.reshape(K, (1,) + tuple(K.shape))
+            V = T.reshape(V, (1,) + tuple(V.shape))
     d = Q.shape[-1]
     if d % heads != 0:
         raise InvalidArgument("model dim not divisible by head count")
     dk = d // heads
-    B, tq, tk = Q.shape[0], Q.shape[1], K.shape[1]
-
-    def split(x, name, t):
-        return T.transpose(T.reshape(x @ p[name], (B, t, heads, dk)), (0, 2, 1, 3))
-
-    q = split(Q, "W_q", tq)
-    k = split(K, "W_k", tk)
-    v = split(V, "W_v", tk)
+    q = project_heads(Q, p["W_q"], heads)
+    if kv is None:
+        kv = project_heads(K, p["W_k"], heads), project_heads(V, p["W_v"], heads)
+    k, v = kv
+    B, tq, tk = Q.shape[0], Q.shape[1], k.shape[2]
     scores = q @ T.transpose(k, (0, 1, 3, 2)) * (1.0 / np.sqrt(dk))
     mask = np.zeros((B, 1, tq, tk))
     if causal:
-        mask += np.triu(np.full((tq, tk), NEG_INF), k=1)[None, None]
+        mask += np.triu(np.full((tq, tk), NEG_INF), k=1 + tk - tq)[None, None]
     if key_mask is not None:
         mask += np.where(key_mask > 0, 0.0, NEG_INF)[:, None, None, :]
     weights = T.softmax(scores, axis=-1, mask=mask)
@@ -538,10 +548,11 @@ class TransformerModel(TransductionModel):
         h = T.relu(x @ p[f"{side}{l}_ffn_W1"] + p[f"{side}{l}_ffn_b1"])
         return h @ p[f"{side}{l}_ffn_W2"] + p[f"{side}{l}_ffn_b2"]
 
-    def _embed_pos(self, ids, train, rng):
+    def _embed_pos(self, ids, train, rng, start=0):
+        """Embed target positions start, start+1, ... of ``ids``'s columns."""
         d = self.cfg.d_model
         x = T.embedding(self.params["embedding"], ids) * np.sqrt(d)
-        x = x + Tensor(positional_encoding(ids.shape[1], d))
+        x = x + Tensor(positional_encoding(start + ids.shape[1], d)[start:])
         if train and self.cfg.dropout > 0:
             x = cells.dropout(x, self.cfg.dropout, "train", rng)
         return x
@@ -556,32 +567,58 @@ class TransformerModel(TransductionModel):
             x = self._ln(x + self._ffn(x, "enc", l), "enc", l, 1)
         return x
 
-    def _decode(self, tgt_in, enc_out, src_mask, train, rng, want_weights=False):
-        y = self._embed_pos(tgt_in, train, rng)
+    def _decode(self, tgt_in, enc_out, src_mask, train, rng, want_weights=False,
+                state=None):
+        start = 0 if state is None else state.length
+        y = self._embed_pos(tgt_in[:, start:], train, rng, start=start)
+        heads = self.cfg.num_heads
         cross_w = None
         for l in range(self.cfg.num_layers):
-            a = multi_head_attention(y, y, y, self.cfg.num_heads,
-                                     self._mha_params("dec", l, "self"), causal=True)
+            p = self._mha_params("dec", l, "self")
+            if state is None:
+                a = multi_head_attention(y, y, y, heads, p, causal=True)
+            else:
+                a = multi_head_attention(y, None, None, heads, p, causal=True,
+                                         kv=state.extend(l, y, p, heads))
             y = self._ln(y + a, "dec", l, 0)
             last = want_weights and l == self.cfg.num_layers - 1
-            a = multi_head_attention(y, enc_out, enc_out, self.cfg.num_heads,
+            a = multi_head_attention(y, enc_out, enc_out, heads,
                                      self._mha_params("dec", l, "cross"),
-                                     key_mask=src_mask, return_weights=last)
+                                     key_mask=src_mask, return_weights=last,
+                                     kv=None if state is None else state.cross[l])
             if last:
                 a, cross_w = a
             y = self._ln(y + a, "dec", l, 1)
             y = self._ln(y + self._ffn(y, "dec", l), "dec", l, 2)
+        if state is not None:
+            state.length = tgt_in.shape[1]
         return y, cross_w
 
     def forward(self, src, tgt_in, src_mask=None, train=False, rng=None,
-                want_weights=False):
-        """Next-char distributions (B, T_tgt, V) under teacher forcing."""
+                want_weights=False, state=None):
+        """Next-char distributions (B, T_tgt, V) under teacher forcing.
+
+        With a ``DecodeState`` (greedy decoding), ``tgt_in`` is the whole
+        prefix decoded so far; the source is encoded on the state's first
+        call only, and the distributions (and weights) cover only the
+        positions of ``tgt_in`` the state has not seen yet.
+        """
         if src.shape[1] == 0:
             raise EmptyInput("empty source")
         rng = rng or np.random.default_rng(0)
-        enc = self._encode(src, src_mask, train, rng)
+        if state is None:
+            enc = self._encode(src, src_mask, train, rng)
+        elif state.enc is None:
+            enc = state.enc = self._encode(src, src_mask, train, rng)
+            state.cross = [
+                tuple(project_heads(enc, self.params[f"dec{l}_cross_{w}"],
+                                    self.cfg.num_heads) for w in ("W_k", "W_v"))
+                for l in range(self.cfg.num_layers)
+            ]
+        else:
+            enc = state.enc
         y, cross_w = self._decode(tgt_in, enc, src_mask, train, rng,
-                                  want_weights=want_weights)
+                                  want_weights=want_weights, state=state)
         logits = y @ self.params["W_out"] + self.params["b_out"]
         probs = T.softmax(logits, axis=-1)
         if want_weights:
@@ -600,19 +637,49 @@ class TransformerModel(TransductionModel):
             raise EmptyInput("cannot transduce an empty word")
         src = np.array([ids], dtype=np.intp)
         out = [CharVocab.BOS]
+        rows = []
         truncated = True
+        state = DecodeState()
         with T.no_grad():
             for _ in range(self.cfg.max_decode_len):
                 probs, cross = self.forward(src, np.array([out], dtype=np.intp),
-                                            want_weights=True)
+                                            want_weights=True, state=state)
                 sym = int(np.argmax(probs.data[0, -1]))
                 if sym == CharVocab.EOS:
                     truncated = False
                     break
                 out.append(sym)
-        n_emit = len(out) - 1
-        att = cross[0][:n_emit] if n_emit > 0 else np.zeros((0, len(ids)))
+                rows.append(cross[0, -1])
+        att = np.vstack(rows) if rows else np.zeros((0, len(ids)))
         return out[1:], att, truncated
+
+
+@dataclass
+class DecodeState:
+    """One word's ``tn`` decoding cache, filled by ``TransformerModel.forward``.
+
+    ``enc`` is the encoder output, ``cross`` each decoder layer's projected
+    cross-attention (keys, values), ``self_kv`` each decoder layer's
+    self-attention (keys, values) of the ``length`` target positions decoded
+    so far; keys and values are (B, heads, t, d/heads) head slices.
+    """
+
+    enc: Tensor | None = None
+    cross: list = field(default_factory=list)
+    self_kv: list = field(default_factory=list)
+    length: int = 0
+
+    def extend(self, layer, y, p, heads):
+        """Append the new positions ``y``'s keys/values to ``layer``'s cache
+        and return the cached (keys, values) of every position so far."""
+        k, v = (project_heads(y, p[w], heads) for w in ("W_k", "W_v"))
+        if layer < len(self.self_kv):
+            k_old, v_old = self.self_kv[layer]
+            k, v = T.concat([k_old, k], axis=2), T.concat([v_old, v], axis=2)
+            self.self_kv[layer] = (k, v)
+        else:
+            self.self_kv.append((k, v))
+        return k, v
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The benchmark's span tracer (``bench/tracer.py``) wraps cogtrans layer
 functions by name from outside the package.  A refactor that moves a call
-off one of those names silently drops its spans; this test catches that
-with a traced ``cogtrans evaluate`` on a tiny ``am`` checkpoint.
+off one of those names silently drops its spans; these tests catch that
+with a traced ``cogtrans evaluate`` on tiny ``am`` and ``tn`` checkpoints.
 """
 
 import importlib.util
@@ -22,21 +22,23 @@ def _load_tracer():
     return module
 
 
-def test_traced_evaluate_reaches_every_decode_layer(tmp_path):
+def _traced_evaluate(tmp_path, arch, model_flags):
+    """Train a tiny ``arch`` checkpoint on 40 words, then trace ``cogtrans
+    evaluate`` on them; returns the tracer module and the tracer."""
     corpus = tmp_path / "corpus.tsv"
-    ckpt = tmp_path / "am.ckpt"
+    ckpt = tmp_path / f"{arch}.ckpt"
     assert run_cli(["synth-gen", "--seed", "2", "--n", "40",
                     "--out", str(corpus)]) == 0
-    assert run_cli(["train", "--data", str(corpus), "--arch", "am",
-                    "--hidden-dim", "6", "--embed-dim", "5", "--epochs", "1",
-                    "--batch-size", "16", "--metrics-every", "0",
-                    "--max-decode-len", "6", "--out", str(ckpt)]) == 0
+    assert run_cli(["train", "--data", str(corpus), "--arch", arch,
+                    *model_flags, "--epochs", "1", "--batch-size", "16",
+                    "--metrics-every", "0", "--max-decode-len", "6",
+                    "--out", str(ckpt)]) == 0
 
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer()
     tracer.install(cogtrans)
     try:
-        tracer.scope = "am"
+        tracer.scope = arch
         tracer.enabled = True
         assert run_cli(["evaluate", "--model", str(ckpt),
                         "--data", str(corpus)]) == 0
@@ -44,7 +46,12 @@ def test_traced_evaluate_reaches_every_decode_layer(tmp_path):
         tracer.enabled = False
         tracer.uninstall()
     assert cogtrans.cli.transduce_greedy is models.transduce_greedy
+    return tracer_mod, tracer
 
+
+def test_traced_evaluate_reaches_every_decode_layer(tmp_path):
+    tracer_mod, tracer = _traced_evaluate(
+        tmp_path, "am", ["--hidden-dim", "6", "--embed-dim", "5"])
     name, phase = tracer_mod.NAME, tracer_mod.PHASE
     in_transduce = {rec[name] for rec in tracer.spans
                     if rec[phase] == "models.transduce"}
@@ -53,3 +60,18 @@ def test_traced_evaluate_reaches_every_decode_layer(tmp_path):
     words = sum(rec[name] == "models.transduce" for rec in tracer.spans)
     assert words == 40
     assert tracer.counts()["models.encode.am"] == words
+
+
+def test_traced_tn_evaluate_encodes_each_word_once(tmp_path):
+    tracer_mod, tracer = _traced_evaluate(
+        tmp_path, "tn", ["--d-model", "8", "--num-heads", "2",
+                         "--ffn-dim", "12", "--num-layers", "1"])
+    name, phase = tracer_mod.NAME, tracer_mod.PHASE
+    words = sum(rec[name] == "models.transduce" for rec in tracer.spans)
+    assert words == 40
+    counts = tracer.counts()
+    assert counts["models.encode.tn"] == words
+    steps = sum(rec[name] == "models.tn_forward"
+                and rec[phase] == "models.transduce" for rec in tracer.spans)
+    assert steps >= words
+    assert counts["models.tn_forward.tn"] == steps

@@ -1,12 +1,27 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from cogtrans import cli
 from cogtrans.cli import _config, build_parser, run_cli
 from cogtrans.data_io import load_cognate_tsv
-from cogtrans.models import ModelConfig
-from cogtrans.oov import AlignedSentencePair, save_pipeline_file
+from cogtrans.devanagari import CharVocab
+from cogtrans.models import ModelConfig, transduce_greedy
+from cogtrans.oov import (
+    AlignedSentencePair,
+    build_shortlist,
+    detect_oov,
+    save_pipeline_file,
+)
 from cogtrans.synthetic import generate_pairs
-from cogtrans.training import OptimizerSpec, TrainConfig, load_checkpoint
+from cogtrans.training import (
+    OptimizerSpec,
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +133,33 @@ class TestTrainAndFriends:
         assert "bleu" in out.lower()
         assert report.exists()
 
+    def test_evaluate_report_counts_truncated_decodes(self, checkpoint, corpus,
+                                                      tmp_path):
+        # a copy of the model that never emits EOS: every decode is cut
+        ckpt = load_checkpoint(checkpoint)
+        params = dict(ckpt.params, b_out=ckpt.params["b_out"].copy())
+        params["b_out"][CharVocab.EOS] = -1e3
+        endless = tmp_path / "endless.ckpt"
+        save_checkpoint(dataclasses.replace(
+            ckpt, params=params, model_config=dataclasses.replace(
+                ckpt.model_config, max_decode_len=3)), endless)
+        report = tmp_path / "report.tsv"
+        assert run_cli(["evaluate", "--model", str(checkpoint),
+                        "--model", str(endless), "--data", str(corpus),
+                        "--report", str(report)]) == 0
+        pairs = load_cognate_tsv(corpus)
+        model = cli.restore_model(ckpt)
+        expected = {"am": sum(transduce_greedy(model, src).truncated
+                              for src, _ in pairs),
+                    "endless.ckpt": len(pairs)}
+        for name, cut in expected.items():
+            lines = (tmp_path / f"report-{name}.tsv").read_text(
+                encoding="utf-8").splitlines()
+            fields = dict(f.split("=", 1) for f in lines[-1].split("\t")[1:])
+            assert int(fields["truncated"]) == cut
+            assert set(fields) == {"n", "bleu", "ss", "wa", "truncated"}
+        assert expected["am"] < len(pairs)
+
     def test_tune(self, corpus, capsys):
         code = run_cli([
             "tune", "--data", str(corpus), "--arch", "am",
@@ -207,6 +249,61 @@ class TestOovCorrect:
                         "--out", str(out)])
         assert code == 0
         assert out.exists() and "\t" in out.read_text()
+
+
+    # flagged (out-of-shortlist) words: ya, ka, ma at K=1; ya, ka at K=2;
+    # ya at K=3 -- most recur across sentences and sizes
+    SENTENCES = [["ya", "na", "ka", "ya"], ["ka", "ma", "ya", "na"]]
+    MONO = "na na na ma ma ka\n"
+
+    def _pipeline(self, tmp_path):
+        records = [AlignedSentencePair(source=s, target=list(s),
+                                       attention=np.eye(len(s)))
+                   for s in self.SENTENCES]
+        tsv, mat = tmp_path / "s.tsv", tmp_path / "s.att"
+        save_pipeline_file(records, tsv, mat)
+        sl = tmp_path / "mono.txt"
+        sl.write_text(self.MONO, encoding="utf-8")
+        refs = tmp_path / "refs.txt"
+        refs.write_text("".join(" ".join(s) + "\n" for s in self.SENTENCES),
+                        encoding="utf-8")
+        return ["--sentences", str(tsv), "--matrices", str(mat),
+                "--shortlist-corpus", str(sl)], refs
+
+    def test_sizes_not_integers_exit_1(self, checkpoint, tmp_path, capsys):
+        args, refs = self._pipeline(tmp_path)
+        assert run_cli(["oov-correct", *args, "--model", str(checkpoint),
+                        "--sizes", "20,abc", "--references", str(refs)]) == 1
+        assert "--sizes" in capsys.readouterr().err
+
+    def test_several_sizes_need_references(self, checkpoint, tmp_path, capsys):
+        args, _ = self._pipeline(tmp_path)
+        out = tmp_path / "corrected.tsv"
+        assert run_cli(["oov-correct", *args, "--model", str(checkpoint),
+                        "--sizes", "20,40", "--out", str(out)]) == 1
+        assert "--references" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_flagged_word_decoded_once_per_command(
+            self, checkpoint, tmp_path, monkeypatch, capsys):
+        args, refs = self._pipeline(tmp_path)
+        calls = Counter()
+
+        def counting(model, word):
+            calls[word] += 1
+            return transduce_greedy(model, word)
+
+        monkeypatch.setattr(cli, "transduce_greedy", counting)
+        argv = ["oov-correct", *args, "--model", str(checkpoint),
+                "--sizes", "1,2,3", "--references", str(refs)]
+        flagged = {s[i] for K in (1, 2, 3)
+                   for s in self.SENTENCES
+                   for i in detect_oov(s, build_shortlist([self.MONO], K))}
+        assert flagged == {"ya", "ka", "ma"}
+        assert run_cli(argv) == 0
+        assert calls == Counter({w: 1 for w in flagged})
+        assert run_cli(argv) == 0
+        assert calls == Counter({w: 2 for w in flagged})
 
 
 class TestErrorReport:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cogtrans import tensor as T
+from cogtrans.data_io import split_dataset
 from cogtrans.devanagari import CharVocab, build_vocab, strip_trailing_repeats
 from cogtrans.errors import EmptyInput, InvalidArgument
 from cogtrans.models import (
@@ -15,6 +16,8 @@ from cogtrans.models import (
     positional_encoding,
     transduce_greedy,
 )
+from cogtrans.synthetic import generate_pairs
+from cogtrans.training import OptimizerSpec, TrainConfig, train
 
 PAIRS = [("abc", "abd"), ("ba", "ab"), ("cab", "cab")]
 
@@ -148,6 +151,18 @@ class TestMultiHeadAttention:
                                   2, p, causal=True)
         assert np.array_equal(o1.data[0, :3], o2.data[0, :3])
 
+    @pytest.mark.parametrize("tq", [1, 2])
+    def test_causal_queries_are_the_last_positions(self, tq):
+        d = 4
+        r = np.random.default_rng(3)
+        p = {name: T.Tensor(r.normal(size=(d, d)))
+             for name in ("W_q", "W_k", "W_v", "W_o")}
+        x = T.Tensor(r.normal(size=(1, 5, d)))
+        full = multi_head_attention(x, x, x, 2, p, causal=True)
+        tail = multi_head_attention(T.Tensor(x.data[:, -tq:]), x, x, 2, p,
+                                    causal=True)
+        assert np.allclose(tail.data[0], full.data[0, -tq:], atol=1e-12)
+
     def test_indivisible_heads_rejected(self):
         with pytest.raises(InvalidArgument):
             multi_head_attention(T.Tensor(np.zeros((1, 2, 6))),
@@ -278,6 +293,46 @@ class TestTransformer:
             p1 = model.forward(src, t1, smask, False, None)
             p2 = model.forward(src, t2, smask, False, None)
         assert np.allclose(p1.data[0, :-1], p2.data[0, :-1], atol=1e-12)
+
+    @staticmethod
+    def _full_prefix_greedy(model, ids):
+        """Greedy decoding that re-encodes the source and re-runs the whole
+        prefix at every step: the reference for incremental decoding."""
+        src = np.array([ids], dtype=np.intp)
+        out = [CharVocab.BOS]
+        truncated = True
+        with T.no_grad():
+            for _ in range(model.cfg.max_decode_len):
+                probs, cross = model.forward(
+                    src, np.array([out], dtype=np.intp), want_weights=True)
+                sym = int(np.argmax(probs.data[0, -1]))
+                if sym == CharVocab.EOS:
+                    truncated = False
+                    break
+                out.append(sym)
+        n_emit = len(out) - 1
+        att = cross[0][:n_emit] if n_emit > 0 else np.zeros((0, len(ids)))
+        return out[1:], att, truncated
+
+    def test_incremental_decoding_matches_full_prefix(self):
+        split = split_dataset(generate_pairs(5, 160), seed=5)
+        words = [src for src, _ in split.test]
+        flags = set()
+        for seed, max_len in ((0, 12), (1, 12), (2, 12), (3, 2)):
+            cfg = _cfg("tn", d_model=16, ffn_dim=24, num_layers=2,
+                       max_decode_len=max_len)
+            model = train(cfg, TrainConfig(batch_size=16, max_epochs=6,
+                                           seed=seed, metrics_every=0),
+                          OptimizerSpec("adam", lr=1e-2), split).model
+            for word in words:
+                ids = model.vocab.encode(word)
+                out, att, cut = model.transduce_ids(ids)
+                ref_out, ref_att, ref_cut = self._full_prefix_greedy(model, ids)
+                assert (out, cut) == (ref_out, ref_cut)
+                assert att.shape == ref_att.shape
+                assert np.allclose(att, ref_att, rtol=0, atol=1e-12)
+                flags.add(cut)
+        assert flags == {False, True}
 
     def test_empty_source_rejected(self):
         model = build_model(_cfg("tn"), _vocab(), seed=0)
