@@ -1,8 +1,10 @@
 """Recurrent cells, embeddings and dropout.
 
-LSTM and GRU steps accept either single vectors (d,) or batched rows (B, d);
-all gate matrices are (input_dim + hidden_dim, hidden_dim) so one concat and
-one matmul per gate does the work.
+A cell keeps one (input_dim + hidden_dim, hidden_dim) matrix and one bias
+per gate, the checkpoint layout.  ``stack_gates`` puts them side by side
+once per forward pass, and each LSTM or GRU step over a batch of (B, d)
+rows is then one taped op (``tensor.lstm_cell`` / ``tensor.gru_cell``)
+that also keeps the state of padded rows.
 """
 
 from dataclasses import dataclass, field
@@ -42,69 +44,54 @@ def init_cell_params(kind, input_dim, hidden_dim, rng, prefix=""):
     return CellParams(kind, input_dim, hidden_dim, w, prefix)
 
 
-def _gate(p, name, z):
+@dataclass
+class StackedCell:
+    """A cell's gates side by side, as the fused step takes them: W is
+    (input_dim + hidden_dim, G * hidden_dim) and b is (G * hidden_dim,)."""
+
+    kind: str
+    input_dim: int
+    hidden_dim: int
+    W: Tensor
+    b: Tensor
+
+
+def stack_gates(p):
+    """Concatenate a cell's per-gate weights and biases (two taped concats);
+    done once per forward pass, so every step of that pass shares them."""
+    gates = LSTM_GATES if p.kind == "lstm" else GRU_GATES
     w = p.weights
-    return z @ w[f"{p.prefix}W_{name}"] + w[f"{p.prefix}b_{name}"]
+    W = T.concat([w[f"{p.prefix}W_{g}"] for g in gates], axis=1)
+    b = T.concat([w[f"{p.prefix}b_{g}"] for g in gates], axis=0)
+    return StackedCell(p.kind, p.input_dim, p.hidden_dim, W, b)
 
 
-def _check_dims(x, h, p):
-    if x.shape[-1] != p.input_dim or h.shape[-1] != p.hidden_dim:
+def cell_step(x, state, cell, mask=None):
+    """One step of a stacked cell over (B, d) rows; state is (h, c) for
+    LSTM, (h,) for GRU.
+
+    LSTM: c' = f*c + i*g, h' = o*tanh(c').  GRU: h' = z*h + (1-z)*n with
+    reset-gated candidate n.  Rows where the (B,) 0/1 ``mask`` is 0 keep
+    their state (padding).
+    """
+    h = state[0]
+    if x.shape[-1] != cell.input_dim or h.shape[-1] != cell.hidden_dim:
         raise InvalidShape(
-            f"cell expects input {p.input_dim} / hidden {p.hidden_dim}, "
+            f"cell expects input {cell.input_dim} / hidden {cell.hidden_dim}, "
             f"got {x.shape[-1]} / {h.shape[-1]}"
         )
-
-
-def _rowed(t):
-    return (T.reshape(t, (1, -1)), True) if t.ndim == 1 else (t, False)
-
-
-def lstm_step(x, h, c, p):
-    """One LSTM step: c' = f*c + i*g, h' = o*tanh(c')."""
-    _check_dims(x, h, p)
-    x, squeeze = _rowed(x)
-    h, _ = _rowed(h)
-    c, _ = _rowed(c)
-    z = T.concat([x, h], axis=-1)
-    i = T.sigmoid(_gate(p, "i", z))
-    f = T.sigmoid(_gate(p, "f", z))
-    g = T.tanh(_gate(p, "g", z))
-    o = T.sigmoid(_gate(p, "o", z))
-    c2 = f * c + i * g
-    h2 = o * T.tanh(c2)
-    if squeeze:
-        return T.reshape(h2, (-1,)), T.reshape(c2, (-1,))
-    return h2, c2
-
-
-def gru_step(x, h, p):
-    """One GRU step: h' = z*h + (1-z)*n with reset-gated candidate n."""
-    _check_dims(x, h, p)
-    x, squeeze = _rowed(x)
-    h, _ = _rowed(h)
-    zc = T.concat([x, h], axis=-1)
-    z = T.sigmoid(_gate(p, "z", zc))
-    r = T.sigmoid(_gate(p, "r", zc))
-    nc = T.concat([x, r * h], axis=-1)
-    n = T.tanh(_gate(p, "n", nc))
-    h2 = z * h + (1.0 - z) * n
-    if squeeze:
-        return T.reshape(h2, (-1,))
-    return h2
-
-
-def cell_step(x, state, p):
-    """Uniform step interface; state is (h, c) for LSTM, (h,) for GRU."""
-    if p.kind == "lstm":
-        h, c = lstm_step(x, state[0], state[1], p)
-        return h, (h, c)
-    h = gru_step(x, state[0], p)
+    if cell.kind == "lstm":
+        hc = T.lstm_cell(x, h, state[1], cell.W, cell.b, mask)
+        n = cell.hidden_dim
+        h = hc[:, :n]
+        return h, (h, hc[:, n:])
+    h = T.gru_cell(x, h, cell.W, cell.b, mask)
     return h, (h,)
 
 
-def zero_state(p, batch=None):
-    shape = (p.hidden_dim,) if batch is None else (batch, p.hidden_dim)
-    if p.kind == "lstm":
+def zero_state(cell, batch):
+    shape = (batch, cell.hidden_dim)
+    if cell.kind == "lstm":
         return (Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
     return (Tensor(np.zeros(shape)),)
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .cells import EmbeddingTable, dropout, init_cell_params, cell_step, zero_state
+from .cells import (EmbeddingTable, cell_step, dropout, init_cell_params,
+                    stack_gates, zero_state)
 from .devanagari import CharVocab
 from .errors import EmptyInput, InvalidArgument
 from .metrics import nfc
@@ -183,13 +184,15 @@ class CharLM:
         if train and self.cfg.dropout > 0:
             emb = dropout(emb, self.cfg.dropout, "train", rng)
         steps = [emb[:, t] for t in range(ids.shape[1])]
-        state = zero_state(self.fwd, batch=ids.shape[0])
+        fwd = stack_gates(self.fwd)
+        state = zero_state(fwd, ids.shape[0])
         for x in steps:
-            h, state = cell_step(x, state, self.fwd)
+            h, state = cell_step(x, state, fwd)
         if self.cfg.direction == "bidirectional":
-            bstate = zero_state(self.bwd, batch=ids.shape[0])
+            bwd = stack_gates(self.bwd)
+            bstate = zero_state(bwd, ids.shape[0])
             for x in reversed(steps):
-                hb, bstate = cell_step(x, bstate, self.bwd)
+                hb, bstate = cell_step(x, bstate, bwd)
             h = T.concat([h, hb], axis=-1)
         if train and self.cfg.dropout > 0:
             h = dropout(h, self.cfg.dropout, "train", rng)

@@ -8,10 +8,14 @@
 * tn       - transformer: multi-head self-attention, residuals, layer norm
 
 All models share the taped tensor core, train on padded batches with loss
-masks, and decode greedily one word at a time.  ``tn`` decodes
-incrementally: it encodes the word once, projects each decoder layer's
-cross-attention keys/values once, and caches each layer's self-attention
-keys/values so every step runs the decoder on the new position only.
+masks, and decode greedily one word at a time.  The recurrent models run
+each LSTM/GRU step as one fused taped op that also keeps padded rows'
+state, with each cell's gate weights stacked once per batch, and compute
+the additive-attention keys ``H @ W_h`` once per batch, after encoding,
+not at every decoder step.  ``tn`` decodes incrementally: it encodes the
+word once, projects each decoder layer's cross-attention keys/values once,
+and caches each layer's self-attention keys/values so every step runs the
+decoder on the new position only.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cells, tensor as T
-from .cells import cell_step, init_cell_params, init_embedding, zero_state
+from .cells import (cell_step, init_cell_params, init_embedding, stack_gates,
+                    zero_state)
 from .devanagari import CharVocab, strip_trailing_repeats
 from .errors import EmptyInput, InvalidArgument, InvalidShape
 from .tensor import Tensor
@@ -64,12 +69,19 @@ class ModelConfig:
 
 @dataclass
 class EncoderOutput:
-    """What a recurrent encoder hands the decoder for one batch."""
+    """What a recurrent encoder hands the decoder for one batch.
+
+    ``keys`` and ``dec_cells`` are filled in after encoding
+    (``_RecurrentModel._start``): every decoder step of the batch reads
+    them, so they are computed once, not at every step.
+    """
 
     H: Tensor                       # (B, T, 2h) states the decoder attends over
     final: Tensor                   # (B, 2h) summary: decoder init, seq2seq context
     mask: np.ndarray | None         # (B, T) 0/1 over H's rows; None = all real
     char_alpha: np.ndarray | None = None   # han: (B, K, chunk) char-level weights
+    keys: Tensor | None = None      # (B, T, a) attention keys H @ W_h (am, han)
+    dec_cells: list = field(default_factory=list)  # stacked decoder cells
 
 
 @dataclass
@@ -103,21 +115,23 @@ def positional_encoding(length, d_model):
     return pe
 
 
-def attend_bahdanau(s_prev, H, p, mask=None):
-    """Additive attention: energies_j = v.tanh(W_s s + W_h h_j).
+def attend_bahdanau(s_prev, H, keys, p, mask=None):
+    """Additive attention: energies_j = v.tanh(W_s s + k_j), k_j = W_h h_j.
 
-    s_prev: (h_dec,) or (B, h_dec); H: (T, d_enc) or (B, T, d_enc).
-    Returns (context, alpha) with alpha on the simplex per row.
+    s_prev: (h_dec,) or (B, h_dec); H: (T, d_enc) or (B, T, d_enc); keys:
+    H @ W_h, (T, a) or (B, T, a), which do not depend on the decoder step
+    and so are computed once per batch.  Returns (context, alpha) with
+    alpha on the simplex per row.
     """
     single = s_prev.ndim == 1
     if single:
         s_prev = T.reshape(s_prev, (1, -1))
         H = T.reshape(H, (1,) + tuple(H.shape))
+        keys = T.reshape(keys, (1,) + tuple(keys.shape))
     if H.shape[1] == 0:
         raise EmptyInput("attention over empty encoder states")
-    hw = H @ p["W_h"]                                   # (B, T, a)
     q = T.reshape(s_prev @ p["W_s"], (s_prev.shape[0], 1, -1))
-    e = T.reshape(T.tanh(hw + q) @ p["v"], (H.shape[0], H.shape[1]))
+    e = T.reshape(T.tanh(keys + q) @ p["v"], (H.shape[0], H.shape[1]))
     add_mask = None if mask is None else np.where(mask > 0, 0.0, NEG_INF)
     alpha = T.softmax(e, axis=-1, mask=add_mask)
     ctx = T.reshape(
@@ -227,30 +241,22 @@ class TransductionModel:
             x = cells.dropout(x, self.cfg.dropout, "train", rng)
         return x
 
-    def _masked_step(self, x, state, cell, mask_col):
-        """Advance the cell but freeze state where mask is 0 (padding)."""
-        h, new_state = cell_step(x, state, cell)
-        if mask_col is None:
-            return h, new_state
-        m = Tensor(mask_col[:, None])
-        keep = Tensor(1.0 - mask_col[:, None])
-        merged = tuple(m * ns + keep * os for ns, os in zip(new_state, state))
-        return merged[0], merged
-
     def _run_birnn(self, xs, mask, fwd_cell, bwd_cell):
-        """xs: list of (B, d) step inputs -> list of (B, 2h) states."""
+        """xs: list of (B, d) step inputs -> list of (B, 2h) states; where
+        the (B, T) mask is 0 (padding) a direction's state stays put."""
         n = len(xs)
-        state = zero_state(fwd_cell, batch=xs[0].shape[0])
+        fwd_cell, bwd_cell = stack_gates(fwd_cell), stack_gates(bwd_cell)
+        state = zero_state(fwd_cell, xs[0].shape[0])
         fwd = []
         for t in range(n):
-            h, state = self._masked_step(xs[t], state, fwd_cell,
-                                         None if mask is None else mask[:, t])
+            h, state = cell_step(xs[t], state, fwd_cell,
+                                 None if mask is None else mask[:, t])
             fwd.append(h)
-        state = zero_state(bwd_cell, batch=xs[0].shape[0])
+        state = zero_state(bwd_cell, xs[0].shape[0])
         bwd = [None] * n
         for t in range(n - 1, -1, -1):
-            h, state = self._masked_step(xs[t], state, bwd_cell,
-                                         None if mask is None else mask[:, t])
+            h, state = cell_step(xs[t], state, bwd_cell,
+                                 None if mask is None else mask[:, t])
             bwd[t] = h
         states = [T.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
         return states, fwd[-1], bwd[0]
@@ -331,11 +337,20 @@ class _RecurrentModel(TransductionModel):
         final = T.concat([f_fin, b_fin], axis=-1)       # (B, 2h)
         return EncoderOutput(H, final, src_mask)
 
+    def _start(self, src, src_mask, train, rng):
+        """Encode a batch and set up its decoder: the attention keys and the
+        stacked decoder cells, once per batch, and the initial layers."""
+        enc = self._encode(src, src_mask, train, rng)
+        if self.uses_attention:
+            enc.keys = enc.H @ self.params["W_h"]
+        enc.dec_cells = [stack_gates(cell) for cell in self.dec_cells]
+        return enc, self._init_dec_state(enc.final, src.shape[0])
+
     def _init_dec_state(self, final, batch):
         s0 = T.tanh(final @ self.params["W_init"] + self.params["b_init"])
         layers = []
         for l, cell in enumerate(self.dec_cells):
-            st = list(zero_state(cell, batch=batch))
+            st = list(zero_state(cell, batch))
             st[0] = s0 if l == 0 else st[0]
             layers.append(tuple(st))
         return layers
@@ -345,18 +360,8 @@ class _RecurrentModel(TransductionModel):
         the encoder summary (seq2seq) or attention over H (am, han)."""
         if not self.uses_attention:
             return enc.final, None
-        p = {k: self.params[k] for k in ("W_s", "W_h", "v")}
-        return attend_bahdanau(layers[-1][0], enc.H, p, mask=enc.mask)
-
-    def _run_dec_stack(self, x, layers, train, rng):
-        new_layers = []
-        h = x
-        for cell, state in zip(self.dec_cells, layers):
-            h, st = cell_step(h, state, cell)
-            new_layers.append(st)
-        if train and self.cfg.dropout > 0:
-            h = cells.dropout(h, self.cfg.dropout, "train", rng)
-        return h, new_layers
+        p = {k: self.params[k] for k in ("W_s", "v")}
+        return attend_bahdanau(layers[-1][0], enc.H, enc.keys, p, mask=enc.mask)
 
     def decode_step(self, x_emb, layers, enc, train, rng):
         """One decoder step for a batch of rows.
@@ -366,15 +371,19 @@ class _RecurrentModel(TransductionModel):
         the new layers and the attention weights (None without attention).
         """
         ctx, alpha = self._context(layers, enc)
-        x = T.concat([x_emb, ctx], axis=-1)
-        h, layers = self._run_dec_stack(x, layers, train, rng)
-        return self._output_dist(h, ctx), layers, alpha
+        h = T.concat([x_emb, ctx], axis=-1)
+        new_layers = []
+        for cell, state in zip(enc.dec_cells, layers):
+            h, st = cell_step(h, state, cell)
+            new_layers.append(st)
+        if train and self.cfg.dropout > 0:
+            h = cells.dropout(h, self.cfg.dropout, "train", rng)
+        return self._output_dist(h, ctx), new_layers, alpha
 
     def loss_batch(self, src, src_len, src_mask, tgt, tgt_len, tgt_mask,
                    train=True, rng=None):
         rng = rng or np.random.default_rng(0)
-        enc = self._encode(src, src_mask, train, rng)
-        layers = self._init_dec_state(enc.final, src.shape[0])
+        enc, layers = self._start(src, src_mask, train, rng)
         emb_in = self._embed(self.params["embedding"], tgt[:, :-1], train, rng)
         prob_rows = []
         for t in range(tgt.shape[1] - 1):
@@ -392,8 +401,7 @@ class _RecurrentModel(TransductionModel):
         rows = []
         truncated = True
         with T.no_grad():
-            enc = self._encode(src, None, False, None)
-            layers = self._init_dec_state(enc.final, 1)
+            enc, layers = self._start(src, None, False, None)
             sym = CharVocab.BOS
             for _ in range(self.cfg.max_decode_len):
                 x = T.embedding(self.params["embedding"], np.array([sym]))

@@ -35,6 +35,14 @@ class FrequencyShortlist:
     def __len__(self):
         return len(self.words)
 
+    def top(self, K):
+        """The shortlist of the first K words; K may not exceed ``self.K``.
+        The ranking is a total order, so this equals ``build_shortlist`` of
+        the same corpus at K."""
+        if not 1 <= K <= self.K:
+            raise InvalidArgument(f"K must be in [1, {self.K}], got {K}")
+        return FrequencyShortlist(self.words[:K], self.counts[:K], K)
+
 
 def tokenize(sentence):
     """Whitespace split with punctuation detached into separate tokens."""
@@ -147,8 +155,10 @@ def evaluate_pipeline(records, references, shortlist_corpus, shortlist_sizes,
         raise InvalidArgument("missing references")
     baseline = corpus_bleu([r.target for r in records], references)
     rows = []
+    # rank the corpus once, at the largest size, and cut it for each size
+    ranked = build_shortlist(shortlist_corpus, max(shortlist_sizes, default=1))
     for K in shortlist_sizes:
-        shortlist = build_shortlist(shortlist_corpus, K)
+        shortlist = ranked.top(K)
         corrected_all = []
         for rec in records:
             oov = detect_oov(rec.source, shortlist)

@@ -174,9 +174,13 @@ def tanh(a):
     return _make(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
+
+
 def sigmoid(a):
     a = _as_tensor(a)
-    y = 1.0 / (1.0 + np.exp(-np.clip(a.data, -500, 500)))
+    y = _sigmoid(a.data)
     return _make(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -318,6 +322,100 @@ def embedding(table, ids):
         return (gt,)
 
     return _make(y.copy(), (table,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# fused recurrent steps: one node per step, gates stacked side by side
+
+def _freeze(mask, new, old):
+    """Rows where the (B,) 0/1 mask is 0 keep ``old`` (padding)."""
+    m = mask[:, None]
+    return m * new + (1.0 - m) * old
+
+
+def lstm_cell(x, h, c, W, b, mask=None):
+    """One LSTM step over (B, d) rows: c' = f*c + i*g, h' = o*tanh(c').
+
+    W: (d + n, 4n) and b: (4n,) hold the gates i|f|g|o side by side.  Rows
+    where the (B,) 0/1 ``mask`` is 0 keep h and c.  Returns [h' | c'] as one
+    (B, 2n) tensor.
+    """
+    x, h, c, W, b = (_as_tensor(t) for t in (x, h, c, W, b))
+    d, n = x.shape[-1], h.shape[-1]
+    z = np.concatenate([x.data, h.data], axis=-1)
+    a = z @ W.data + b.data
+    s = _sigmoid(a)
+    i, f, o = s[:, :n], s[:, n:2 * n], s[:, 3 * n:]
+    g = np.tanh(a[:, 2 * n:3 * n])
+    c2 = f * c.data + i * g
+    tc = np.tanh(c2)
+    h2 = o * tc
+    if mask is not None:
+        h2, c2 = _freeze(mask, h2, h.data), _freeze(mask, c2, c.data)
+
+    def bwd(gout):
+        gh, gc = gout[:, :n], gout[:, n:]
+        if mask is not None:
+            m = mask[:, None]
+            keep_h, keep_c = (1.0 - m) * gh, (1.0 - m) * gc
+            gh, gc = m * gh, m * gc
+        dc2 = gc + gh * o * (1.0 - tc * tc)
+        da = [dc2 * g * i * (1.0 - i), dc2 * c.data * f * (1.0 - f),
+              dc2 * i * (1.0 - g * g), gh * tc * o * (1.0 - o)]
+        # one matmul per gate, added o, g, f, i as a backward pass over
+        # per-gate ops adds them, so the gradients equal that pass's exactly
+        dz = sum(da[k] @ W.data[:, k * n:(k + 1) * n].T for k in (3, 2, 1, 0))
+        da = np.concatenate(da, axis=-1)
+        dh, dc = dz[:, d:], dc2 * f
+        if mask is not None:
+            dh, dc = dh + keep_h, dc + keep_c
+        return dz[:, :d], dh, dc, z.T @ da, da.sum(axis=0)
+
+    return _make(np.concatenate([h2, c2], axis=-1), (x, h, c, W, b), bwd)
+
+
+def gru_cell(x, h, W, b, mask=None):
+    """One GRU step over (B, d) rows: h' = z*h + (1-z)*n, with the candidate
+    n = tanh([x, r*h] @ W_n + b_n).
+
+    W: (d + n, 3n) and b: (3n,) hold the gates z|r|n side by side; the
+    update and reset gates take one matmul on [x, h], the candidate one on
+    [x, r*h].  Rows where the (B,) 0/1 ``mask`` is 0 keep h.
+    """
+    x, h, W, b = (_as_tensor(t) for t in (x, h, W, b))
+    d, n = x.shape[-1], h.shape[-1]
+    zc = np.concatenate([x.data, h.data], axis=-1)
+    W_zr, W_n = W.data[:, :2 * n], W.data[:, 2 * n:]
+    s = _sigmoid(zc @ W_zr + b.data[:2 * n])
+    z, r = s[:, :n], s[:, n:]
+    nc = np.concatenate([x.data, r * h.data], axis=-1)
+    cand = np.tanh(nc @ W_n + b.data[2 * n:])
+    h2 = z * h.data + (1.0 - z) * cand
+    if mask is not None:
+        h2 = _freeze(mask, h2, h.data)
+
+    def bwd(gout):
+        gh = gout
+        if mask is not None:
+            m = mask[:, None]
+            keep = (1.0 - m) * gh
+            gh = m * gh
+        da_n = gh * (1.0 - z) * (1.0 - cand * cand)
+        dnc = da_n @ W_n.T
+        drh = dnc[:, d:]
+        da_z = (gh * h.data - gh * cand) * z * (1.0 - z)
+        da_r = drh * h.data * r * (1.0 - r)
+        # one matmul per gate, as in lstm_cell
+        dzc = da_r @ W_zr[:, n:].T + da_z @ W_zr[:, :n].T
+        da_zr = np.concatenate([da_z, da_r], axis=-1)
+        dh = gh * z + drh * r + dzc[:, d:]
+        if mask is not None:
+            dh = dh + keep
+        dW = np.concatenate([zc.T @ da_zr, nc.T @ da_n], axis=-1)
+        db = np.concatenate([da_zr.sum(axis=0), da_n.sum(axis=0)])
+        return dzc[:, :d] + dnc[:, :d], dh, dW, db
+
+    return _make(h2, (x, h, W, b), bwd)
 
 
 # ---------------------------------------------------------------------------

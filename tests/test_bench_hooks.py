@@ -8,8 +8,10 @@ import importlib.util
 import os
 
 import cogtrans
-from cogtrans import models
+from cogtrans import models, tensor as T
 from cogtrans.cli import run_cli
+from cogtrans.devanagari import build_vocab
+from cogtrans.synthetic import generate_pairs
 
 _TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "tracer.py")
@@ -75,3 +77,27 @@ def test_traced_tn_evaluate_encodes_each_word_once(tmp_path):
                 and rec[phase] == "models.transduce" for rec in tracer.spans)
     assert steps >= words
     assert counts["models.tn_forward.tn"] == steps
+
+
+def test_traced_training_batch_counts_every_tape_node():
+    """The tracer counts tape nodes through its patch of ``tensor._make``;
+    an op that built nodes through another reference to ``_make`` would be
+    missed here."""
+    pairs = generate_pairs(2, 16)
+    model = models.build_model(
+        models.ModelConfig(architecture="am", hidden_dim=6, embed_dim=5),
+        build_vocab(pairs), seed=0)
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer.install(cogtrans)
+    try:
+        tracer.scope = "am"
+        tracer.enabled = True
+        with T.Graph() as graph:
+            T.backward(graph, model.loss_words(pairs))
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    assert len(graph.nodes) > 0
+    assert tracer.counts()["tape_nodes.am"] == len(graph.nodes)
+    assert any(rec[tracer_mod.NAME] == "cells.step" for rec in tracer.spans)

@@ -5,15 +5,15 @@ from cogtrans import cells, tensor as T
 from cogtrans.cells import (
     cell_step,
     dropout,
-    gru_step,
     init_cell_params,
     init_embedding,
-    lstm_step,
+    stack_gates,
     zero_state,
 )
 from cogtrans.devanagari import build_vocab
 from cogtrans.errors import InvalidArgument, InvalidShape
 from cogtrans.models import ModelConfig, build_model
+from cogtrans.synthetic import generate_pairs
 
 
 def _zeroed(kind, in_dim, h):
@@ -27,11 +27,25 @@ def _rand(kind, in_dim, h, seed=0):
     return init_cell_params(kind, in_dim, h, np.random.default_rng(seed))
 
 
+def _row(v):
+    return T.Tensor(np.asarray(v, dtype=np.float64).reshape(1, -1))
+
+
+def lstm_step(x, h, c, p):
+    """One LSTM step of CellParams ``p`` on rows; returns (h', c')."""
+    return cell_step(x, (h, c), stack_gates(p))[1]
+
+
+def gru_step(x, h, p):
+    """One GRU step of CellParams ``p`` on rows; returns h'."""
+    return cell_step(x, (h,), stack_gates(p))[0]
+
+
 class TestLSTM:
     def test_zero_weights_zero_output(self):
         p = _zeroed("lstm", 3, 2)
-        h, c = lstm_step(T.Tensor(np.ones(3)), T.Tensor(np.zeros(2)),
-                         T.Tensor(np.zeros(2)), p)
+        h, c = lstm_step(_row(np.ones(3)), _row(np.zeros(2)),
+                         _row(np.zeros(2)), p)
         assert np.allclose(h.data, 0.0)
         assert np.allclose(c.data, 0.0)
 
@@ -40,16 +54,15 @@ class TestLSTM:
         p.weights["b_f"].data[...] = 50.0
         p.weights["b_i"].data[...] = -50.0
         c0 = np.array([0.3, -0.7])
-        _, c1 = lstm_step(T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)),
-                          T.Tensor(c0), p)
-        assert np.allclose(c1.data, c0, atol=1e-12)
+        _, c1 = lstm_step(_row(np.ones(2)), _row(np.zeros(2)), _row(c0), p)
+        assert np.allclose(c1.data[0], c0, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         p = _rand("lstm", 2, 2, seed=3)
         x = np.array([0.3, -0.4])
         h0 = np.array([0.1, 0.2])
         c0 = np.array([-0.2, 0.5])
-        h1, c1 = lstm_step(T.Tensor(x), T.Tensor(h0), T.Tensor(c0), p)
+        h1, c1 = lstm_step(_row(x), _row(h0), _row(c0), p)
         z = np.concatenate([x, h0])
 
         def sig(v):
@@ -62,14 +75,14 @@ class TestLSTM:
         o = sig(z @ w["W_o"] + w["b_o"])
         c_ref = f * c0 + i * g
         h_ref = o * np.tanh(c_ref)
-        assert np.allclose(c1.data, c_ref, atol=1e-12)
-        assert np.allclose(h1.data, h_ref, atol=1e-12)
+        assert np.allclose(c1.data[0], c_ref, atol=1e-12)
+        assert np.allclose(h1.data[0], h_ref, atol=1e-12)
 
     def test_dim_mismatch(self):
         p = _rand("lstm", 3, 2)
         with pytest.raises(InvalidShape):
-            lstm_step(T.Tensor(np.ones(4)), T.Tensor(np.zeros(2)),
-                      T.Tensor(np.zeros(2)), p)
+            lstm_step(_row(np.ones(4)), _row(np.zeros(2)),
+                      _row(np.zeros(2)), p)
 
     def test_forget_bias_initialized_positive(self):
         p = _rand("lstm", 3, 4, seed=1)
@@ -80,21 +93,21 @@ class TestGRU:
     def test_zero_weights_halve_state(self):
         p = _zeroed("gru", 3, 2)
         h0 = np.array([0.4, -0.8])
-        h1 = gru_step(T.Tensor(np.ones(3)), T.Tensor(h0), p)
-        assert np.allclose(h1.data, 0.5 * h0)
+        h1 = gru_step(_row(np.ones(3)), _row(h0), p)
+        assert np.allclose(h1.data[0], 0.5 * h0)
 
     def test_saturated_update_gate_carries_state(self):
         p = _zeroed("gru", 2, 2)
         p.weights["b_z"].data[...] = 50.0
         h0 = np.array([0.3, -0.1])
-        h1 = gru_step(T.Tensor(np.ones(2)), T.Tensor(h0), p)
-        assert np.allclose(h1.data, h0, atol=1e-12)
+        h1 = gru_step(_row(np.ones(2)), _row(h0), p)
+        assert np.allclose(h1.data[0], h0, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         p = _rand("gru", 2, 2, seed=5)
         x = np.array([0.2, -0.6])
         h0 = np.array([0.4, 0.1])
-        h1 = gru_step(T.Tensor(x), T.Tensor(h0), p)
+        h1 = gru_step(_row(x), _row(h0), p)
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -105,7 +118,7 @@ class TestGRU:
         r = sig(zc @ w["W_r"] + w["b_r"])
         n = np.tanh(np.concatenate([x, r * h0]) @ w["W_n"] + w["b_n"])
         h_ref = z * h0 + (1.0 - z) * n
-        assert np.allclose(h1.data, h_ref, atol=1e-12)
+        assert np.allclose(h1.data[0], h_ref, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
@@ -114,12 +127,120 @@ def test_cell_step_gradients(kind):
     x = T.Tensor(np.random.default_rng(1).normal(size=(2, 3)))
 
     def f():
-        state = zero_state(p, batch=2)
-        h, state = cell_step(x, state, p)
-        h, state = cell_step(x, state, p)
+        cell = stack_gates(p)
+        state = zero_state(cell, 2)
+        h, state = cell_step(x, state, cell)
+        h, state = cell_step(x, state, cell)
         return T.tsum(T.mul(h, h))
 
     assert T.finite_diff_check(f, p.weights) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_masked_rows_keep_their_state(kind):
+    cell = stack_gates(_rand(kind, 3, 4, seed=2))
+    r = np.random.default_rng(3)
+    x = T.Tensor(r.normal(size=(3, 3)))
+    state = tuple(T.Tensor(r.normal(size=(3, 4))) for _ in range(len(
+        zero_state(cell, 3))))
+    _, free = cell_step(x, state, cell)
+    _, frozen = cell_step(x, state, cell, np.array([1.0, 0.0, 1.0]))
+    for new, kept, old in zip(free, frozen, state):
+        assert np.array_equal(kept.data[[0, 2]], new.data[[0, 2]])
+        assert np.array_equal(kept.data[1], old.data[1])
+
+
+def _freeze_composed(mask, new, old):
+    m, keep = T.Tensor(mask[:, None]), T.Tensor(1.0 - mask[:, None])
+    return m * new + keep * old
+
+
+def _composed_lstm(x, h, c, W, b, mask=None):
+    """The LSTM step as separate taped ops, one matmul per gate: the
+    reference ``tensor.lstm_cell`` must match."""
+    n = h.shape[-1]
+    z = T.concat([x, h], axis=-1)
+
+    def gate(k):
+        return z @ W[:, k * n:(k + 1) * n] + b[k * n:(k + 1) * n]
+
+    i, f, g, o = T.sigmoid(gate(0)), T.sigmoid(gate(1)), T.tanh(gate(2)), \
+        T.sigmoid(gate(3))
+    c2 = f * c + i * g
+    h2 = o * T.tanh(c2)
+    if mask is not None:
+        h2, c2 = _freeze_composed(mask, h2, h), _freeze_composed(mask, c2, c)
+    return T.concat([h2, c2], axis=-1)
+
+
+def _composed_gru(x, h, W, b, mask=None):
+    """The GRU step as separate taped ops: the reference for
+    ``tensor.gru_cell``."""
+    n = h.shape[-1]
+    zc = T.concat([x, h], axis=-1)
+    z = T.sigmoid(zc @ W[:, :n] + b[:n])
+    r = T.sigmoid(zc @ W[:, n:2 * n] + b[n:2 * n])
+    cand = T.tanh(T.concat([x, r * h], axis=-1) @ W[:, 2 * n:] + b[2 * n:])
+    h2 = z * h + (1.0 - z) * cand
+    return h2 if mask is None else _freeze_composed(mask, h2, h)
+
+
+def _leaves(r, *shapes):
+    return [T.Tensor(r.normal(size=s), requires_grad=True) for s in shapes]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_fused_step_matches_composed_reference(kind, masked, seed):
+    r = np.random.default_rng(seed)
+    B, d, n = 4, 3, 5
+    mask = np.array([1.0, 0.0, 1.0, 0.0]) if masked else None
+    if kind == "lstm":
+        leaves = _leaves(r, (B, d), (B, n), (B, n), (d + n, 4 * n), (4 * n,))
+        fused, composed = T.lstm_cell, _composed_lstm
+    else:
+        leaves = _leaves(r, (B, d), (B, n), (d + n, 3 * n), (3 * n,))
+        fused, composed = T.gru_cell, _composed_gru
+    weight = T.Tensor(r.normal(size=(B, 2 * n if kind == "lstm" else n)))
+    results = []
+    for step in (fused, composed):
+        for t in leaves:
+            t.zero_grad()
+        with T.Graph() as g:
+            y = step(*leaves, mask)
+            T.backward(g, T.tsum(y * weight))
+        results.append((y.data, [t.grad.copy() for t in leaves]))
+    (y_f, g_f), (y_c, g_c) = results
+    assert np.allclose(y_f, y_c, rtol=0, atol=1e-12)
+    for a, b in zip(g_f, g_c):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("arch", ["seq2seq", "am", "han"])
+def test_model_losses_match_composed_steps(arch, seed, monkeypatch):
+    pairs = generate_pairs(seed, 24)
+    vocab = build_vocab(pairs)
+    cfg = ModelConfig(architecture=arch, cell=("lstm", "gru")[seed % 2],
+                      hidden_dim=8, embed_dim=6, chunk_size=2,
+                      decoder_layers=1 + seed // 2)
+    model = build_model(cfg, vocab, seed=seed)
+    results = []
+    for composed in (False, True):
+        if composed:
+            monkeypatch.setattr(T, "lstm_cell", _composed_lstm)
+            monkeypatch.setattr(T, "gru_cell", _composed_gru)
+        model.zero_grads()
+        with T.Graph() as g:
+            loss = model.loss_words(pairs, train=False)
+            T.backward(g, loss)
+        results.append((loss.item(), {k: t.grad.copy()
+                                      for k, t in model.params.items()}))
+    (loss_f, grads_f), (loss_c, grads_c) = results
+    assert abs(loss_f - loss_c) <= 1e-12
+    for k in grads_f:
+        assert np.allclose(grads_f[k], grads_c[k], rtol=0, atol=1e-12), k
 
 
 def _birnn(seq, pf, pb):

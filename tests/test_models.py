@@ -78,7 +78,7 @@ class TestBahdanau:
         r = np.random.default_rng(1)
         s = T.Tensor(r.normal(size=h))
         H = T.Tensor(r.normal(size=(4, 2 * h)))
-        ctx, alpha = attend_bahdanau(s, H, p)
+        ctx, alpha = attend_bahdanau(s, H, H @ p["W_h"], p)
         e = np.tanh(s.data @ p["W_s"].data
                     + H.data @ p["W_h"].data) @ p["v"].data
         e = e.reshape(-1)
@@ -90,22 +90,23 @@ class TestBahdanau:
     def test_row_stochastic(self):
         p = self._params(3)
         r = np.random.default_rng(2)
-        _, alpha = attend_bahdanau(T.Tensor(r.normal(size=3)),
-                                   T.Tensor(r.normal(size=(5, 6))), p)
+        H = T.Tensor(r.normal(size=(5, 6)))
+        _, alpha = attend_bahdanau(T.Tensor(r.normal(size=3)), H,
+                                   H @ p["W_h"], p)
         assert alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_when_states_equal(self):
         p = self._params(3)
         H = T.Tensor(np.tile(np.arange(6.0), (4, 1)))
-        ctx, alpha = attend_bahdanau(T.Tensor(np.zeros(3)), H, p)
+        ctx, alpha = attend_bahdanau(T.Tensor(np.zeros(3)), H, H @ p["W_h"], p)
         assert np.allclose(alpha.data.reshape(-1), 0.25)
         assert np.allclose(ctx.data, H.data.mean(axis=0))
 
     def test_empty_states(self):
         p = self._params(3)
         with pytest.raises(EmptyInput):
-            attend_bahdanau(T.Tensor(np.zeros(3)),
-                            T.Tensor(np.zeros((0, 6))), p)
+            attend_bahdanau(T.Tensor(np.zeros(3)), T.Tensor(np.zeros((0, 6))),
+                            T.Tensor(np.zeros((0, 3))), p)
 
 
 class TestMultiHeadAttention:
@@ -214,8 +215,7 @@ class TestDecoding:
         src = np.array([vocab.encode("abc")], dtype=np.intp)
         with T.no_grad():
             for model, varies in ((s2s, False), (am, True)):
-                enc = model._encode(src, None, False, None)
-                layers = model._init_dec_state(enc.final, 1)
+                enc, layers = model._start(src, None, False, None)
                 ctxs = []
                 sym = 1
                 for _ in range(3):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cogtrans import oov
 from cogtrans.errors import EmptyInput, InvalidArgument, InvalidAttention
+from cogtrans.metrics import corpus_bleu
 from cogtrans.oov import (
     AlignedSentencePair,
     align_from_attention,
@@ -55,6 +57,16 @@ class TestShortlist:
             build_shortlist(self.CORPUS, 0)
         with pytest.raises(EmptyInput):
             build_shortlist([], 5)
+
+    def test_top_is_the_shortlist_at_that_size(self):
+        full = build_shortlist(self.CORPUS + ["d c"], 4)
+        for K in (1, 2, 3, 4):
+            ref = build_shortlist(self.CORPUS + ["d c"], K)
+            cut = full.top(K)
+            assert (cut.words, cut.counts, cut.K) == (ref.words, ref.counts, K)
+        for K in (0, 5):
+            with pytest.raises(InvalidArgument):
+                full.top(K)
 
 
 class TestDetectOov:
@@ -139,6 +151,47 @@ class TestEvaluatePipeline:
                                  lambda w: "yy" if w == "xx" else w)
         assert rows[0]["delta"] > 0
         assert rows[0]["corrected"] == pytest.approx(100.0)
+
+    @staticmethod
+    def _sweep():
+        """Sentences whose words fall in and out of the shortlist as K
+        grows (with count ties); the reference upper-cases the rare words."""
+        corpus = ["a a a b b c d", "b c d e,", "e f g. a"]
+        words = ["a", "b", "c", "d", "e", "f", "g", "h"]
+        records, refs = [], []
+        for i in range(6):
+            src = [words[(i + k) % len(words)] for k in range(4)]
+            records.append(_pair(src, list(src), np.eye(4)))
+            refs.append([w.upper() if w in "fgh" else w for w in src])
+        return records, refs, corpus
+
+    def test_sweep_rows_equal_one_shortlist_per_size(self):
+        records, refs, corpus = self._sweep()
+        sizes = [3, 1, 8, 2, 5]
+        rows = evaluate_pipeline(records, refs, corpus, sizes, str.upper)
+        baseline = corpus_bleu([r.target for r in records], refs)
+        expected = []
+        for K in sizes:
+            shortlist = build_shortlist(corpus, K)
+            fixed = [correct_translation(r, detect_oov(r.source, shortlist),
+                                         str.upper)[0] for r in records]
+            bleu = corpus_bleu(fixed, refs)
+            expected.append({"K": K, "baseline": baseline, "corrected": bleu,
+                             "delta": bleu - baseline})
+        assert rows == expected
+        assert len({row["corrected"] for row in rows}) > 1
+
+    def test_corpus_tokenized_once_for_all_sizes(self, monkeypatch):
+        records, refs, corpus = self._sweep()
+        calls = []
+
+        def counting(sentence):
+            calls.append(sentence)
+            return tokenize(sentence)
+
+        monkeypatch.setattr(oov, "tokenize", counting)
+        evaluate_pipeline(records, refs, corpus, [1, 2, 3, 4, 6], str.upper)
+        assert calls == corpus
 
     def test_mismatched_lengths(self):
         with pytest.raises(InvalidArgument):

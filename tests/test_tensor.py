@@ -146,6 +146,10 @@ def _op_cases():
     gain = r.normal(size=4) + 1.0
     bias = r.normal(size=4)
     probs_src = r.normal(size=(3, 5))
+    x32, h34, c34 = r.normal(size=(3, 2)), r.normal(size=(3, 4)), r.normal(size=(3, 4))
+    lstm_w, lstm_b = r.normal(size=(6, 16)), r.normal(size=16)
+    gru_w, gru_b = r.normal(size=(6, 12)), r.normal(size=12)
+    mixed = np.array([1.0, 0.0, 1.0])
     return [
         ("add", [a32, b32], lambda a, b: T.tsum(T.add(a, b))),
         ("add_broadcast", [a32, r.normal(size=(2,))],
@@ -179,6 +183,16 @@ def _op_cases():
          lambda x, gg, bb: T.tsum(T.mul(l := T.layer_norm(x, gg, bb), l))),
         ("cross_entropy", [np.array([0.2, 0.5, 0.3])],
          lambda p: T.cross_entropy(p, 1)),
+        ("lstm_cell", [x32, h34, c34, lstm_w, lstm_b],
+         lambda x, h, c, w, b: T.tsum(T.mul(y := T.lstm_cell(x, h, c, w, b), y))),
+        ("lstm_cell_masked", [x32, h34, c34, lstm_w, lstm_b],
+         lambda x, h, c, w, b: T.tsum(T.mul(
+             y := T.lstm_cell(x, h, c, w, b, mixed), y))),
+        ("gru_cell", [x32, h34, gru_w, gru_b],
+         lambda x, h, w, b: T.tsum(T.mul(y := T.gru_cell(x, h, w, b), y))),
+        ("gru_cell_masked", [x32, h34, gru_w, gru_b],
+         lambda x, h, w, b: T.tsum(T.mul(
+             y := T.gru_cell(x, h, w, b, mixed), y))),
         ("cross_entropy_rows", [probs_src],
          lambda p: T.cross_entropy_rows(
              T.softmax(p, axis=-1), np.array([1, 0, 4]),
