@@ -15,7 +15,9 @@ the additive-attention keys ``H @ W_h`` once per batch, after encoding,
 not at every decoder step.  ``tn`` decodes incrementally: it encodes the
 word once, projects each decoder layer's cross-attention keys/values once,
 and caches each layer's self-attention keys/values so every step runs the
-decoder on the new position only.
+decoder on the new position only.  Each ``tn`` attention block projects
+its queries, keys and values and then runs the scores, mask, softmax and
+weighted sum of all heads as one taped op (``tensor.attention``).
 """
 
 from dataclasses import dataclass, field
@@ -142,50 +144,34 @@ def attend_bahdanau(s_prev, H, keys, p, mask=None):
     return ctx, alpha
 
 
-def project_heads(x, W, heads):
-    """(B, t, d) inputs -> (B, heads, t, d/heads) projected head slices."""
-    B, t, d = x.shape
-    return T.transpose(T.reshape(x @ W, (B, t, heads, d // heads)), (0, 2, 1, 3))
-
-
 def multi_head_attention(Q, K, V, heads, p, causal=False, key_mask=None,
                          return_weights=False, kv=None):
-    """Scaled dot-product attention over projected head slices.
+    """Multi-head scaled dot-product attention over (B, t, d) batches.
 
-    Q/K/V: (Tq, d) / (Tk, d) matrices or (B, ...) batches.  ``kv`` gives the
-    keys and values already projected (``project_heads``), and K/V are then
-    not used.  The causal flag masks query i, the (Tk - Tq + i)-th position,
-    from attending beyond itself (decoder self-attention), so the queries
-    may be the last Tq of the Tk positions.
+    ``kv`` gives the keys and values already projected (K @ W_k, V @ W_v),
+    and K/V are then not used.  The causal flag masks query i, the
+    (Tk - Tq + i)-th position, from attending beyond itself (decoder
+    self-attention), so the queries may be the last Tq of the Tk positions.
+    The scores, mask, softmax and weighted sum are one taped op
+    (``tensor.attention``); an additive mask is built only when some key is
+    masked: a causal mask over more than one query, or a key mask.
     """
-    single = Q.ndim == 2
-    if single:
-        Q = T.reshape(Q, (1,) + tuple(Q.shape))
-        if kv is None:
-            K = T.reshape(K, (1,) + tuple(K.shape))
-            V = T.reshape(V, (1,) + tuple(V.shape))
     d = Q.shape[-1]
     if d % heads != 0:
         raise InvalidArgument("model dim not divisible by head count")
-    dk = d // heads
-    q = project_heads(Q, p["W_q"], heads)
-    if kv is None:
-        kv = project_heads(K, p["W_k"], heads), project_heads(V, p["W_v"], heads)
-    k, v = kv
-    B, tq, tk = Q.shape[0], Q.shape[1], k.shape[2]
-    scores = q @ T.transpose(k, (0, 1, 3, 2)) * (1.0 / np.sqrt(dk))
-    mask = np.zeros((B, 1, tq, tk))
-    if causal:
-        mask += np.triu(np.full((tq, tk), NEG_INF), k=1 + tk - tq)[None, None]
+    q = Q @ p["W_q"]
+    k, v = kv if kv is not None else (K @ p["W_k"], V @ p["W_v"])
+    tq, tk = q.shape[1], k.shape[1]
+    mask = None
+    if causal and tq > 1:
+        mask = np.triu(np.full((tq, tk), NEG_INF), k=1 + tk - tq)[None, None]
     if key_mask is not None:
-        mask += np.where(key_mask > 0, 0.0, NEG_INF)[:, None, None, :]
-    weights = T.softmax(scores, axis=-1, mask=mask)
-    out = T.reshape(T.transpose(weights @ v, (0, 2, 1, 3)), (B, tq, d))
+        pad = np.where(key_mask > 0, 0.0, NEG_INF)[:, None, None, :]
+        mask = pad if mask is None else mask + pad
+    out, weights = T.attention(q, k, v, heads, mask)
     out = out @ p["W_o"]
-    if single:
-        out = T.reshape(out, (tq, d))
     if return_weights:
-        return out, weights.data.mean(axis=1)  # head-averaged, (B, tq, tk)
+        return out, weights.mean(axis=1)  # head-averaged, (B, tq, tk)
     return out
 
 
@@ -541,6 +527,7 @@ class TransformerModel(TransductionModel):
                 self._add(f"{side}{l}_ffn_b2", np.zeros(d))
         self._add("W_out", _uniform(rng, d, V))
         self._add("b_out", np.zeros(V))
+        self._pe = positional_encoding(0, d)   # grown by _embed_pos
         del self._rng
 
     def _mha_params(self, side, l, blk):
@@ -559,8 +546,11 @@ class TransformerModel(TransductionModel):
     def _embed_pos(self, ids, train, rng, start=0):
         """Embed target positions start, start+1, ... of ``ids``'s columns."""
         d = self.cfg.d_model
+        end = start + ids.shape[1]
+        if len(self._pe) < end:   # rows do not depend on the table's length
+            self._pe = positional_encoding(max(end, 2 * len(self._pe)), d)
         x = T.embedding(self.params["embedding"], ids) * np.sqrt(d)
-        x = x + Tensor(positional_encoding(start + ids.shape[1], d)[start:])
+        x = x + Tensor(self._pe[start:end])
         if train and self.cfg.dropout > 0:
             x = cells.dropout(x, self.cfg.dropout, "train", rng)
         return x
@@ -587,7 +577,7 @@ class TransformerModel(TransductionModel):
                 a = multi_head_attention(y, y, y, heads, p, causal=True)
             else:
                 a = multi_head_attention(y, None, None, heads, p, causal=True,
-                                         kv=state.extend(l, y, p, heads))
+                                         kv=state.extend(l, y, p))
             y = self._ln(y + a, "dec", l, 0)
             last = want_weights and l == self.cfg.num_layers - 1
             a = multi_head_attention(y, enc_out, enc_out, heads,
@@ -613,14 +603,14 @@ class TransformerModel(TransductionModel):
         """
         if src.shape[1] == 0:
             raise EmptyInput("empty source")
-        rng = rng or np.random.default_rng(0)
+        if train and rng is None:
+            rng = np.random.default_rng(0)
         if state is None:
             enc = self._encode(src, src_mask, train, rng)
         elif state.enc is None:
             enc = state.enc = self._encode(src, src_mask, train, rng)
             state.cross = [
-                tuple(project_heads(enc, self.params[f"dec{l}_cross_{w}"],
-                                    self.cfg.num_heads) for w in ("W_k", "W_v"))
+                tuple(enc @ self.params[f"dec{l}_cross_{w}"] for w in ("W_k", "W_v"))
                 for l in range(self.cfg.num_layers)
             ]
         else:
@@ -669,7 +659,7 @@ class DecodeState:
     ``enc`` is the encoder output, ``cross`` each decoder layer's projected
     cross-attention (keys, values), ``self_kv`` each decoder layer's
     self-attention (keys, values) of the ``length`` target positions decoded
-    so far; keys and values are (B, heads, t, d/heads) head slices.
+    so far; keys and values are projected (B, t, d) rows.
     """
 
     enc: Tensor | None = None
@@ -677,13 +667,13 @@ class DecodeState:
     self_kv: list = field(default_factory=list)
     length: int = 0
 
-    def extend(self, layer, y, p, heads):
+    def extend(self, layer, y, p):
         """Append the new positions ``y``'s keys/values to ``layer``'s cache
         and return the cached (keys, values) of every position so far."""
-        k, v = (project_heads(y, p[w], heads) for w in ("W_k", "W_v"))
+        k, v = y @ p["W_k"], y @ p["W_v"]
         if layer < len(self.self_kv):
             k_old, v_old = self.self_kv[layer]
-            k, v = T.concat([k_old, k], axis=2), T.concat([v_old, v], axis=2)
+            k, v = T.concat([k_old, k], axis=1), T.concat([v_old, v], axis=1)
             self.self_kv[layer] = (k, v)
         else:
             self.self_kv.append((k, v))

@@ -419,6 +419,49 @@ def gru_cell(x, h, W, b, mask=None):
 
 
 # ---------------------------------------------------------------------------
+# fused attention: one node for the heads' scores, softmax and weighted sum
+
+def attention(q, k, v, heads, mask=None):
+    """Multi-head scaled dot-product attention over projected rows.
+
+    q: (B, tq, d) and k, v: (B, tk, d) are split into ``heads`` slices of
+    dk = d/heads; each head computes softmax(q_h k_hᵀ/√dk + mask) v_h, where
+    ``mask`` is an additive constant that broadcasts to (B, heads, tq, tk).
+    Returns the heads merged back into one (B, tq, d) node, and the
+    (B, heads, tq, tk) weights as an untaped array.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    B, tq, d = q.shape
+    dk = d // heads
+
+    def split(a):
+        return np.transpose(a.reshape(B, a.shape[1], heads, dk), (0, 2, 1, 3))
+
+    def merge(a):
+        return np.transpose(a, (0, 2, 1, 3)).reshape(B, a.shape[2], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(dk)
+    z = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
+    if mask is not None:
+        z = z + mask
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        # each matmul in the order and layout of the backward pass over the
+        # composed ops (dK as (qᵀ g_s)ᵀ), so the gradients equal that pass's
+        gh = np.transpose(g.reshape(B, tq, heads, dk), (0, 2, 1, 3))
+        gw = np.matmul(gh, np.swapaxes(vh, -1, -2))
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+        gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)
+        gv = np.matmul(np.swapaxes(w, -1, -2), gh)
+        return merge(np.matmul(gs, kh)), merge(gk), merge(gv)
+
+    return _make(merge(np.matmul(w, vh)), (q, k, v), bwd), w
+
+
+# ---------------------------------------------------------------------------
 # normalization / probability ops
 
 def softmax(a, axis=-1, mask=None):
@@ -440,25 +483,25 @@ def softmax(a, axis=-1, mask=None):
     return _make(y, (a,), bwd)
 
 
+def _row_mean(a):
+    """Mean over the last axis, kept: the sum and division ``np.mean`` does,
+    without its dispatch overhead."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
 def layer_norm(x, gain, bias, eps=LN_EPS):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.shape[-1] != gain.shape[-1] or x.shape[-1] != bias.shape[-1]:
         raise InvalidShape("layer_norm dims mismatch")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - _row_mean(x.data)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + eps)
+    xhat = xc * inv
     y = xhat * gain.data + bias.data
 
     def bwd(g):
-        d = x.shape[-1]
         dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
         axes = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=axes) if axes else g * xhat
         dbias = g.sum(axis=axes) if axes else g.copy()

@@ -79,19 +79,16 @@ def test_traced_tn_evaluate_encodes_each_word_once(tmp_path):
     assert counts["models.tn_forward.tn"] == steps
 
 
-def test_traced_training_batch_counts_every_tape_node():
-    """The tracer counts tape nodes through its patch of ``tensor._make``;
-    an op that built nodes through another reference to ``_make`` would be
-    missed here."""
+def _traced_training_batch(cfg):
+    """Tape one training batch of a tiny model under the tracer; returns
+    the tracer module, the tracer and the batch's graph."""
     pairs = generate_pairs(2, 16)
-    model = models.build_model(
-        models.ModelConfig(architecture="am", hidden_dim=6, embed_dim=5),
-        build_vocab(pairs), seed=0)
+    model = models.build_model(cfg, build_vocab(pairs), seed=0)
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer()
     tracer.install(cogtrans)
     try:
-        tracer.scope = "am"
+        tracer.scope = cfg.architecture
         tracer.enabled = True
         with T.Graph() as graph:
             T.backward(graph, model.loss_words(pairs))
@@ -99,5 +96,24 @@ def test_traced_training_batch_counts_every_tape_node():
         tracer.enabled = False
         tracer.uninstall()
     assert len(graph.nodes) > 0
+    return tracer_mod, tracer, graph
+
+
+def test_traced_training_batch_counts_every_tape_node():
+    """The tracer counts tape nodes through its patch of ``tensor._make``;
+    an op that built nodes through another reference to ``_make`` would be
+    missed here."""
+    tracer_mod, tracer, graph = _traced_training_batch(
+        models.ModelConfig(architecture="am", hidden_dim=6, embed_dim=5))
     assert tracer.counts()["tape_nodes.am"] == len(graph.nodes)
     assert any(rec[tracer_mod.NAME] == "cells.step" for rec in tracer.spans)
+
+
+def test_traced_tn_training_batch_counts_every_tape_node():
+    """The same for ``tn``, whose attention blocks are fused nodes."""
+    tracer_mod, tracer, graph = _traced_training_batch(
+        models.ModelConfig(architecture="tn", d_model=8, num_heads=2,
+                           ffn_dim=12, num_layers=1))
+    assert tracer.counts()["tape_nodes.tn"] == len(graph.nodes)
+    assert any(rec[tracer_mod.NAME] == "models.attention"
+               for rec in tracer.spans)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cogtrans import tensor as T
+from cogtrans import models, tensor as T
 from cogtrans.data_io import split_dataset
 from cogtrans.devanagari import CharVocab, build_vocab, strip_trailing_repeats
 from cogtrans.errors import EmptyInput, InvalidArgument
@@ -109,6 +109,35 @@ class TestBahdanau:
                             T.Tensor(np.zeros((0, 3))), p)
 
 
+def _split_heads(x, heads):
+    B, t, d = x.shape
+    return T.transpose(T.reshape(x, (B, t, heads, d // heads)), (0, 2, 1, 3))
+
+
+def _composed_attention(Q, K, V, heads, p, causal=False, key_mask=None,
+                        return_weights=False, kv=None):
+    """``multi_head_attention`` as a chain of small taped ops (head split,
+    scaled scores, an additive mask that is all zeros when nothing is
+    masked, softmax, weighted sum, head merge): the reference for the one
+    fused ``tensor.attention`` node."""
+    d = Q.shape[-1]
+    q = _split_heads(Q @ p["W_q"], heads)
+    k, v = kv if kv is not None else (K @ p["W_k"], V @ p["W_v"])
+    k, v = _split_heads(k, heads), _split_heads(v, heads)
+    B, tq, tk = Q.shape[0], Q.shape[1], k.shape[2]
+    scores = q @ T.transpose(k, (0, 1, 3, 2)) * (1.0 / np.sqrt(d // heads))
+    mask = np.zeros((B, 1, tq, tk))
+    if causal:
+        mask += np.triu(np.full((tq, tk), -1e9), k=1 + tk - tq)[None, None]
+    if key_mask is not None:
+        mask += np.where(key_mask > 0, 0.0, -1e9)[:, None, None, :]
+    weights = T.softmax(scores, axis=-1, mask=mask)
+    out = T.reshape(T.transpose(weights @ v, (0, 2, 1, 3)), (B, tq, d)) @ p["W_o"]
+    if return_weights:
+        return out, weights.data.mean(axis=1)
+    return out
+
+
 class TestMultiHeadAttention:
     def _identity_params(self, d):
         eye = np.eye(d)
@@ -163,6 +192,53 @@ class TestMultiHeadAttention:
         tail = multi_head_attention(T.Tensor(x.data[:, -tq:]), x, x, 2, p,
                                     causal=True)
         assert np.allclose(tail.data[0], full.data[0, -tq:], atol=1e-12)
+
+    @staticmethod
+    def _attention_case(mha, mode, seed):
+        """Output, head-averaged weights and every gradient of one call.
+
+        The width is the benchmark model's, 64: at widths of 16 and below
+        the matmuls that carry the gradient back to the inputs gave the same
+        sums whatever the memory layout of the gradient they were handed, so
+        a backward that handed over another layout went unnoticed."""
+        r = np.random.default_rng(seed)
+        B, t, d, heads = 2, 4, 64, 4
+        p = {name: T.Tensor(r.normal(size=(d, d)), requires_grad=True)
+             for name in ("W_q", "W_k", "W_v", "W_o")}
+        x = T.Tensor(r.normal(size=(B, t, d)), requires_grad=True)
+        mem = T.Tensor(r.normal(size=(B, t + 1, d)), requires_grad=True)
+        probe = r.normal(size=(B, t, d))
+        with T.Graph() as g:
+            if mode == "plain":
+                out, w = mha(x, mem, mem, heads, p, return_weights=True)
+            elif mode == "causal":
+                out, w = mha(x, x, x, heads, p, causal=True,
+                             return_weights=True)
+            elif mode == "key_masked":
+                key_mask = np.ones((B, t + 1))
+                key_mask[1, -2:] = 0.0
+                out, w = mha(x, mem, mem, heads, p, key_mask=key_mask,
+                             return_weights=True)
+            else:
+                kv = (mem @ p["W_k"], mem @ p["W_v"])
+                out, w = mha(x[:, -1:], None, None, heads, p, causal=True,
+                             return_weights=True, kv=kv)
+                probe = probe[:, -1:]
+            T.backward(g, T.tsum(T.mul(out, probe)))
+        grads = [t.grad for t in (x, mem, *p.values())]
+        return out.data, w, grads
+
+    @pytest.mark.parametrize("mode", ["plain", "causal", "key_masked", "kv"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fused_matches_composed_ops_exactly(self, mode, seed):
+        out, w, grads = self._attention_case(multi_head_attention, mode, seed)
+        ref_out, ref_w, ref_grads = self._attention_case(
+            _composed_attention, mode, seed)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(w, ref_w)
+        for got, want in zip(grads, ref_grads):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -333,6 +409,44 @@ class TestTransformer:
                 assert np.allclose(att, ref_att, rtol=0, atol=1e-12)
                 flags.add(cut)
         assert flags == {False, True}
+
+    @pytest.mark.parametrize("seed,dropout", [(0, 0.0), (1, 0.1), (2, 0.0)])
+    def test_losses_and_gradients_match_composed_attention(self, seed,
+                                                           dropout,
+                                                           monkeypatch):
+        """Training through the fused attention node is bit-equal to
+        training through the composed op chain."""
+        pairs = generate_pairs(seed, 12)   # words of mixed length: padded
+        vocab = build_vocab(pairs)
+        cfg = _cfg("tn", d_model=64, num_heads=4, ffn_dim=24, num_layers=2,
+                   dropout=dropout)   # width 64: see _attention_case
+
+        def run():
+            model = build_model(cfg, vocab, seed=seed)
+            with T.Graph() as g:
+                loss = model.loss_words(pairs, train=True,
+                                        rng=np.random.default_rng(seed))
+                T.backward(g, loss)
+            return loss.data, {k: t.grad for k, t in model.params.items()}
+
+        loss, grads = run()
+        monkeypatch.setattr(models, "multi_head_attention", _composed_attention)
+        ref_loss, ref_grads = run()
+        assert np.array_equal(loss, ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for k in grads:
+            assert np.array_equal(grads[k], ref_grads[k]), k
+
+    def test_positional_table_grows_with_equal_rows(self):
+        model = build_model(_cfg("tn"), _vocab(), seed=0)
+        ids = np.array([[1, 2, 3]], dtype=np.intp)
+        with T.no_grad():
+            for start in (0, 2, 9, 40):
+                x = model._embed_pos(ids, False, None, start=start)
+                ref = (model.params["embedding"].data[ids] * np.sqrt(8)
+                       + positional_encoding(start + 3, 8)[start:])
+                assert np.array_equal(x.data, ref)
+        assert len(model._pe) >= 43
 
     def test_empty_source_rejected(self):
         model = build_model(_cfg("tn"), _vocab(), seed=0)

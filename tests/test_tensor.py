@@ -150,6 +150,9 @@ def _op_cases():
     lstm_w, lstm_b = r.normal(size=(6, 16)), r.normal(size=16)
     gru_w, gru_b = r.normal(size=(6, 12)), r.normal(size=12)
     mixed = np.array([1.0, 0.0, 1.0])
+    aq, ak, av = (r.normal(size=(2, 3, 4)) for _ in range(3))
+    causal = np.triu(np.full((3, 3), -1e9), k=1)[None, None]
+    key_mask = np.where(np.array([[1, 1, 0], [1, 1, 1]]) > 0, 0.0, -1e9)[:, None, None, :]
     return [
         ("add", [a32, b32], lambda a, b: T.tsum(T.add(a, b))),
         ("add_broadcast", [a32, r.normal(size=(2,))],
@@ -193,6 +196,13 @@ def _op_cases():
         ("gru_cell_masked", [x32, h34, gru_w, gru_b],
          lambda x, h, w, b: T.tsum(T.mul(
              y := T.gru_cell(x, h, w, b, mixed), y))),
+        ("attention", [aq, ak, av],
+         lambda q, k, v: T.tsum(T.mul(y := T.attention(q, k, v, 2)[0], y))),
+        ("attention_causal", [aq, ak, av],
+         lambda q, k, v: T.tsum(T.mul(y := T.attention(q, k, v, 2, causal)[0], y))),
+        ("attention_key_masked", [aq, ak, av],
+         lambda q, k, v: T.tsum(T.mul(
+             y := T.attention(q, k, v, 2, key_mask)[0], y))),
         ("cross_entropy_rows", [probs_src],
          lambda p: T.cross_entropy_rows(
              T.softmax(p, axis=-1), np.array([1, 0, 4]),
