@@ -4,7 +4,7 @@ evaluation metrics, a WX/Devanagari codec with an error taxonomy, and an OOV
 MT-correction pipeline.
 """
 
-from .cells import EmbeddingTable, init_cell_params
+from .cells import init_cell_params
 from .data_io import DatasetSplit, load_cognate_tsv, split_dataset
 from .devanagari import (
     CharVocab,

@@ -1,4 +1,4 @@
-"""Recurrent cells, embeddings and dropout.
+"""Recurrent cells, the embedding initialiser and dropout.
 
 A cell keeps one (input_dim + hidden_dim, hidden_dim) matrix and one bias
 per gate, the checkpoint layout.  ``stack_gates`` puts them side by side
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import InvalidArgument, InvalidShape
+from .errors import InvalidShape, require_rate
 from .tensor import Tensor
 
 LSTM_GATES = ("i", "f", "g", "o")
@@ -96,38 +96,18 @@ def zero_state(cell, batch):
     return (Tensor(np.zeros(shape)),)
 
 
-def dropout(x, rate, mode, rng):
-    """Inverted dropout: kept units scaled by 1/(1-rate) so E[out] == x."""
-    if not 0.0 <= rate < 1.0:
-        raise InvalidArgument(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "eval" or rate == 0.0:
-        return x
-    if mode != "train":
-        raise InvalidArgument(f"unknown dropout mode {mode!r}")
+def dropout(x, rate, rng):
+    """Inverted dropout for training: kept units scaled by 1/(1-rate) so
+    E[out] == x.  Callers skip it outside training."""
+    require_rate("dropout rate", rate)
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * Tensor(mask)
 
 
-@dataclass
-class EmbeddingTable:
-    table: Tensor          # (vocab_size, embed_dim)
-    trainable: bool = True
-
-    @property
-    def vocab_size(self):
-        return self.table.shape[0]
-
-    @property
-    def embed_dim(self):
-        return self.table.shape[1]
-
-
-def init_embedding(vocab_size, embed_dim, rng, pretrained=None, trainable=True):
+def init_embedding(vocab_size, embed_dim, rng, pretrained=None):
+    """A trainable (vocab_size, embed_dim) table: the rows of the
+    ``pretrained`` array when given, else uniform(-0.08, 0.08)."""
     if pretrained is not None:
-        if isinstance(pretrained, EmbeddingTable):
-            pretrained = pretrained.table
-        if isinstance(pretrained, Tensor):
-            pretrained = pretrained.data
         data = np.array(pretrained, dtype=np.float64)
         if data.shape != (vocab_size, embed_dim):
             raise InvalidShape(
@@ -135,4 +115,4 @@ def init_embedding(vocab_size, embed_dim, rng, pretrained=None, trainable=True):
             )
     else:
         data = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, embed_dim))
-    return EmbeddingTable(Tensor(data, requires_grad=trainable), trainable)
+    return Tensor(data, requires_grad=True)

@@ -236,7 +236,7 @@ def _cmd_pretrain_embed(args):
         if real:
             print(f"uncovered characters: {' '.join(real)}", file=sys.stderr)
     out_store = embeddings.WordVectorStore({
-        sym: table.table.data[i]
+        sym: table.data[i]
         for i, sym in enumerate(vocab.symbols)
         if sym not in CharVocab.SPECIALS
     })

@@ -10,11 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .cells import (EmbeddingTable, cell_step, dropout, init_cell_params,
-                    stack_gates, zero_state)
+from .cells import (INIT_SCALE, dropout, init_cell_params, init_embedding,
+                    stack_gates)
 from .devanagari import CharVocab
-from .errors import EmptyInput, InvalidArgument
+from .errors import EmptyInput, InvalidArgument, require_positive, require_rate
 from .metrics import nfc
+from .models import run_rnn
 
 
 class WordVectorStore:
@@ -78,7 +79,8 @@ def ft_avg_embed(store, corpus, vocab=None, token_frequency=False):
     the number of occurrences of c in w.  By default each word type counts
     once; token_frequency=True additionally weights by corpus frequency.
     Characters never seen in any stored word get zero vectors and are
-    reported in the returned missing list.
+    reported in the returned missing list.  Returns the trainable
+    (vocab, dim) table and that list.
     """
     if len(store) == 0:
         raise EmptyInput("empty word-vector store")
@@ -112,7 +114,7 @@ def ft_avg_embed(store, corpus, vocab=None, token_frequency=False):
             f"{len(real_missing)} characters absent from every stored word: "
             f"{real_missing[:10]}"
         )
-    return EmbeddingTable(T.Tensor(table, requires_grad=True), True), missing
+    return T.Tensor(table, requires_grad=True), missing
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,9 @@ class CharLMConfig:
             raise InvalidArgument("window must be >= 2")
         if self.direction not in ("forward", "bidirectional"):
             raise InvalidArgument(f"unknown direction {self.direction!r}")
+        require_positive(self, ("hidden", "embed_dim", "batch_size",
+                                "max_epochs"))
+        require_rate("dropout", self.dropout)
         return self
 
 
@@ -149,11 +154,7 @@ class CharLM:
         self.vocab = vocab
         rng = np.random.default_rng(seed)
         V = len(vocab)
-        scale = 0.08
-        self.embedding = T.Tensor(
-            rng.uniform(-scale, scale, size=(V, cfg.embed_dim)),
-            requires_grad=True,
-        )
+        self.embedding = init_embedding(V, cfg.embed_dim, rng)
         self.fwd = init_cell_params("lstm", cfg.embed_dim, cfg.hidden, rng,
                                     prefix="fwd_")
         self.cells = [self.fwd]
@@ -163,8 +164,9 @@ class CharLM:
                                         rng, prefix="bwd_")
             self.cells.append(self.bwd)
             out_dim = 2 * cfg.hidden
-        self.W_out = T.Tensor(rng.uniform(-scale, scale, size=(out_dim, V)),
-                              requires_grad=True)
+        self.W_out = T.Tensor(
+            rng.uniform(-INIT_SCALE, INIT_SCALE, size=(out_dim, V)),
+            requires_grad=True)
         self.b_out = T.Tensor(np.zeros(V), requires_grad=True)
 
     @property
@@ -182,20 +184,14 @@ class CharLM:
     def _final_state(self, ids, train, rng):
         emb = T.embedding(self.embedding, ids)
         if train and self.cfg.dropout > 0:
-            emb = dropout(emb, self.cfg.dropout, "train", rng)
+            emb = dropout(emb, self.cfg.dropout, rng)
         steps = [emb[:, t] for t in range(ids.shape[1])]
-        fwd = stack_gates(self.fwd)
-        state = zero_state(fwd, ids.shape[0])
-        for x in steps:
-            h, state = cell_step(x, state, fwd)
+        h = run_rnn(steps, stack_gates(self.fwd))[-1]
         if self.cfg.direction == "bidirectional":
-            bwd = stack_gates(self.bwd)
-            bstate = zero_state(bwd, ids.shape[0])
-            for x in reversed(steps):
-                hb, bstate = cell_step(x, bstate, bwd)
+            hb = run_rnn(steps, stack_gates(self.bwd), reverse=True)[0]
             h = T.concat([h, hb], axis=-1)
         if train and self.cfg.dropout > 0:
-            h = dropout(h, self.cfg.dropout, "train", rng)
+            h = dropout(h, self.cfg.dropout, rng)
         return h
 
     def loss_batch(self, ids, targets, train=True, rng=None):
@@ -224,7 +220,8 @@ def _windows(ids, window):
 
 
 def train_char_lm(corpus, cfg, vocab=None):
-    """Fit the LM on a raw text corpus; returns (lm, held-out perplexity).
+    """Fit the LM on a raw text corpus; returns (lm, its embedding table,
+    held-out perplexity).
 
     The corpus tail (cfg.holdout_fraction) is held out for the perplexity
     estimate; early stopping uses the same held-out NLL with cfg.patience.
@@ -272,7 +269,7 @@ def train_char_lm(corpus, cfg, vocab=None):
         for k, t in lm.params.items():
             t.data[...] = best_params[k]
     ppl = math.exp(best / max(len(held_y), 1))
-    return lm, EmbeddingTable(lm.embedding, True), ppl
+    return lm, lm.embedding, ppl
 
 
 def perplexity(lm, held_out):

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the config checks that raise them."""
 
 
 class CogtransError(Exception):
@@ -50,3 +50,17 @@ class IncompatibleCheckpoint(CogtransError, RuntimeError):
 
 class ChecksumError(CogtransError, RuntimeError):
     pass
+
+
+def require_positive(cfg, names):
+    """Raise ``InvalidArgument`` for the first field of ``cfg`` named in
+    ``names`` that is below 1."""
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise InvalidArgument(f"{name} must be >= 1, got {getattr(cfg, name)}")
+
+
+def require_rate(name, value):
+    """Raise ``InvalidArgument`` unless 0 <= value < 1."""
+    if not 0.0 <= value < 1.0:
+        raise InvalidArgument(f"{name} must be in [0, 1), got {value}")

@@ -8,16 +8,17 @@
 * tn       - transformer: multi-head self-attention, residuals, layer norm
 
 All models share the taped tensor core, train on padded batches with loss
-masks, and decode greedily one word at a time.  The recurrent models run
-each LSTM/GRU step as one fused taped op that also keeps padded rows'
-state, with each cell's gate weights stacked once per batch, and compute
-the additive-attention keys ``H @ W_h`` once per batch, after encoding,
-not at every decoder step.  ``tn`` decodes incrementally: it encodes the
-word once, projects each decoder layer's cross-attention keys/values once,
-and caches each layer's self-attention keys/values so every step runs the
-decoder on the new position only.  Each ``tn`` attention block projects
-its queries, keys and values and then runs the scores, mask, softmax and
-weighted sum of all heads as one taped op (``tensor.attention``).
+masks, and decode greedily through one loop (``transduce_ids``) that calls
+each family's start and next-step hooks over (B, ...) batches.  The
+recurrent models run every recurrence through ``run_rnn``, each LSTM/GRU
+step as one fused taped op that also keeps padded rows' state, and compute
+the additive-attention keys ``H @ W_h`` once per batch, not at every
+decoder step.  ``tn`` decodes incrementally: it encodes the word and
+projects each decoder layer's cross-attention keys/values once, and caches
+each layer's self-attention keys/values so every step runs the decoder on
+the new position only.  Each ``tn`` attention block projects its queries,
+keys and values and then runs the scores, mask, softmax and weighted sum
+of all heads as one taped op (``tensor.attention``).
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +29,8 @@ from . import cells, tensor as T
 from .cells import (cell_step, init_cell_params, init_embedding, stack_gates,
                     zero_state)
 from .devanagari import CharVocab, strip_trailing_repeats
-from .errors import EmptyInput, InvalidArgument, InvalidShape
+from .errors import (EmptyInput, InvalidArgument, InvalidShape,
+                     require_positive, require_rate)
 from .tensor import Tensor
 
 NEG_INF = -1e9
@@ -59,6 +61,10 @@ class ModelConfig:
             raise InvalidArgument(f"unknown architecture {self.architecture!r}")
         if self.cell not in ("lstm", "gru"):
             raise InvalidArgument(f"unknown cell {self.cell!r}")
+        require_positive(self, ("hidden_dim", "embed_dim", "encoder_layers",
+                                "decoder_layers", "num_layers", "num_heads",
+                                "d_model", "ffn_dim", "max_decode_len"))
+        require_rate("dropout", self.dropout)
         if self.architecture == "tn":
             if self.d_model % 2 != 0:
                 raise InvalidArgument("d_model must be even")
@@ -84,6 +90,15 @@ class EncoderOutput:
     char_alpha: np.ndarray | None = None   # han: (B, K, chunk) char-level weights
     keys: Tensor | None = None      # (B, T, a) attention keys H @ W_h (am, han)
     dec_cells: list = field(default_factory=list)  # stacked decoder cells
+
+
+@dataclass
+class RecurrentDecodeState:
+    """One batch's greedy decoding: encoder output, decoder layers, T."""
+
+    enc: EncoderOutput
+    layers: list
+    n_src: int
 
 
 @dataclass
@@ -120,27 +135,18 @@ def positional_encoding(length, d_model):
 def attend_bahdanau(s_prev, H, keys, p, mask=None):
     """Additive attention: energies_j = v.tanh(W_s s + k_j), k_j = W_h h_j.
 
-    s_prev: (h_dec,) or (B, h_dec); H: (T, d_enc) or (B, T, d_enc); keys:
-    H @ W_h, (T, a) or (B, T, a), which do not depend on the decoder step
-    and so are computed once per batch.  Returns (context, alpha) with
-    alpha on the simplex per row.
+    s_prev: (B, h_dec); H: (B, T, d_enc); keys: H @ W_h, (B, T, a), which
+    do not depend on the decoder step and so are computed once per batch.
+    Returns the context (B, d_enc) and alpha (B, T), on the simplex per row.
     """
-    single = s_prev.ndim == 1
-    if single:
-        s_prev = T.reshape(s_prev, (1, -1))
-        H = T.reshape(H, (1,) + tuple(H.shape))
-        keys = T.reshape(keys, (1,) + tuple(keys.shape))
-    if H.shape[1] == 0:
+    B, n = H.shape[0], H.shape[1]
+    if n == 0:
         raise EmptyInput("attention over empty encoder states")
-    q = T.reshape(s_prev @ p["W_s"], (s_prev.shape[0], 1, -1))
-    e = T.reshape(T.tanh(keys + q) @ p["v"], (H.shape[0], H.shape[1]))
+    q = T.reshape(s_prev @ p["W_s"], (B, 1, -1))
+    e = T.reshape(T.tanh(keys + q) @ p["v"], (B, n))
     add_mask = None if mask is None else np.where(mask > 0, 0.0, NEG_INF)
     alpha = T.softmax(e, axis=-1, mask=add_mask)
-    ctx = T.reshape(
-        T.reshape(alpha, (H.shape[0], 1, H.shape[1])) @ H, (H.shape[0], H.shape[2])
-    )
-    if single:
-        return T.reshape(ctx, (-1,)), T.reshape(alpha, (-1,))
+    ctx = T.reshape(T.reshape(alpha, (B, 1, n)) @ H, (B, H.shape[2]))
     return ctx, alpha
 
 
@@ -175,16 +181,33 @@ def multi_head_attention(Q, K, V, heads, p, causal=False, key_mask=None,
     return out
 
 
+def run_rnn(xs, cell, mask=None, reverse=False):
+    """Run a stacked cell over the (B, d) step inputs ``xs`` from a zero
+    state, last step first when ``reverse``; returns every step's (B, h)
+    output in input order.  Where the (B, T) 0/1 ``mask`` is 0 (padding)
+    the state stays put."""
+    state = zero_state(cell, xs[0].shape[0])
+    out = [None] * len(xs)
+    for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
+        out[t], state = cell_step(xs[t], state, cell,
+                                  None if mask is None else mask[:, t])
+    return out
+
+
 def _uniform(rng, *shape):
     return rng.uniform(-cells.INIT_SCALE, cells.INIT_SCALE, size=shape)
 
 
 class TransductionModel:
-    """Common parameter registry, batching and greedy decoding.
+    """Common parameter registry, batching and the greedy-decode loop.
 
     Subclasses build their parameters in ``_build`` and provide
-    ``loss_batch`` (teacher-forced loss of a padded batch) and
-    ``transduce_ids`` (greedy decoding of one word's ids).
+    ``loss_batch`` (teacher-forced loss of a padded batch) and the two
+    decoding hooks that ``transduce_ids`` calls over (B, ...) batches:
+    ``_decode_start(src)`` encodes the (B, T) source ids and returns the
+    decoding state; ``_decode_next(state, prefix)`` takes the (B, t) ids
+    decoded so far, BOS first, and returns the next-char distributions
+    (B, V) and the decoder-over-source attention rows (B, T).
     """
 
     def __init__(self, cfg, vocab, seed=0, embedding=None):
@@ -224,26 +247,15 @@ class TransductionModel:
     def _embed(self, table, ids, train, rng):
         x = T.embedding(table, ids)
         if train and self.cfg.dropout > 0:
-            x = cells.dropout(x, self.cfg.dropout, "train", rng)
+            x = cells.dropout(x, self.cfg.dropout, rng)
         return x
 
     def _run_birnn(self, xs, mask, fwd_cell, bwd_cell):
         """xs: list of (B, d) step inputs -> list of (B, 2h) states; where
         the (B, T) mask is 0 (padding) a direction's state stays put."""
-        n = len(xs)
         fwd_cell, bwd_cell = stack_gates(fwd_cell), stack_gates(bwd_cell)
-        state = zero_state(fwd_cell, xs[0].shape[0])
-        fwd = []
-        for t in range(n):
-            h, state = cell_step(xs[t], state, fwd_cell,
-                                 None if mask is None else mask[:, t])
-            fwd.append(h)
-        state = zero_state(bwd_cell, xs[0].shape[0])
-        bwd = [None] * n
-        for t in range(n - 1, -1, -1):
-            h, state = cell_step(xs[t], state, bwd_cell,
-                                 None if mask is None else mask[:, t])
-            bwd[t] = h
+        fwd = run_rnn(xs, fwd_cell, mask)
+        bwd = run_rnn(xs, bwd_cell, mask, reverse=True)
         states = [T.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
         return states, fwd[-1], bwd[0]
 
@@ -254,9 +266,29 @@ class TransductionModel:
 
     # -- public API --------------------------------------------------------
     def loss_words(self, pairs, train=True, rng=None):
-        src, sl, sm = encode_batch(self.vocab, [p[0] for p in pairs])
+        src, _, sm = encode_batch(self.vocab, [p[0] for p in pairs])
         tgt, tl, tm = encode_batch(self.vocab, [p[1] for p in pairs])
-        return self.loss_batch(src, sl, sm, tgt, tl, tm, train=train, rng=rng)
+        return self.loss_batch(src, sm, tgt, tl, tm, train=train, rng=rng)
+
+    def transduce_ids(self, ids):
+        """Greedy decoding of one word's ids: (output ids, attention,
+        truncated).  The attention matrix has one row per decoder step,
+        the step that emits EOS included; ``truncated`` is set when
+        ``max_decode_len`` steps pass without EOS."""
+        if len(ids) == 0:
+            raise EmptyInput("cannot transduce an empty word")
+        prefix = np.full((1, 1), CharVocab.BOS, dtype=np.intp)
+        rows = []
+        with T.no_grad():
+            state = self._decode_start(np.array([ids], dtype=np.intp))
+            for _ in range(self.cfg.max_decode_len):
+                dist, att = self._decode_next(state, prefix)
+                rows.append(att)
+                sym = np.argmax(dist, axis=-1)
+                if sym[0] == CharVocab.EOS:
+                    return prefix[0, 1:].tolist(), np.vstack(rows), False
+                prefix = np.concatenate([prefix, sym[:, None]], axis=1)
+        return prefix[0, 1:].tolist(), np.vstack(rows), True
 
     def _loss_from_probs(self, probs_flat, tgt, tgt_len, tgt_mask):
         """Mean CE over real target chars per word, then mean over words."""
@@ -287,8 +319,8 @@ class _RecurrentModel(TransductionModel):
         cfg = self.cfg
         self._rng = rng
         V = len(self.vocab)
-        emb = init_embedding(V, cfg.embed_dim, rng, pretrained=embedding)
-        self.params["embedding"] = emb.table
+        self.params["embedding"] = init_embedding(V, cfg.embed_dim, rng,
+                                                  pretrained=embedding)
         self.enc_cells = []
         if self.builds_encoder:
             in_dim = cfg.embed_dim
@@ -363,11 +395,11 @@ class _RecurrentModel(TransductionModel):
             h, st = cell_step(h, state, cell)
             new_layers.append(st)
         if train and self.cfg.dropout > 0:
-            h = cells.dropout(h, self.cfg.dropout, "train", rng)
+            h = cells.dropout(h, self.cfg.dropout, rng)
         return self._output_dist(h, ctx), new_layers, alpha
 
-    def loss_batch(self, src, src_len, src_mask, tgt, tgt_len, tgt_mask,
-                   train=True, rng=None):
+    def loss_batch(self, src, src_mask, tgt, tgt_len, tgt_mask, train=True,
+                   rng=None):
         rng = rng or np.random.default_rng(0)
         enc, layers = self._start(src, src_mask, train, rng)
         emb_in = self._embed(self.params["embedding"], tgt[:, :-1], train, rng)
@@ -379,32 +411,21 @@ class _RecurrentModel(TransductionModel):
         probs = T.reshape(T.stack(prob_rows, axis=1), (-1, len(self.vocab)))
         return self._loss_from_probs(probs, tgt, tgt_len, tgt_mask)
 
-    def transduce_ids(self, ids):
-        if len(ids) == 0:
-            raise EmptyInput("cannot transduce an empty word")
-        src = np.array([ids], dtype=np.intp)
-        out = []
-        rows = []
-        truncated = True
-        with T.no_grad():
-            enc, layers = self._start(src, None, False, None)
-            sym = CharVocab.BOS
-            for _ in range(self.cfg.max_decode_len):
-                x = T.embedding(self.params["embedding"], np.array([sym]))
-                dist, layers, alpha = self.decode_step(x, layers, enc, False, None)
-                rows.append(self._attention_row(alpha, enc, len(ids)))
-                sym = int(np.argmax(dist.data))
-                if sym == CharVocab.EOS:
-                    truncated = False
-                    break
-                out.append(sym)
-        att = np.vstack(rows) if rows else np.zeros((0, len(ids)))
-        return out, att, truncated
+    def _decode_start(self, src):
+        enc, layers = self._start(src, None, False, None)
+        return RecurrentDecodeState(enc, layers, src.shape[1])
 
-    def _attention_row(self, alpha, enc, n_src):
-        if alpha is None:
-            return np.full((1, n_src), 1.0 / n_src)
-        return alpha.data.reshape(1, -1)
+    def _decode_next(self, state, prefix):
+        x = T.embedding(self.params["embedding"], prefix[:, -1])
+        dist, state.layers, alpha = self.decode_step(x, state.layers,
+                                                     state.enc, False, None)
+        return dist.data, self._attention_rows(alpha, state)
+
+    def _attention_rows(self, alpha, state):
+        if alpha is None:   # seq2seq: the summary weighs every char alike
+            return np.full((state.enc.final.shape[0], state.n_src),
+                           1.0 / state.n_src)
+        return alpha.data
 
 
 class Seq2SeqPeekModel(_RecurrentModel):
@@ -484,21 +505,12 @@ class HierarchicalAttentionModel(_RecurrentModel):
         return EncoderOutput(H, final, chunk_mask,
                              char_alpha.data.reshape(B, K, cs))
 
-    def _attention_row(self, alpha, enc, n_src):
+    def _attention_rows(self, alpha, state):
         # expand chunk weights to char columns through the char-level weights
-        chunk_w = alpha.data.reshape(-1)                 # (K,)
-        row = (chunk_w[:, None] * enc.char_alpha[0]).reshape(-1)[:n_src]
-        total = row.sum()
-        return (row / total if total > 0 else row).reshape(1, -1)
-
-    def han_encode(self, word_ids):
-        """Chunk-level contexts plus the char-level attention (K, chunk)."""
-        if len(word_ids) == 0:
-            raise EmptyInput("empty word")
-        src = np.array([word_ids], dtype=np.intp)
-        with T.no_grad():
-            enc = self._encode(src, np.ones_like(src, dtype=np.float64), False, None)
-        return enc.H.data[0], enc.char_alpha[0]
+        w = alpha.data[:, :, None] * state.enc.char_alpha     # (B, K, chunk)
+        rows = w.reshape(len(w), -1)[:, :state.n_src]
+        total = rows.sum(axis=1, keepdims=True)
+        return rows / np.where(total > 0, total, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +522,8 @@ class TransformerModel(TransductionModel):
         self._rng = rng
         V = len(self.vocab)
         d, f = cfg.d_model, cfg.ffn_dim
-        emb = init_embedding(V, d, rng, pretrained=embedding)
-        self.params["embedding"] = emb.table
+        self.params["embedding"] = init_embedding(V, d, rng,
+                                                  pretrained=embedding)
         for side, n in (("enc", cfg.num_layers), ("dec", cfg.num_layers)):
             for l in range(n):
                 blocks = ["self"] if side == "enc" else ["self", "cross"]
@@ -552,7 +564,7 @@ class TransformerModel(TransductionModel):
         x = T.embedding(self.params["embedding"], ids) * np.sqrt(d)
         x = x + Tensor(self._pe[start:end])
         if train and self.cfg.dropout > 0:
-            x = cells.dropout(x, self.cfg.dropout, "train", rng)
+            x = cells.dropout(x, self.cfg.dropout, rng)
         return x
 
     def _encode(self, src, src_mask, train, rng):
@@ -596,23 +608,17 @@ class TransformerModel(TransductionModel):
                 want_weights=False, state=None):
         """Next-char distributions (B, T_tgt, V) under teacher forcing.
 
-        With a ``DecodeState`` (greedy decoding), ``tgt_in`` is the whole
-        prefix decoded so far; the source is encoded on the state's first
-        call only, and the distributions (and weights) cover only the
-        positions of ``tgt_in`` the state has not seen yet.
+        With a ``DecodeState`` from ``_decode_start`` (greedy decoding),
+        ``src`` is not read: the state holds the encoded source.  ``tgt_in``
+        is then the whole prefix decoded so far, and the distributions (and
+        weights) cover only the positions the state has not seen yet.
         """
-        if src.shape[1] == 0:
-            raise EmptyInput("empty source")
         if train and rng is None:
             rng = np.random.default_rng(0)
         if state is None:
+            if src.shape[1] == 0:
+                raise EmptyInput("empty source")
             enc = self._encode(src, src_mask, train, rng)
-        elif state.enc is None:
-            enc = state.enc = self._encode(src, src_mask, train, rng)
-            state.cross = [
-                tuple(enc @ self.params[f"dec{l}_cross_{w}"] for w in ("W_k", "W_v"))
-                for l in range(self.cfg.num_layers)
-            ]
         else:
             enc = state.enc
         y, cross_w = self._decode(tgt_in, enc, src_mask, train, rng,
@@ -623,38 +629,32 @@ class TransformerModel(TransductionModel):
             return probs, cross_w
         return probs
 
-    def loss_batch(self, src, src_len, src_mask, tgt, tgt_len, tgt_mask,
-                   train=True, rng=None):
+    def loss_batch(self, src, src_mask, tgt, tgt_len, tgt_mask, train=True,
+                   rng=None):
         probs = self.forward(src, tgt[:, :-1], src_mask=src_mask,
                              train=train, rng=rng)
         flat = T.reshape(probs, (-1, len(self.vocab)))
         return self._loss_from_probs(flat, tgt, tgt_len, tgt_mask)
 
-    def transduce_ids(self, ids):
-        if len(ids) == 0:
-            raise EmptyInput("cannot transduce an empty word")
-        src = np.array([ids], dtype=np.intp)
-        out = [CharVocab.BOS]
-        rows = []
-        truncated = True
-        state = DecodeState()
-        with T.no_grad():
-            for _ in range(self.cfg.max_decode_len):
-                probs, cross = self.forward(src, np.array([out], dtype=np.intp),
-                                            want_weights=True, state=state)
-                sym = int(np.argmax(probs.data[0, -1]))
-                if sym == CharVocab.EOS:
-                    truncated = False
-                    break
-                out.append(sym)
-                rows.append(cross[0, -1])
-        att = np.vstack(rows) if rows else np.zeros((0, len(ids)))
-        return out[1:], att, truncated
+    def _decode_start(self, src):
+        """Encode the source and project each decoder layer's
+        cross-attention keys/values, once per decoded batch."""
+        enc = self._encode(src, None, False, None)
+        return DecodeState(enc, [
+            tuple(enc @ self.params[f"dec{l}_cross_{w}"] for w in ("W_k", "W_v"))
+            for l in range(self.cfg.num_layers)
+        ])
+
+    def _decode_next(self, state, prefix):
+        probs, cross = self.forward(None, prefix, want_weights=True,
+                                    state=state)
+        return probs.data[:, -1], cross[:, -1]
 
 
 @dataclass
 class DecodeState:
-    """One word's ``tn`` decoding cache, filled by ``TransformerModel.forward``.
+    """One batch's ``tn`` decoding cache, made by ``_decode_start`` and
+    extended by ``TransformerModel.forward``.
 
     ``enc`` is the encoder output, ``cross`` each decoder layer's projected
     cross-attention (keys, values), ``self_kv`` each decoder layer's
@@ -662,8 +662,8 @@ class DecodeState:
     so far; keys and values are projected (B, t, d) rows.
     """
 
-    enc: Tensor | None = None
-    cross: list = field(default_factory=list)
+    enc: Tensor
+    cross: list
     self_kv: list = field(default_factory=list)
     length: int = 0
 

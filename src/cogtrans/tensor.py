@@ -134,13 +134,15 @@ def _unbroadcast(g, shape):
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
+# elementwise ops; a binary op's backward returns None for a parent that
+# takes no gradient (a constant such as a mask or a positional table)
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -149,7 +151,8 @@ def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _make(a.data - b.data, (a, b), bwd)
 
@@ -158,7 +161,8 @@ def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _make(a.data * b.data, (a, b), bwd)
 

@@ -26,6 +26,8 @@ from .errors import (
     IncompatibleCheckpoint,
     InvalidArgument,
     MissingGrad,
+    require_positive,
+    require_rate,
 )
 from .models import ModelConfig, build_model, transduce_greedy
 from . import tensor as T
@@ -160,12 +162,8 @@ class TrainConfig:
     metrics_every: int = 1
 
     def validate(self):
-        if self.batch_size < 1:
-            raise InvalidArgument("batch_size must be >= 1")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise InvalidArgument("val_fraction must be in [0, 1)")
-        if self.max_epochs < 1:
-            raise InvalidArgument("max_epochs must be >= 1")
+        require_positive(self, ("batch_size", "max_epochs"))
+        require_rate("val_fraction", self.val_fraction)
         if self.patience < 0:
             raise InvalidArgument("patience must be >= 0")
         return self

@@ -267,7 +267,7 @@ def test_criterion_05_embedding_init_trend(capsys):
         tc = TrainConfig(batch_size=20, max_epochs=30, patience=30, seed=5,
                          metrics_every=1)
         curves = {}
-        for name, emb in (("ftavg", ft_table), ("zero", zero_table)):
+        for name, emb in (("ftavg", ft_table.data), ("zero", zero_table)):
             res = train(cfg, tc, OptimizerSpec("adam", lr=2e-3), split,
                         embedding=emb, vocab=vocab)
             curves[name] = [(c.epoch, c.metrics["bleu"])

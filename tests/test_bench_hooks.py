@@ -1,11 +1,14 @@
 """The benchmark's span tracer (``bench/tracer.py``) wraps cogtrans layer
 functions by name from outside the package.  A refactor that moves a call
 off one of those names silently drops its spans; these tests catch that
-with a traced ``cogtrans evaluate`` on tiny ``am`` and ``tn`` checkpoints.
+with a traced ``cogtrans evaluate`` on tiny checkpoints of all four
+architectures.
 """
 
 import importlib.util
 import os
+
+import pytest
 
 import cogtrans
 from cogtrans import models, tensor as T
@@ -51,9 +54,10 @@ def _traced_evaluate(tmp_path, arch, model_flags):
     return tracer_mod, tracer
 
 
-def test_traced_evaluate_reaches_every_decode_layer(tmp_path):
+@pytest.mark.parametrize("arch", ["seq2seq", "am", "han"])
+def test_traced_evaluate_reaches_every_decode_layer(tmp_path, arch):
     tracer_mod, tracer = _traced_evaluate(
-        tmp_path, "am", ["--hidden-dim", "6", "--embed-dim", "5"])
+        tmp_path, arch, ["--hidden-dim", "6", "--embed-dim", "5"])
     name, phase = tracer_mod.NAME, tracer_mod.PHASE
     in_transduce = {rec[name] for rec in tracer.spans
                     if rec[phase] == "models.transduce"}
@@ -61,7 +65,9 @@ def test_traced_evaluate_reaches_every_decode_layer(tmp_path):
             "cells.step"} <= in_transduce
     words = sum(rec[name] == "models.transduce" for rec in tracer.spans)
     assert words == 40
-    assert tracer.counts()["models.encode.am"] == words
+    counts = tracer.counts()
+    assert counts[f"models.encode.{arch}"] == words
+    assert counts[f"models.decode_step.{arch}"] >= words
 
 
 def test_traced_tn_evaluate_encodes_each_word_once(tmp_path):

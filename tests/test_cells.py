@@ -286,44 +286,34 @@ class TestDropout:
     def test_rate_zero_identity(self):
         x = T.Tensor(np.arange(6.0).reshape(2, 3))
         r = np.random.default_rng(0)
-        for mode in ("train", "eval"):
-            assert np.array_equal(dropout(x, 0.0, mode, r).data, x.data)
-
-    def test_eval_identity(self):
-        x = T.Tensor(np.ones((2, 3)))
-        assert np.array_equal(
-            dropout(x, 0.5, "eval", np.random.default_rng(0)).data, x.data)
+        assert np.array_equal(dropout(x, 0.0, r).data, x.data)
 
     def test_inverted_scaling_preserves_mean(self):
         r = np.random.default_rng(0)
         x = T.Tensor(np.ones((100, 1000)))
-        out = dropout(x, 0.2, "train", r)
+        out = dropout(x, 0.2, r)
         assert out.data.mean() == pytest.approx(1.0, rel=0.01)
 
     def test_bad_rate(self):
         x = T.Tensor(np.ones(3))
         with pytest.raises(InvalidArgument):
-            dropout(x, 1.0, "train", np.random.default_rng(0))
+            dropout(x, 1.0, np.random.default_rng(0))
         with pytest.raises(InvalidArgument):
-            dropout(x, -0.1, "train", np.random.default_rng(0))
-
-    def test_bad_mode(self):
-        with pytest.raises(InvalidArgument):
-            dropout(T.Tensor(np.ones(3)), 0.2, "test",
-                    np.random.default_rng(0))
+            dropout(x, -0.1, np.random.default_rng(0))
 
 
 class TestEmbedding:
     def test_shapes_and_trainable(self):
         emb = init_embedding(7, 4, np.random.default_rng(0))
-        assert emb.vocab_size == 7 and emb.embed_dim == 4
-        assert emb.table.requires_grad
+        assert emb.shape == (7, 4)
+        assert emb.requires_grad
 
     def test_pretrained_rows_used(self):
         table = np.arange(12.0).reshape(4, 3)
         emb = init_embedding(4, 3, np.random.default_rng(0),
                              pretrained=table)
-        assert np.array_equal(emb.table.data, table)
+        assert np.array_equal(emb.data, table)
+        assert emb.requires_grad
 
     def test_pretrained_shape_checked(self):
         with pytest.raises(InvalidShape):

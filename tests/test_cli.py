@@ -186,6 +186,20 @@ class TestTrainAndFriends:
         err = capsys.readouterr().err
         assert "lr" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--arch", "tn", "--num-heads", "0"],
+        ["--arch", "tn", "--num-heads", "-2"],
+        ["--arch", "tn", "--d-model", "0"],
+        ["--arch", "am", "--embed-dim", "0"],
+        ["--arch", "am", "--hidden-dim", "0"],
+        ["--arch", "am", "--max-decode-len", "0"],
+        ["--arch", "am", "--dropout", "1.0"],
+    ])
+    def test_bad_model_size_exit_1(self, corpus, capsys, flags):
+        assert run_cli(["train", "--data", str(corpus), "--epochs", "1",
+                        *flags]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_config_file_wins_over_flags(self, corpus, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("model.hidden_dim = 4\n", encoding="utf-8")
@@ -231,6 +245,18 @@ class TestPretrainEmbed:
                         "--dropout", "0.0"]) == 0
         assert "perplexity" in capsys.readouterr().out
         assert out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--embed-dim", "0"], ["--hidden", "0"], ["--epochs", "0"],
+        ["--dropout", "1.0"]])
+    def test_lm_bad_size_exit_1(self, tmp_path, capsys, flags):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("ab" * 120, encoding="utf-8")
+        assert run_cli(["pretrain-embed", "lm", "--corpus", str(corpus),
+                        "--out", str(tmp_path / "chars.vec"),
+                        "--window", "4", *flags]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "chars.vec").exists()
 
 
 class TestOovCorrect:

@@ -47,7 +47,7 @@ class TestFtAvg:
         table, missing = ft_avg_embed(store, ["ab"])
         vocab = CharVocab(set("ab"))
         for ch in "ab":
-            got = table.table.data[vocab.index[ch]]
+            got = table.data[vocab.index[ch]]
             assert np.allclose(got, [2.0, 4.0])
 
     def test_count_weighted_mean(self):
@@ -56,21 +56,21 @@ class TestFtAvg:
         store = WordVectorStore({"aab": [3.0], "ac": [9.0]})
         table, _ = ft_avg_embed(store, ["aab", "ac"])
         vocab = CharVocab(set("aabc"))
-        assert table.table.data[vocab.index["a"]][0] == \
+        assert table.data[vocab.index["a"]][0] == \
             pytest.approx((2 * 3.0 + 9.0) / 3)
 
     def test_word_types_count_once_by_default(self):
         store = WordVectorStore({"a": [1.0], "ab": [7.0]})
         t1, _ = ft_avg_embed(store, ["a", "a", "a", "ab"])
         t2, _ = ft_avg_embed(store, ["a", "ab"])
-        assert np.array_equal(t1.table.data, t2.table.data)
+        assert np.array_equal(t1.data, t2.data)
 
     def test_token_frequency_weighting(self):
         store = WordVectorStore({"a": [1.0], "ab": [7.0]})
         table, _ = ft_avg_embed(store, ["a", "a", "a", "ab"],
                                 token_frequency=True)
         vocab = CharVocab(set("ab"))
-        assert table.table.data[vocab.index["a"]][0] == \
+        assert table.data[vocab.index["a"]][0] == \
             pytest.approx((3 * 1.0 + 1 * 7.0) / 4)
 
     def test_missing_chars_zero_with_warning(self):
@@ -79,7 +79,7 @@ class TestFtAvg:
             table, missing = ft_avg_embed(store, ["ab", "xy"])
         vocab = CharVocab(set("abxy"))
         assert "x" in missing and "y" in missing
-        assert np.array_equal(table.table.data[vocab.index["x"]], [0.0])
+        assert np.array_equal(table.data[vocab.index["x"]], [0.0])
 
     def test_empty_store_rejected(self):
         with pytest.raises(EmptyInput):
@@ -111,7 +111,7 @@ class TestCharLM:
         lm, table, ppl = train_char_lm(self.CORPUS, self._cfg())
         # a deterministic alternation is nearly fully predictable
         assert ppl < 1.5
-        assert table.table.data.shape == (len(lm.vocab), 6)
+        assert table.data.shape == (len(lm.vocab), 6)
 
     def test_perplexity_bounds(self):
         lm, _, _ = train_char_lm(self.CORPUS, self._cfg(max_epochs=1))
@@ -128,7 +128,7 @@ class TestCharLM:
         r1 = train_char_lm(self.CORPUS, self._cfg(max_epochs=2))
         r2 = train_char_lm(self.CORPUS, self._cfg(max_epochs=2))
         assert r1[2] == r2[2]
-        assert np.array_equal(r1[1].table.data, r2[1].table.data)
+        assert np.array_equal(r1[1].data, r2[1].data)
 
     def test_bidirectional_direction(self):
         cfg = self._cfg(direction="bidirectional", max_epochs=1)
@@ -149,3 +149,8 @@ class TestCharLM:
             CharLMConfig(window=1).validate()
         with pytest.raises(InvalidArgument):
             CharLMConfig(direction="sideways").validate()
+        for field, value in (("hidden", 0), ("embed_dim", 0),
+                             ("batch_size", 0), ("max_epochs", 0),
+                             ("dropout", 1.0), ("dropout", -0.5)):
+            with pytest.raises(InvalidArgument, match=field):
+                CharLMConfig(**{field: value}).validate()

@@ -42,6 +42,15 @@ class TestModelConfig:
         with pytest.raises(InvalidArgument):
             ModelConfig(architecture="han", chunk_size=0).validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("hidden_dim", 0), ("embed_dim", 0), ("encoder_layers", 0),
+        ("decoder_layers", 0), ("num_layers", 0), ("num_heads", 0),
+        ("num_heads", -2), ("d_model", 0), ("ffn_dim", 0),
+        ("max_decode_len", 0), ("dropout", 1.0), ("dropout", -0.1)])
+    def test_sizes_and_rate_checked(self, field, value):
+        with pytest.raises(InvalidArgument, match=field):
+            ModelConfig(architecture="tn", **{field: value}).validate()
+
 
 class TestPositionalEncoding:
     def test_position_zero_alternates(self):
@@ -76,37 +85,40 @@ class TestBahdanau:
         h = 3
         p = self._params(h)
         r = np.random.default_rng(1)
-        s = T.Tensor(r.normal(size=h))
-        H = T.Tensor(r.normal(size=(4, 2 * h)))
+        s = T.Tensor(r.normal(size=(1, h)))
+        H = T.Tensor(r.normal(size=(1, 4, 2 * h)))
         ctx, alpha = attend_bahdanau(s, H, H @ p["W_h"], p)
-        e = np.tanh(s.data @ p["W_s"].data
-                    + H.data @ p["W_h"].data) @ p["v"].data
+        assert ctx.shape == (1, 2 * h) and alpha.shape == (1, 4)
+        e = np.tanh(s.data[0] @ p["W_s"].data
+                    + H.data[0] @ p["W_h"].data) @ p["v"].data
         e = e.reshape(-1)
         a_ref = np.exp(e - e.max())
         a_ref /= a_ref.sum()
-        assert np.allclose(alpha.data.reshape(-1), a_ref, atol=1e-12)
-        assert np.allclose(ctx.data, a_ref @ H.data, atol=1e-12)
+        assert np.allclose(alpha.data[0], a_ref, atol=1e-12)
+        assert np.allclose(ctx.data[0], a_ref @ H.data[0], atol=1e-12)
 
     def test_row_stochastic(self):
         p = self._params(3)
         r = np.random.default_rng(2)
-        H = T.Tensor(r.normal(size=(5, 6)))
-        _, alpha = attend_bahdanau(T.Tensor(r.normal(size=3)), H,
+        H = T.Tensor(r.normal(size=(1, 5, 6)))
+        _, alpha = attend_bahdanau(T.Tensor(r.normal(size=(1, 3))), H,
                                    H @ p["W_h"], p)
         assert alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_when_states_equal(self):
         p = self._params(3)
-        H = T.Tensor(np.tile(np.arange(6.0), (4, 1)))
-        ctx, alpha = attend_bahdanau(T.Tensor(np.zeros(3)), H, H @ p["W_h"], p)
-        assert np.allclose(alpha.data.reshape(-1), 0.25)
-        assert np.allclose(ctx.data, H.data.mean(axis=0))
+        H = T.Tensor(np.tile(np.arange(6.0), (1, 4, 1)))
+        ctx, alpha = attend_bahdanau(T.Tensor(np.zeros((1, 3))), H,
+                                     H @ p["W_h"], p)
+        assert np.allclose(alpha.data, 0.25)
+        assert np.allclose(ctx.data, H.data.mean(axis=1))
 
     def test_empty_states(self):
         p = self._params(3)
         with pytest.raises(EmptyInput):
-            attend_bahdanau(T.Tensor(np.zeros(3)), T.Tensor(np.zeros((0, 6))),
-                            T.Tensor(np.zeros((0, 3))), p)
+            attend_bahdanau(T.Tensor(np.zeros((1, 3))),
+                            T.Tensor(np.zeros((1, 0, 6))),
+                            T.Tensor(np.zeros((1, 0, 3))), p)
 
 
 def _split_heads(x, heads):
@@ -272,6 +284,21 @@ class TestDecoding:
         with pytest.raises(EmptyInput):
             transduce_greedy(model, "")
 
+    @pytest.mark.parametrize("arch", ["seq2seq", "am", "han", "tn"])
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_one_attention_row_per_decoder_step(self, arch, stop):
+        """The step that emits EOS has its row too; a truncated decode has
+        one row per emitted char."""
+        vocab = _vocab()
+        model = build_model(_cfg(arch), vocab, seed=3)
+        sym = CharVocab.EOS if stop else vocab.index["a"]
+        model.params["b_out"].data[sym] = 1e3
+        out, att, truncated = model.transduce_ids(vocab.encode("abc"))
+        assert truncated is not stop
+        assert len(out) == (0 if stop else model.cfg.max_decode_len)
+        assert att.shape == (len(out) + (not truncated), 5)
+        assert np.allclose(att.sum(axis=1), 1.0, atol=1e-6)
+
     def test_truncation_flagged(self):
         model = build_model(_cfg("am", max_decode_len=2), _vocab(), seed=0)
         result = transduce_greedy(model, "abc")
@@ -310,22 +337,26 @@ class TestDecoding:
 
 
 class TestHan:
+    @staticmethod
+    def _encode(model, word):
+        src, _, mask = encode_batch(model.vocab, [word])
+        with T.no_grad():
+            return model._encode(src, mask, False, None)
+
     def test_chunking_and_attention_levels(self):
         vocab = build_vocab([("abcdefg", "abcdefg")])
         model = build_model(_cfg("han", chunk_size=3), vocab, seed=0)
-        ids = np.array(vocab.encode("abcdefg"), dtype=np.intp)
-        chunk_states, char_alpha = model.han_encode(ids)
-        assert chunk_states.shape[0] == 3   # 9 padded positions / 3
-        assert char_alpha.shape == (3, 3)
-        assert np.allclose(char_alpha.sum(axis=1), 1.0, atol=1e-6)
+        enc = self._encode(model, "abcdefg")
+        assert enc.H.shape[:2] == (1, 3)   # 9 padded positions / 3
+        assert enc.char_alpha.shape == (1, 3, 3)
+        assert np.allclose(enc.char_alpha.sum(axis=2), 1.0, atol=1e-6)
 
     def test_single_chunk_degenerate(self):
         vocab = build_vocab([("ab", "ab")])
         model = build_model(_cfg("han", chunk_size=16), vocab, seed=0)
-        ids = np.array(vocab.encode("ab"), dtype=np.intp)
-        chunk_states, char_alpha = model.han_encode(ids)
-        assert chunk_states.shape[0] == 1
-        assert char_alpha.shape[0] == 1
+        enc = self._encode(model, "ab")
+        assert enc.H.shape[:2] == (1, 1)
+        assert enc.char_alpha.shape[:2] == (1, 1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_output_cleaned_of_trailing_repeats(self, seed):
@@ -386,9 +417,7 @@ class TestTransformer:
                     truncated = False
                     break
                 out.append(sym)
-        n_emit = len(out) - 1
-        att = cross[0][:n_emit] if n_emit > 0 else np.zeros((0, len(ids)))
-        return out[1:], att, truncated
+        return out[1:], cross[0], truncated
 
     def test_incremental_decoding_matches_full_prefix(self):
         split = split_dataset(generate_pairs(5, 160), seed=5)

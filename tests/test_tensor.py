@@ -109,6 +109,18 @@ class TestBackward:
             T.backward(g, loss)
         assert np.allclose(x.grad, [5.0])
 
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+    def test_constant_parent_gets_no_gradient(self, op):
+        x = leaf([[1.0, 2.0], [3.0, 4.0]])
+        c = T.Tensor(np.array([0.5, -1.0]))
+        g = np.ones((2, 2))
+        with T.Graph():
+            for y, grads in ((op(x, c), (True, False)),
+                             (op(c, x), (False, True))):
+                got = y._backward(g)
+                assert [pg is not None for pg in got] == list(grads)
+                assert all(pg.shape == (2, 2) for pg in got if pg is not None)
+
 
 class TestFiniteDiffCheck:
     def test_square_at_three(self):

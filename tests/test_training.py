@@ -169,18 +169,16 @@ class TestTrain:
             assert losses[-1] >= min(losses[:-1])
 
     def test_divergence_reported_with_epoch(self):
-        from cogtrans.cells import EmbeddingTable
         from cogtrans.devanagari import build_vocab
 
         split = _toy_split()
         vocab = build_vocab(split.train)
         table = np.zeros((len(vocab), 6))
         table[5, 0] = np.nan
-        emb = EmbeddingTable(T.Tensor(table, requires_grad=True), True)
         mc, tc = _small_cfgs(max_epochs=5)
         with pytest.raises(DivergedError) as exc:
             train(mc, tc, OptimizerSpec("adam"), split,
-                  embedding=emb, vocab=vocab)
+                  embedding=table, vocab=vocab)
         assert exc.value.epoch == 0
 
     def test_identical_seeds_identical_loss_curves(self):
