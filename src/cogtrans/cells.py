@@ -2,9 +2,13 @@
 
 A cell keeps one (input_dim + hidden_dim, hidden_dim) matrix and one bias
 per gate, the checkpoint layout.  ``stack_gates`` puts them side by side
-once per forward pass, and each LSTM or GRU step over a batch of (B, d)
-rows is then one taped op (``tensor.lstm_cell`` / ``tensor.gru_cell``)
-that also keeps the state of padded rows.
+once per forward pass.  A whole recurrence over (B, T, d) inputs from a zero
+state (``run_rnn``: the encoders and the char LM) is then one taped op
+(``tensor.lstm_seq`` / ``tensor.gru_seq``) that projects every step's input
+in one matmul; a step whose input depends on the step before (``cell_step``:
+the decoders) is one taped op too (``tensor.lstm_cell`` /
+``tensor.gru_cell``).  Both ops share one step's gate math per cell kind and
+keep the state of padded rows.
 """
 
 from dataclasses import dataclass, field
@@ -87,6 +91,18 @@ def cell_step(x, state, cell, mask=None):
         return h, (h, hc[:, n:])
     h = T.gru_cell(x, h, cell.W, cell.b, mask)
     return h, (h,)
+
+
+def run_rnn(X, cell, mask=None, reverse=False):
+    """Run a stacked cell over (B, T, d) inputs from a zero state, last step
+    first when ``reverse``, as one taped op; returns every step's (B, T, h)
+    output in input order.  Where the (B, T) 0/1 ``mask`` is 0 (padding)
+    the state stays put."""
+    if X.shape[-1] != cell.input_dim:
+        raise InvalidShape(f"cell expects input {cell.input_dim}, "
+                           f"got {X.shape[-1]}")
+    seq = T.lstm_seq if cell.kind == "lstm" else T.gru_seq
+    return seq(X, cell.W, cell.b, mask, reverse)
 
 
 def zero_state(cell, batch):

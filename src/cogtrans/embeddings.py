@@ -11,11 +11,10 @@ import numpy as np
 
 from . import tensor as T
 from .cells import (INIT_SCALE, dropout, init_cell_params, init_embedding,
-                    stack_gates)
+                    run_rnn, stack_gates)
 from .devanagari import CharVocab
 from .errors import EmptyInput, InvalidArgument, require_positive, require_rate
 from .metrics import nfc
-from .models import run_rnn
 
 
 class WordVectorStore:
@@ -185,10 +184,9 @@ class CharLM:
         emb = T.embedding(self.embedding, ids)
         if train and self.cfg.dropout > 0:
             emb = dropout(emb, self.cfg.dropout, rng)
-        steps = [emb[:, t] for t in range(ids.shape[1])]
-        h = run_rnn(steps, stack_gates(self.fwd))[-1]
+        h = run_rnn(emb, stack_gates(self.fwd))[:, -1]
         if self.cfg.direction == "bidirectional":
-            hb = run_rnn(steps, stack_gates(self.bwd), reverse=True)[0]
+            hb = run_rnn(emb, stack_gates(self.bwd), reverse=True)[:, 0]
             h = T.concat([h, hb], axis=-1)
         if train and self.cfg.dropout > 0:
             h = dropout(h, self.cfg.dropout, rng)

@@ -10,10 +10,14 @@
 All models share the taped tensor core, train on padded batches with loss
 masks, and decode greedily through one loop (``transduce_ids``) that calls
 each family's start and next-step hooks over (B, ...) batches.  The
-recurrent models run every recurrence through ``run_rnn``, each LSTM/GRU
-step as one fused taped op that also keeps padded rows' state, and compute
-the additive-attention keys ``H @ W_h`` once per batch, not at every
-decoder step.  ``tn`` decodes incrementally: it encodes the word and
+recurrent models run each encoder recurrence through ``cells.run_rnn`` as
+one taped op over the whole (B, T, d) sequence (every step's input projected
+in one matmul), and each decoder step as one fused cell op; both keep padded
+rows' state.  The additive-attention keys ``H @ W_h`` are computed once per
+batch, each decoder step's attention is one taped op
+(``tensor.additive_attention``), and under teacher forcing the output layer
+runs once per batch over the stacked top states and contexts of all steps.
+``tn`` decodes incrementally: it encodes the word and
 projects each decoder layer's cross-attention keys/values once, and caches
 each layer's self-attention keys/values so every step runs the decoder on
 the new position only.  Each ``tn`` attention block projects its queries,
@@ -26,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cells, tensor as T
-from .cells import (cell_step, init_cell_params, init_embedding, stack_gates,
-                    zero_state)
+from .cells import (cell_step, init_cell_params, init_embedding, run_rnn,
+                    stack_gates, zero_state)
 from .devanagari import CharVocab, strip_trailing_repeats
 from .errors import (EmptyInput, InvalidArgument, InvalidShape,
                      require_positive, require_rate)
@@ -137,17 +141,14 @@ def attend_bahdanau(s_prev, H, keys, p, mask=None):
 
     s_prev: (B, h_dec); H: (B, T, d_enc); keys: H @ W_h, (B, T, a), which
     do not depend on the decoder step and so are computed once per batch.
-    Returns the context (B, d_enc) and alpha (B, T), on the simplex per row.
+    Returns the context (B, d_enc), one taped op
+    (``tensor.additive_attention``), and the (B, T) weights alpha as an
+    array, on the simplex per row.
     """
-    B, n = H.shape[0], H.shape[1]
-    if n == 0:
+    if H.shape[1] == 0:
         raise EmptyInput("attention over empty encoder states")
-    q = T.reshape(s_prev @ p["W_s"], (B, 1, -1))
-    e = T.reshape(T.tanh(keys + q) @ p["v"], (B, n))
     add_mask = None if mask is None else np.where(mask > 0, 0.0, NEG_INF)
-    alpha = T.softmax(e, axis=-1, mask=add_mask)
-    ctx = T.reshape(T.reshape(alpha, (B, 1, n)) @ H, (B, H.shape[2]))
-    return ctx, alpha
+    return T.additive_attention(s_prev, p["W_s"], keys, p["v"], H, add_mask)
 
 
 def multi_head_attention(Q, K, V, heads, p, causal=False, key_mask=None,
@@ -181,17 +182,13 @@ def multi_head_attention(Q, K, V, heads, p, causal=False, key_mask=None,
     return out
 
 
-def run_rnn(xs, cell, mask=None, reverse=False):
-    """Run a stacked cell over the (B, d) step inputs ``xs`` from a zero
-    state, last step first when ``reverse``; returns every step's (B, h)
-    output in input order.  Where the (B, T) 0/1 ``mask`` is 0 (padding)
-    the state stays put."""
-    state = zero_state(cell, xs[0].shape[0])
-    out = [None] * len(xs)
-    for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
-        out[t], state = cell_step(xs[t], state, cell,
-                                  None if mask is None else mask[:, t])
-    return out
+def _birnn_summary(H):
+    """The (B, 2h) summary of bidirectional states H (B, T, 2h): the forward
+    half of the last step and the backward half of the first, each the
+    state after its direction's last step (a padded row's forward state is
+    frozen at its last char).  One taped slice."""
+    n = H.shape[-1] // 2
+    return H[:, np.repeat([H.shape[1] - 1, 0], n), np.arange(2 * n)]
 
 
 def _uniform(rng, *shape):
@@ -250,16 +247,18 @@ class TransductionModel:
             x = cells.dropout(x, self.cfg.dropout, rng)
         return x
 
-    def _run_birnn(self, xs, mask, fwd_cell, bwd_cell):
-        """xs: list of (B, d) step inputs -> list of (B, 2h) states; where
-        the (B, T) mask is 0 (padding) a direction's state stays put."""
-        fwd_cell, bwd_cell = stack_gates(fwd_cell), stack_gates(bwd_cell)
-        fwd = run_rnn(xs, fwd_cell, mask)
-        bwd = run_rnn(xs, bwd_cell, mask, reverse=True)
-        states = [T.concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-        return states, fwd[-1], bwd[0]
+    def _run_birnn(self, X, mask, fwd_cell, bwd_cell):
+        """X: (B, T, d) inputs -> (B, T, 2h) forward and backward states
+        side by side; where the (B, T) mask is 0 (padding) a direction's
+        state stays put."""
+        return T.concat([run_rnn(X, stack_gates(fwd_cell), mask),
+                         run_rnn(X, stack_gates(bwd_cell), mask, reverse=True)],
+                        axis=-1)
 
     def _output_dist(self, h_top, context):
+        """Next-char distributions (N, V) from (N, h) top decoder states and
+        their (N, c) contexts: one step's rows when decoding, every step's
+        rows of a batch at once under teacher forcing."""
         vec = T.concat([h_top, context], axis=-1)
         logits = vec @ self.params["W_out"] + self.params["b_out"]
         return T.softmax(logits, axis=-1)
@@ -347,13 +346,10 @@ class _RecurrentModel(TransductionModel):
         del self._rng
 
     def _encode(self, src, src_mask, train, rng):
-        emb = self._embed(self.params["embedding"], src, train, rng)
-        steps = [emb[:, t] for t in range(src.shape[1])]
+        H = self._embed(self.params["embedding"], src, train, rng)
         for fwd_cell, bwd_cell in self.enc_cells:
-            steps, f_fin, b_fin = self._run_birnn(steps, src_mask, fwd_cell, bwd_cell)
-        H = T.stack(steps, axis=1)                      # (B, T, 2h)
-        final = T.concat([f_fin, b_fin], axis=-1)       # (B, 2h)
-        return EncoderOutput(H, final, src_mask)
+            H = self._run_birnn(H, src_mask, fwd_cell, bwd_cell)   # (B, T, 2h)
+        return EncoderOutput(H, _birnn_summary(H), src_mask)
 
     def _start(self, src, src_mask, train, rng):
         """Encode a batch and set up its decoder: the attention keys and the
@@ -385,8 +381,10 @@ class _RecurrentModel(TransductionModel):
         """One decoder step for a batch of rows.
 
         x_emb: (B, embed) embedded previous symbols; layers: per decoder
-        layer (h, c) or (h,).  Returns the next-char distribution (B, V),
-        the new layers and the attention weights (None without attention).
+        layer (h, c) or (h,).  Returns what the output layer
+        (``_output_dist``) takes, the top state (B, h) and the context
+        (B, 2h), then the new layers and the attention weights (None without
+        attention).
         """
         ctx, alpha = self._context(layers, enc)
         h = T.concat([x_emb, ctx], axis=-1)
@@ -396,19 +394,24 @@ class _RecurrentModel(TransductionModel):
             new_layers.append(st)
         if train and self.cfg.dropout > 0:
             h = cells.dropout(h, self.cfg.dropout, rng)
-        return self._output_dist(h, ctx), new_layers, alpha
+        return h, ctx, new_layers, alpha
 
     def loss_batch(self, src, src_mask, tgt, tgt_len, tgt_mask, train=True,
                    rng=None):
         rng = rng or np.random.default_rng(0)
         enc, layers = self._start(src, src_mask, train, rng)
         emb_in = self._embed(self.params["embedding"], tgt[:, :-1], train, rng)
-        prob_rows = []
+        tops, ctxs = [], []
         for t in range(tgt.shape[1] - 1):
-            probs, layers, _ = self.decode_step(emb_in[:, t], layers, enc,
-                                                train, rng)
-            prob_rows.append(probs)
-        probs = T.reshape(T.stack(prob_rows, axis=1), (-1, len(self.vocab)))
+            h, ctx, layers, _ = self.decode_step(emb_in[:, t], layers, enc,
+                                                 train, rng)
+            tops.append(h)
+            ctxs.append(ctx)
+
+        def rows(steps):   # (B, h) per step -> (B * steps, h), batch-major
+            return T.reshape(T.stack(steps, axis=1), (-1, steps[0].shape[-1]))
+
+        probs = self._output_dist(rows(tops), rows(ctxs))
         return self._loss_from_probs(probs, tgt, tgt_len, tgt_mask)
 
     def _decode_start(self, src):
@@ -417,15 +420,16 @@ class _RecurrentModel(TransductionModel):
 
     def _decode_next(self, state, prefix):
         x = T.embedding(self.params["embedding"], prefix[:, -1])
-        dist, state.layers, alpha = self.decode_step(x, state.layers,
-                                                     state.enc, False, None)
-        return dist.data, self._attention_rows(alpha, state)
+        h, ctx, state.layers, alpha = self.decode_step(x, state.layers,
+                                                       state.enc, False, None)
+        return (self._output_dist(h, ctx).data,
+                self._attention_rows(alpha, state))
 
     def _attention_rows(self, alpha, state):
         if alpha is None:   # seq2seq: the summary weighs every char alike
             return np.full((state.enc.final.shape[0], state.n_src),
                            1.0 / state.n_src)
-        return alpha.data
+        return alpha
 
 
 class Seq2SeqPeekModel(_RecurrentModel):
@@ -459,9 +463,8 @@ class HierarchicalAttentionModel(_RecurrentModel):
         self._add("v_c", _uniform(rng, cfg.hidden_dim, 1))
         del self._rng
 
-    def _char_attention(self, states, mask):
-        """states: (N, cs, 2h) step list -> pooled (N, 2h) + weights (N, cs)."""
-        S = T.stack(states, axis=1)
+    def _char_attention(self, S, mask):
+        """S: (N, cs, 2h) states -> pooled (N, 2h) + weights (N, cs)."""
         e = T.reshape(
             T.tanh(S @ self.params["W_c"] + self.params["b_c"]) @ self.params["v_c"],
             (S.shape[0], S.shape[1]),
@@ -485,29 +488,24 @@ class HierarchicalAttentionModel(_RecurrentModel):
         K = -(-tmax // cs)
         pad = K * cs - tmax
         src_p = np.pad(src, ((0, 0), (0, pad)), constant_values=CharVocab.PAD)
-        mask_p = (
-            np.pad(src_mask, ((0, 0), (0, pad)))
-            if src_mask is not None
-            else np.ones((B, K * cs))
-        )
+        # no mask means every char of src is real; the PAD symbols that fill
+        # the last chunk are masked either way
+        real = np.ones((B, tmax)) if src_mask is None else src_mask
+        mask_p = np.pad(real, ((0, 0), (0, pad)))
         emb = self._embed(self.params["embedding"], src_p, train, rng)
         flat = T.reshape(emb, (B * K, cs, cfg.embed_dim))
         char_mask = mask_p.reshape(B * K, cs)
-        steps = [flat[:, t] for t in range(cs)]
-        states, _, _ = self._run_birnn(steps, char_mask, *self.char_cells)
-        pooled, char_alpha = self._char_attention(states, char_mask)
+        S = self._run_birnn(flat, char_mask, *self.char_cells)
+        pooled, char_alpha = self._char_attention(S, char_mask)
         chunk_in = T.reshape(pooled, (B, K, 2 * cfg.hidden_dim))
         chunk_mask = (mask_p.reshape(B, K, cs).sum(axis=2) > 0).astype(np.float64)
-        steps = [chunk_in[:, k] for k in range(K)]
-        states, f_fin, b_fin = self._run_birnn(steps, chunk_mask, *self.chunk_cells)
-        H = T.stack(states, axis=1)                     # (B, K, 2h)
-        final = T.concat([f_fin, b_fin], axis=-1)
-        return EncoderOutput(H, final, chunk_mask,
+        H = self._run_birnn(chunk_in, chunk_mask, *self.chunk_cells)  # (B, K, 2h)
+        return EncoderOutput(H, _birnn_summary(H), chunk_mask,
                              char_alpha.data.reshape(B, K, cs))
 
     def _attention_rows(self, alpha, state):
         # expand chunk weights to char columns through the char-level weights
-        w = alpha.data[:, :, None] * state.enc.char_alpha     # (B, K, chunk)
+        w = alpha[:, :, None] * state.enc.char_alpha          # (B, K, chunk)
         rows = w.reshape(len(w), -1)[:, :state.n_src]
         total = rows.sum(axis=1, keepdims=True)
         return rows / np.where(total > 0, total, 1.0)

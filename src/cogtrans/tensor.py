@@ -329,12 +329,94 @@ def embedding(table, ids):
 
 
 # ---------------------------------------------------------------------------
-# fused recurrent steps: one node per step, gates stacked side by side
+# recurrent cells: one step's gate math per cell kind, shared by the fused
+# step op (one node per decoder step) and the sequence op (one node per
+# encoder recurrence).  W: (d + n, G * n) holds the gates side by side, its
+# first d rows for the input x and the rest for the state h, so a step's
+# pre-activations are x W_x + b + h W_h; the step functions take x W_x + b
+# already computed, which lets a sequence project every step's input in one
+# matmul before the recurrence.
 
 def _freeze(mask, new, old):
     """Rows where the (B,) 0/1 mask is 0 keep ``old`` (padding)."""
     m = mask[:, None]
     return m * new + (1.0 - m) * old
+
+
+def _lstm_step(xa, h, c, W_h, mask):
+    """One LSTM step over (B, n) rows from the input's (B, 4n) part of the
+    i|f|g|o pre-activations: returns h', c' and the backward's cache."""
+    n = h.shape[-1]
+    a = xa + h @ W_h
+    s = _sigmoid(a)
+    i, f, o = s[:, :n], s[:, n:2 * n], s[:, 3 * n:]
+    g = np.tanh(a[:, 2 * n:3 * n])
+    c2 = f * c + i * g
+    tc = np.tanh(c2)
+    h2 = o * tc
+    if mask is not None:
+        h2, c2 = _freeze(mask, h2, h), _freeze(mask, c2, c)
+    return h2, c2, (c, i, f, g, o, tc, mask)
+
+
+def _lstm_step_bwd(gh, gc, W_h, cache):
+    """Gradients of one LSTM step with respect to its (B, 4n) pre-activations
+    and to the h and c it started from."""
+    c, i, f, g, o, tc, mask = cache
+    if mask is not None:
+        m = mask[:, None]
+        keep_h, keep_c = (1.0 - m) * gh, (1.0 - m) * gc
+        gh, gc = m * gh, m * gc
+    dc2 = gc + gh * o * (1.0 - tc * tc)
+    da = np.concatenate([dc2 * g * i * (1.0 - i), dc2 * c * f * (1.0 - f),
+                         dc2 * i * (1.0 - g * g), gh * tc * o * (1.0 - o)],
+                        axis=-1)
+    dh, dc = da @ W_h.T, dc2 * f
+    if mask is not None:
+        dh, dc = dh + keep_h, dc + keep_c
+    return da, dh, dc
+
+
+def _gru_step(xa, h, W_h, mask):
+    """One GRU step over (B, n) rows from the input's (B, 3n) part of the
+    z|r|n pre-activations: h' = z*h + (1-z)*tanh(xa_n + (r*h) W_hn).
+    Returns h' and the backward's cache."""
+    n = h.shape[-1]
+    s = _sigmoid(xa[:, :2 * n] + h @ W_h[:, :2 * n])
+    z, r = s[:, :n], s[:, n:]
+    rh = r * h
+    cand = np.tanh(xa[:, 2 * n:] + rh @ W_h[:, 2 * n:])
+    h2 = z * h + (1.0 - z) * cand
+    if mask is not None:
+        h2 = _freeze(mask, h2, h)
+    return h2, (h, z, r, rh, cand, mask)
+
+
+def _gru_step_bwd(gh, W_h, cache):
+    """Gradients of one GRU step with respect to its (B, 3n) pre-activations
+    and to the h it started from."""
+    h, z, r, rh, cand, mask = cache
+    n = h.shape[-1]
+    if mask is not None:
+        m = mask[:, None]
+        keep = (1.0 - m) * gh
+        gh = m * gh
+    da_n = gh * (1.0 - z) * (1.0 - cand * cand)
+    drh = da_n @ W_h[:, 2 * n:].T
+    da = np.concatenate([(gh * h - gh * cand) * z * (1.0 - z),
+                         drh * h * r * (1.0 - r), da_n], axis=-1)
+    dh = gh * z + drh * r + da[:, :2 * n] @ W_h[:, :2 * n].T
+    if mask is not None:
+        dh = dh + keep
+    return da, dh
+
+
+def _gru_dW_h(h_in, rh, da):
+    """The state rows of a GRU's dW from (N, n) step states, their reset
+    products r*h and the (N, 3n) pre-activation gradients."""
+    n = h_in.shape[-1]
+    return np.concatenate([h_in.T @ da[:, :2 * n], rh.T @ da[:, 2 * n:]],
+                          axis=-1)
 
 
 def lstm_cell(x, h, c, W, b, mask=None):
@@ -346,34 +428,14 @@ def lstm_cell(x, h, c, W, b, mask=None):
     """
     x, h, c, W, b = (_as_tensor(t) for t in (x, h, c, W, b))
     d, n = x.shape[-1], h.shape[-1]
-    z = np.concatenate([x.data, h.data], axis=-1)
-    a = z @ W.data + b.data
-    s = _sigmoid(a)
-    i, f, o = s[:, :n], s[:, n:2 * n], s[:, 3 * n:]
-    g = np.tanh(a[:, 2 * n:3 * n])
-    c2 = f * c.data + i * g
-    tc = np.tanh(c2)
-    h2 = o * tc
-    if mask is not None:
-        h2, c2 = _freeze(mask, h2, h.data), _freeze(mask, c2, c.data)
+    W_x, W_h = W.data[:d], W.data[d:]
+    h2, c2, cache = _lstm_step(x.data @ W_x + b.data, h.data, c.data, W_h,
+                               mask)
 
     def bwd(gout):
-        gh, gc = gout[:, :n], gout[:, n:]
-        if mask is not None:
-            m = mask[:, None]
-            keep_h, keep_c = (1.0 - m) * gh, (1.0 - m) * gc
-            gh, gc = m * gh, m * gc
-        dc2 = gc + gh * o * (1.0 - tc * tc)
-        da = [dc2 * g * i * (1.0 - i), dc2 * c.data * f * (1.0 - f),
-              dc2 * i * (1.0 - g * g), gh * tc * o * (1.0 - o)]
-        # one matmul per gate, added o, g, f, i as a backward pass over
-        # per-gate ops adds them, so the gradients equal that pass's exactly
-        dz = sum(da[k] @ W.data[:, k * n:(k + 1) * n].T for k in (3, 2, 1, 0))
-        da = np.concatenate(da, axis=-1)
-        dh, dc = dz[:, d:], dc2 * f
-        if mask is not None:
-            dh, dc = dh + keep_h, dc + keep_c
-        return dz[:, :d], dh, dc, z.T @ da, da.sum(axis=0)
+        da, dh, dc = _lstm_step_bwd(gout[:, :n], gout[:, n:], W_h, cache)
+        dW = np.concatenate([x.data.T @ da, h.data.T @ da])
+        return da @ W_x.T, dh, dc, dW, da.sum(axis=0)
 
     return _make(np.concatenate([h2, c2], axis=-1), (x, h, c, W, b), bwd)
 
@@ -382,48 +444,108 @@ def gru_cell(x, h, W, b, mask=None):
     """One GRU step over (B, d) rows: h' = z*h + (1-z)*n, with the candidate
     n = tanh([x, r*h] @ W_n + b_n).
 
-    W: (d + n, 3n) and b: (3n,) hold the gates z|r|n side by side; the
-    update and reset gates take one matmul on [x, h], the candidate one on
-    [x, r*h].  Rows where the (B,) 0/1 ``mask`` is 0 keep h.
+    W: (d + n, 3n) and b: (3n,) hold the gates z|r|n side by side.  Rows
+    where the (B,) 0/1 ``mask`` is 0 keep h.
     """
     x, h, W, b = (_as_tensor(t) for t in (x, h, W, b))
-    d, n = x.shape[-1], h.shape[-1]
-    zc = np.concatenate([x.data, h.data], axis=-1)
-    W_zr, W_n = W.data[:, :2 * n], W.data[:, 2 * n:]
-    s = _sigmoid(zc @ W_zr + b.data[:2 * n])
-    z, r = s[:, :n], s[:, n:]
-    nc = np.concatenate([x.data, r * h.data], axis=-1)
-    cand = np.tanh(nc @ W_n + b.data[2 * n:])
-    h2 = z * h.data + (1.0 - z) * cand
-    if mask is not None:
-        h2 = _freeze(mask, h2, h.data)
+    d = x.shape[-1]
+    W_x, W_h = W.data[:d], W.data[d:]
+    h2, cache = _gru_step(x.data @ W_x + b.data, h.data, W_h, mask)
 
-    def bwd(gout):
-        gh = gout
-        if mask is not None:
-            m = mask[:, None]
-            keep = (1.0 - m) * gh
-            gh = m * gh
-        da_n = gh * (1.0 - z) * (1.0 - cand * cand)
-        dnc = da_n @ W_n.T
-        drh = dnc[:, d:]
-        da_z = (gh * h.data - gh * cand) * z * (1.0 - z)
-        da_r = drh * h.data * r * (1.0 - r)
-        # one matmul per gate, as in lstm_cell
-        dzc = da_r @ W_zr[:, n:].T + da_z @ W_zr[:, :n].T
-        da_zr = np.concatenate([da_z, da_r], axis=-1)
-        dh = gh * z + drh * r + dzc[:, d:]
-        if mask is not None:
-            dh = dh + keep
-        dW = np.concatenate([zc.T @ da_zr, nc.T @ da_n], axis=-1)
-        db = np.concatenate([da_zr.sum(axis=0), da_n.sum(axis=0)])
-        return dzc[:, :d] + dnc[:, :d], dh, dW, db
+    def bwd(gh):
+        da, dh = _gru_step_bwd(gh, W_h, cache)
+        dW = np.concatenate([x.data.T @ da,
+                             _gru_dW_h(h.data, cache[3], da)])   # cache[3]: r*h
+        return da @ W_x.T, dh, dW, da.sum(axis=0)
 
     return _make(h2, (x, h, W, b), bwd)
 
 
+def _input_projection(X, W, b):
+    """Every step's x W_x + b for (B, T, d) inputs, as one (B*T, d) matmul."""
+    B, steps, d = X.shape
+    return (X.data.reshape(-1, d) @ W.data[:d] + b.data).reshape(B, steps, -1)
+
+
+def _seq_grads(X, W, flat, dW_h):
+    """dX, dW and db of a sequence op from its (B*T, G*n) pre-activation
+    gradients, in single matmuls over all steps; ``dW_h`` is dW's state
+    rows."""
+    d = X.shape[-1]
+    dX = (flat @ W.data[:d].T).reshape(X.shape)
+    dW = np.concatenate([X.data.reshape(-1, d).T @ flat, dW_h])
+    return dX, dW, flat.sum(axis=0)
+
+
+def lstm_seq(X, W, b, mask=None, reverse=False):
+    """An LSTM over (B, T, d) inputs from a zero state, as one taped op.
+
+    W and b are ``lstm_cell``'s.  Every step's input is projected in one
+    matmul before the recurrence, so each step multiplies only h @ W_h; the
+    backward returns dX, dW and db from single matmuls over all steps.
+    ``reverse`` runs the last step first.  Rows where the (B, T) 0/1
+    ``mask`` is 0 keep their state at that step (padding).  Returns every
+    step's h as (B, T, n), in input order.
+    """
+    X, W, b = _as_tensor(X), _as_tensor(W), _as_tensor(b)
+    B, steps, d = X.shape
+    n = W.shape[1] // 4
+    W_h = W.data[d:]
+    XA = _input_projection(X, W, b)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    H, H_in = np.empty((B, steps, n)), np.empty((B, steps, n))
+    h, c = np.zeros((B, n)), np.zeros((B, n))
+    caches = [None] * steps
+    for t in order:
+        H_in[:, t] = h
+        h, c, caches[t] = _lstm_step(XA[:, t], h, c, W_h,
+                                     None if mask is None else mask[:, t])
+        H[:, t] = h
+
+    def bwd(G):
+        dA = np.empty((B, steps, 4 * n))
+        dh, dc = np.zeros((B, n)), np.zeros((B, n))
+        for t in reversed(order):
+            dA[:, t], dh, dc = _lstm_step_bwd(G[:, t] + dh, dc, W_h, caches[t])
+        flat = dA.reshape(B * steps, -1)
+        return _seq_grads(X, W, flat, H_in.reshape(-1, n).T @ flat)
+
+    return _make(H, (X, W, b), bwd)
+
+
+def gru_seq(X, W, b, mask=None, reverse=False):
+    """A GRU over (B, T, d) inputs from a zero state, as one taped op: the
+    sequence form of ``gru_cell``, as ``lstm_seq`` is of ``lstm_cell``."""
+    X, W, b = _as_tensor(X), _as_tensor(W), _as_tensor(b)
+    B, steps, d = X.shape
+    n = W.shape[1] // 3
+    W_h = W.data[d:]
+    XA = _input_projection(X, W, b)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    H, H_in, RH = (np.empty((B, steps, n)) for _ in range(3))
+    h = np.zeros((B, n))
+    caches = [None] * steps
+    for t in order:
+        H_in[:, t] = h
+        h, caches[t] = _gru_step(XA[:, t], h, W_h,
+                                 None if mask is None else mask[:, t])
+        H[:, t], RH[:, t] = h, caches[t][3]   # the step's r*h
+
+    def bwd(G):
+        dA = np.empty((B, steps, 3 * n))
+        dh = np.zeros((B, n))
+        for t in reversed(order):
+            dA[:, t], dh = _gru_step_bwd(G[:, t] + dh, W_h, caches[t])
+        flat = dA.reshape(B * steps, -1)
+        return _seq_grads(X, W, flat, _gru_dW_h(H_in.reshape(-1, n),
+                                                RH.reshape(-1, n), flat))
+
+    return _make(H, (X, W, b), bwd)
+
+
 # ---------------------------------------------------------------------------
-# fused attention: one node for the heads' scores, softmax and weighted sum
+# fused attention: one node per attention call for the scores, softmax and
+# weighted sum (multi-head scaled dot-product, and additive)
 
 def attention(q, k, v, heads, mask=None):
     """Multi-head scaled dot-product attention over projected rows.
@@ -463,6 +585,37 @@ def attention(q, k, v, heads, mask=None):
         return merge(np.matmul(gs, kh)), merge(gk), merge(gv)
 
     return _make(merge(np.matmul(w, vh)), (q, k, v), bwd), w
+
+
+def additive_attention(s, W_s, keys, v, H, mask=None):
+    """Additive (Bahdanau) attention of (B, h) query rows over (B, T, d)
+    states, as one taped op: energies e_j = v·tanh(s W_s + k_j) over the
+    (B, T, a) keys, softmax over j (``mask`` is an additive (B, T) constant),
+    context = the weighted sum of H's rows.
+
+    Returns the (B, d) context as one node and the (B, T) weights as an
+    untaped array.
+    """
+    s, W_s, keys, v, H = (_as_tensor(t) for t in (s, W_s, keys, v, H))
+    B, n, a = keys.shape
+    u = np.tanh(keys.data + (s.data @ W_s.data).reshape(B, 1, a))
+    z = (u @ v.data).reshape(B, n)
+    if mask is not None:
+        z = z + mask
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    ctx = (w.reshape(B, 1, n) @ H.data).reshape(B, H.shape[2])
+
+    def bwd(g):
+        gw = (g.reshape(B, 1, -1) @ np.swapaxes(H.data, -1, -2)).reshape(B, n)
+        ge = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        gu = ge[:, :, None] * v.data.reshape(1, 1, a) * (1.0 - u * u)
+        gq = gu.sum(axis=1)
+        gv = u.reshape(-1, a).T @ ge.reshape(-1, 1)
+        gH = w[:, :, None] * g[:, None, :]
+        return gq @ W_s.data.T, s.data.T @ gq, gu, gv, gH
+
+    return _make(ctx, (s, W_s, keys, v, H), bwd), w
 
 
 # ---------------------------------------------------------------------------

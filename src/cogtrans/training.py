@@ -166,6 +166,8 @@ class TrainConfig:
         require_rate("val_fraction", self.val_fraction)
         if self.patience < 0:
             raise InvalidArgument("patience must be >= 0")
+        if self.metrics_every < 0:   # 0 turns the per-epoch metrics off
+            raise InvalidArgument("metrics_every must be >= 0")
         return self
 
 

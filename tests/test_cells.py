@@ -7,6 +7,7 @@ from cogtrans.cells import (
     dropout,
     init_cell_params,
     init_embedding,
+    run_rnn,
     stack_gates,
     zero_state,
 )
@@ -185,6 +186,39 @@ def _composed_gru(x, h, W, b, mask=None):
     return h2 if mask is None else _freeze_composed(mask, h2, h)
 
 
+def _composed_seq(kind):
+    """The sequence op as composed steps from a zero state, each step
+    sliced out of X and the outputs stacked: the reference for
+    ``tensor.lstm_seq`` / ``tensor.gru_seq``."""
+    def seq(X, W, b, mask=None, reverse=False):
+        B, steps, _ = X.shape
+        n = W.shape[1] // (4 if kind == "lstm" else 3)
+        h = c = T.Tensor(np.zeros((B, n)))
+        out = [None] * steps
+        for t in (reversed(range(steps)) if reverse else range(steps)):
+            m = None if mask is None else mask[:, t]
+            if kind == "lstm":
+                hc = _composed_lstm(X[:, t], h, c, W, b, m)
+                h, c = hc[:, :n], hc[:, n:]
+            else:
+                h = _composed_gru(X[:, t], h, W, b, m)
+            out[t] = h
+        return T.stack(out, axis=1)
+
+    return seq
+
+
+def _composed_additive_attention(s, W_s, keys, v, H, mask=None):
+    """Additive attention as separate taped ops: the reference for
+    ``tensor.additive_attention``."""
+    B, n = H.shape[0], H.shape[1]
+    q = T.reshape(s @ W_s, (B, 1, -1))
+    e = T.reshape(T.tanh(keys + q) @ v, (B, n))
+    alpha = T.softmax(e, axis=-1, mask=mask)
+    ctx = T.reshape(T.reshape(alpha, (B, 1, n)) @ H, (B, H.shape[2]))
+    return ctx, alpha.data
+
+
 def _leaves(r, *shapes):
     return [T.Tensor(r.normal(size=s), requires_grad=True) for s in shapes]
 
@@ -218,8 +252,70 @@ def test_fused_step_matches_composed_reference(kind, masked, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_sequence_op_matches_composed_steps(kind, masked, reverse, seed):
+    r = np.random.default_rng(seed)
+    B, steps, d, n = 4, 5, 3, 6
+    G = 4 if kind == "lstm" else 3
+    mask = None
+    if masked:   # rows of lengths 5, 2, 4 and 1, padded at the end
+        mask = (np.arange(steps)[None, :]
+                < np.array([5, 2, 4, 1])[:, None]).astype(np.float64)
+    leaves = _leaves(r, (B, steps, d), (d + n, G * n), (G * n,))
+    weight = T.Tensor(r.normal(size=(B, steps, n)))
+    results = []
+    for seq in (T.lstm_seq if kind == "lstm" else T.gru_seq,
+                _composed_seq(kind)):
+        for t in leaves:
+            t.zero_grad()
+        with T.Graph() as g:
+            y = seq(*leaves, mask, reverse)
+            T.backward(g, T.tsum(y * weight))
+        results.append((y.data, [t.grad.copy() for t in leaves]))
+    (y_f, g_f), (y_c, g_c) = results
+    assert np.allclose(y_f, y_c, rtol=0, atol=1e-12)
+    for a, b in zip(g_f, g_c):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("masked", [False, True])
+def test_additive_attention_matches_composed_ops(masked, seed):
+    r = np.random.default_rng(seed)
+    B, steps, h, a, d = 3, 4, 5, 6, 7
+    mask = None
+    if masked:
+        mask = np.where(np.arange(steps)[None, :]
+                        < np.array([4, 2, 3])[:, None], 0.0, -1e9)
+    leaves = _leaves(r, (B, h), (h, a), (B, steps, a), (a, 1), (B, steps, d))
+    weight = T.Tensor(r.normal(size=(B, d)))
+    results = []
+    for attend in (T.additive_attention, _composed_additive_attention):
+        for t in leaves:
+            t.zero_grad()
+        with T.Graph() as g:
+            ctx, w = attend(*leaves, mask)
+            T.backward(g, T.tsum(ctx * weight))
+        results.append((ctx.data, w, [t.grad.copy() for t in leaves]))
+    (c_f, w_f, g_f), (c_c, w_c, g_c) = results
+    assert np.array_equal(c_f, c_c) and np.array_equal(w_f, w_c)
+    for x, y in zip(g_f, g_c):
+        assert np.allclose(x, y, rtol=0, atol=1e-12)
+
+
+def test_run_rnn_checks_input_width():
+    cell = stack_gates(_rand("lstm", 3, 2))
+    with pytest.raises(InvalidShape):
+        run_rnn(T.Tensor(np.zeros((1, 2, 4))), cell)
+
+
+@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("arch", ["seq2seq", "am", "han"])
 def test_model_losses_match_composed_steps(arch, seed, monkeypatch):
+    """A model's loss and gradients through the fused ops (sequence ops,
+    step ops, additive attention) equal those through composed ops."""
     pairs = generate_pairs(seed, 24)
     vocab = build_vocab(pairs)
     cfg = ModelConfig(architecture=arch, cell=("lstm", "gru")[seed % 2],
@@ -231,6 +327,10 @@ def test_model_losses_match_composed_steps(arch, seed, monkeypatch):
         if composed:
             monkeypatch.setattr(T, "lstm_cell", _composed_lstm)
             monkeypatch.setattr(T, "gru_cell", _composed_gru)
+            monkeypatch.setattr(T, "lstm_seq", _composed_seq("lstm"))
+            monkeypatch.setattr(T, "gru_seq", _composed_seq("gru"))
+            monkeypatch.setattr(T, "additive_attention",
+                                _composed_additive_attention)
         model.zero_grads()
         with T.Graph() as g:
             loss = model.loss_words(pairs, train=False)
@@ -243,42 +343,43 @@ def test_model_losses_match_composed_steps(arch, seed, monkeypatch):
         assert np.allclose(grads_f[k], grads_c[k], rtol=0, atol=1e-12), k
 
 
-def _birnn(seq, pf, pb):
-    """The models' bidirectional runner over (1, d) rows; states only."""
+def _birnn(X, pf, pb):
+    """The models' bidirectional runner over a (1, T, d) sequence."""
     model = build_model(ModelConfig(architecture="am"),
                         build_vocab([("ab", "ab")]))
-    states, _, _ = model._run_birnn(seq, None, pf, pb)
-    return states
+    return model._run_birnn(X, None, pf, pb)
+
+
+def _sequence(n):
+    return T.Tensor(np.stack([np.random.default_rng(i).normal(size=3)
+                              for i in range(n)])[None])
 
 
 class TestBidirectional:
     def test_length_and_dim(self):
         pf, pb = _rand("lstm", 3, 80, 0), _rand("lstm", 3, 80, 1)
-        seq = [T.Tensor(np.random.default_rng(i).normal(size=(1, 3)))
-               for i in range(4)]
-        out = _birnn(seq, pf, pb)
-        assert len(out) == 4
-        assert out[0].shape[-1] == 160
+        out = _birnn(_sequence(4), pf, pb)
+        assert out.shape[1] == 4
+        assert out.shape[-1] == 160
 
     def test_single_step_is_concat_of_both_directions(self):
         pf, pb = _rand("gru", 3, 2, 0), _rand("gru", 3, 2, 1)
         x = T.Tensor(np.array([[0.1, 0.2, 0.3]]))
-        out = _birnn([x], pf, pb)
+        out = _birnn(T.reshape(x, (1, 1, 3)), pf, pb)
         hf = gru_step(x, T.Tensor(np.zeros((1, 2))), pf)
         hb = gru_step(x, T.Tensor(np.zeros((1, 2))), pb)
-        assert np.allclose(out[0].data,
+        assert np.allclose(out.data[:, 0],
                            np.concatenate([hf.data, hb.data], axis=-1))
 
     def test_reversal_symmetry(self):
         pf, pb = _rand("lstm", 3, 2, 0), _rand("lstm", 3, 2, 1)
-        seq = [T.Tensor(np.random.default_rng(i).normal(size=(1, 3)))
-               for i in range(5)]
+        seq = _sequence(5)
         ab = _birnn(seq, pf, pb)
-        ba = _birnn(seq[::-1], pb, pf)
+        ba = _birnn(T.Tensor(seq.data[:, ::-1]), pb, pf)
         h = 2
         for t in range(5):
-            fwd, bwd = ab[t].data[0, :h], ab[t].data[0, h:]
-            rb, rf = ba[4 - t].data[0, :h], ba[4 - t].data[0, h:]
+            fwd, bwd = ab.data[0, t, :h], ab.data[0, t, h:]
+            rb, rf = ba.data[0, 4 - t, :h], ba.data[0, 4 - t, h:]
             assert np.allclose(fwd, rf) and np.allclose(bwd, rb)
 
 

@@ -200,6 +200,14 @@ class TestTrainAndFriends:
                         *flags]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_metrics_every_exit_1(self, corpus, tmp_path, capsys):
+        out = tmp_path / "never.ckpt"
+        assert run_cli(["train", "--data", str(corpus), "--arch", "am",
+                        "--epochs", "1", "--metrics-every", "-1",
+                        "--out", str(out)]) == 1
+        assert "metrics_every" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_wins_over_flags(self, corpus, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("model.hidden_dim = 4\n", encoding="utf-8")

@@ -94,7 +94,7 @@ class TestBahdanau:
         e = e.reshape(-1)
         a_ref = np.exp(e - e.max())
         a_ref /= a_ref.sum()
-        assert np.allclose(alpha.data[0], a_ref, atol=1e-12)
+        assert np.allclose(alpha[0], a_ref, atol=1e-12)
         assert np.allclose(ctx.data[0], a_ref @ H.data[0], atol=1e-12)
 
     def test_row_stochastic(self):
@@ -103,14 +103,14 @@ class TestBahdanau:
         H = T.Tensor(r.normal(size=(1, 5, 6)))
         _, alpha = attend_bahdanau(T.Tensor(r.normal(size=(1, 3))), H,
                                    H @ p["W_h"], p)
-        assert alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_when_states_equal(self):
         p = self._params(3)
         H = T.Tensor(np.tile(np.arange(6.0), (1, 4, 1)))
         ctx, alpha = attend_bahdanau(T.Tensor(np.zeros((1, 3))), H,
                                      H @ p["W_h"], p)
-        assert np.allclose(alpha.data, 0.25)
+        assert np.allclose(alpha, 0.25)
         assert np.allclose(ctx.data, H.data.mean(axis=1))
 
     def test_empty_states(self):
@@ -325,8 +325,9 @@ class TestDecoding:
                     ctx, _ = model._context(layers, enc)
                     ctxs.append(ctx.data.copy())
                     x = T.embedding(model.params["embedding"], np.array([sym]))
-                    dist, layers, _ = model.decode_step(x, layers, enc,
-                                                        False, None)
+                    h, ctx, layers, _ = model.decode_step(x, layers, enc,
+                                                          False, None)
+                    dist = model._output_dist(h, ctx)
                     sym = int(np.argmax(dist.data))
                     assert dist.data.sum() == pytest.approx(1.0, abs=1e-12)
                 deltas = [np.abs(ctxs[i] - ctxs[0]).max() for i in (1, 2)]
@@ -357,6 +358,32 @@ class TestHan:
         enc = self._encode(model, "ab")
         assert enc.H.shape[:2] == (1, 1)
         assert enc.char_alpha.shape[:2] == (1, 1)
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_greedy_encoder_masks_chunk_padding(self, cell):
+        """Greedy decoding encodes a word as its row of a padded training
+        batch does: the PAD symbols that fill its last chunk are masked."""
+        words = ["abcdefg", "ab", "abcd", "cba", "abcde", "a"]
+        vocab = build_vocab([(w, w) for w in words])
+        model = build_model(_cfg("han", cell=cell, chunk_size=3), vocab,
+                            seed=1)
+        for t in model.params.values():   # large weights make the padding
+            t.data *= 10.0                # show if it leaks into a state
+        src, lens, mask = encode_batch(vocab, words)
+        with T.no_grad():
+            batch = model._encode(src, mask, False, None)
+            for b, word in enumerate(words):
+                if lens[b] % 3 == 0:
+                    continue
+                enc = model._decode_start(np.array([vocab.encode(word)])).enc
+                K = enc.H.shape[1]
+                assert K == -(-lens[b] // 3)
+                assert np.allclose(enc.H.data[0], batch.H.data[b, :K],
+                                   rtol=0, atol=1e-12)
+                assert np.allclose(enc.final.data[0], batch.final.data[b],
+                                   rtol=0, atol=1e-12)
+                assert np.allclose(enc.char_alpha[0],
+                                   batch.char_alpha[b, :K], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_output_cleaned_of_trailing_repeats(self, seed):

@@ -145,6 +145,15 @@ class TestFiniteDiffCheck:
             T.finite_diff_check(f, {"w": w})
 
 
+def _seq_case(kind, x, w, b, mask, reverse):
+    """A finite-difference case for ``lstm_seq`` or ``gru_seq``."""
+    seq = T.lstm_seq if kind == "lstm" else T.gru_seq
+    name = (f"{kind}_seq" + ("_masked" if mask is not None else "")
+            + ("_reverse" if reverse else ""))
+    return (name, [x, w, b],
+            lambda x, w, b: T.tsum(T.mul(y := seq(x, w, b, mask, reverse), y)))
+
+
 def _op_cases():
     r = np.random.default_rng(42)
     a32 = r.normal(size=(3, 2))
@@ -164,6 +173,12 @@ def _op_cases():
     mixed = np.array([1.0, 0.0, 1.0])
     aq, ak, av = (r.normal(size=(2, 3, 4)) for _ in range(3))
     causal = np.triu(np.full((3, 3), -1e9), k=1)[None, None]
+    rs = np.random.default_rng(43)   # own stream: the other cases keep their draws
+    seq_x = rs.normal(size=(3, 4, 2))
+    lengths = (np.arange(4)[None, :] < np.array([4, 1, 3])[:, None]).astype(np.float64)
+    att_s, att_ws, att_keys = rs.normal(size=(2, 3)), rs.normal(size=(3, 4)), rs.normal(size=(2, 5, 4))
+    att_v, att_h = rs.normal(size=(4, 1)), rs.normal(size=(2, 5, 3))
+    att_mask = np.where(np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]) > 0, 0.0, -1e9)
     key_mask = np.where(np.array([[1, 1, 0], [1, 1, 1]]) > 0, 0.0, -1e9)[:, None, None, :]
     return [
         ("add", [a32, b32], lambda a, b: T.tsum(T.add(a, b))),
@@ -208,6 +223,15 @@ def _op_cases():
         ("gru_cell_masked", [x32, h34, gru_w, gru_b],
          lambda x, h, w, b: T.tsum(T.mul(
              y := T.gru_cell(x, h, w, b, mixed), y))),
+        *(_seq_case(kind, seq_x, w, b, mask, reverse)
+          for kind, w, b in (("lstm", lstm_w, lstm_b), ("gru", gru_w, gru_b))
+          for mask in (None, lengths) for reverse in (False, True)),
+        ("additive_attention", [att_s, att_ws, att_keys, att_v, att_h],
+         lambda s, ws, k, v, h: T.tsum(T.mul(
+             c := T.additive_attention(s, ws, k, v, h)[0], c))),
+        ("additive_attention_masked", [att_s, att_ws, att_keys, att_v, att_h],
+         lambda s, ws, k, v, h: T.tsum(T.mul(
+             c := T.additive_attention(s, ws, k, v, h, att_mask)[0], c))),
         ("attention", [aq, ak, av],
          lambda q, k, v: T.tsum(T.mul(y := T.attention(q, k, v, 2)[0], y))),
         ("attention_causal", [aq, ak, av],
