@@ -11,10 +11,15 @@ rng = np.random.default_rng(0)
 w = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 x = T.Tensor(rng.normal(size=(4, 3)))
 
+
+def mean_square(a):
+    """The mean of a's squared entries: a taped sum times a constant."""
+    return T.tsum(a * a) * (1.0 / a.data.size)
+
+
 # Operations recorded inside a Graph can be replayed backwards.
 with T.Graph() as g:
-    hidden = T.tanh(x @ w)
-    loss = T.tmean(T.mul(hidden, hidden))
+    loss = mean_square(T.tanh(x @ w))
     T.backward(g, loss)
 
 print("loss:", loss.item())
@@ -22,6 +27,5 @@ print("dloss/dw:\n", w.grad)
 
 # The built-in checker perturbs every entry of every parameter and
 # compares central differences to the analytic gradients.
-err = T.finite_diff_check(lambda: T.tmean(T.mul(T.tanh(x @ w), T.tanh(x @ w))),
-                          {"w": w})
+err = T.finite_diff_check(lambda: mean_square(T.tanh(x @ w)), {"w": w})
 print(f"max relative gradient error: {err:.2e}")

@@ -4,11 +4,11 @@ A cell keeps one (input_dim + hidden_dim, hidden_dim) matrix and one bias
 per gate, the checkpoint layout.  ``stack_gates`` puts them side by side
 once per forward pass.  A whole recurrence over (B, T, d) inputs from a zero
 state (``run_rnn``: the encoders and the char LM) is then one taped op
-(``tensor.lstm_seq`` / ``tensor.gru_seq``) that projects every step's input
-in one matmul; a step whose input depends on the step before (``cell_step``:
-the decoders) is one taped op too (``tensor.lstm_cell`` /
-``tensor.gru_cell``).  Both ops share one step's gate math per cell kind and
-keep the state of padded rows.
+(``tensor.rnn_seq``) that projects every step's input in one matmul; a step
+whose input depends on the step before (``cell_step``: the decoders) is one
+taped op too (``tensor.rnn_step``).  Both ops serve both cell kinds, carry a
+cell's state as one (B, S) tensor whose first hidden_dim columns are h
+([h | c] for LSTM, h for GRU) and keep the state of padded rows.
 """
 
 from dataclasses import dataclass, field
@@ -71,26 +71,23 @@ def stack_gates(p):
 
 
 def cell_step(x, state, cell, mask=None):
-    """One step of a stacked cell over (B, d) rows; state is (h, c) for
-    LSTM, (h,) for GRU.
+    """One step of a stacked cell over (B, d) rows: the (B, S) state in,
+    (h', state') out.  The state is [h | c] for LSTM, h for GRU, so only an
+    LSTM's h is sliced out (one taped node).
 
     LSTM: c' = f*c + i*g, h' = o*tanh(c').  GRU: h' = z*h + (1-z)*n with
     reset-gated candidate n.  Rows where the (B,) 0/1 ``mask`` is 0 keep
     their state (padding).
     """
-    h = state[0]
-    if x.shape[-1] != cell.input_dim or h.shape[-1] != cell.hidden_dim:
+    n = cell.hidden_dim
+    width = 2 * n if cell.kind == "lstm" else n
+    if x.shape[-1] != cell.input_dim or state.shape[-1] != width:
         raise InvalidShape(
-            f"cell expects input {cell.input_dim} / hidden {cell.hidden_dim}, "
-            f"got {x.shape[-1]} / {h.shape[-1]}"
+            f"cell expects input {cell.input_dim} / state {width}, "
+            f"got {x.shape[-1]} / {state.shape[-1]}"
         )
-    if cell.kind == "lstm":
-        hc = T.lstm_cell(x, h, state[1], cell.W, cell.b, mask)
-        n = cell.hidden_dim
-        h = hc[:, :n]
-        return h, (h, hc[:, n:])
-    h = T.gru_cell(x, h, cell.W, cell.b, mask)
-    return h, (h,)
+    state = T.rnn_step(cell.kind, x, state, cell.W, cell.b, mask)
+    return (state[:, :n] if cell.kind == "lstm" else state), state
 
 
 def run_rnn(X, cell, mask=None, reverse=False):
@@ -101,15 +98,7 @@ def run_rnn(X, cell, mask=None, reverse=False):
     if X.shape[-1] != cell.input_dim:
         raise InvalidShape(f"cell expects input {cell.input_dim}, "
                            f"got {X.shape[-1]}")
-    seq = T.lstm_seq if cell.kind == "lstm" else T.gru_seq
-    return seq(X, cell.W, cell.b, mask, reverse)
-
-
-def zero_state(cell, batch):
-    shape = (batch, cell.hidden_dim)
-    if cell.kind == "lstm":
-        return (Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
-    return (Tensor(np.zeros(shape)),)
+    return T.rnn_seq(cell.kind, X, cell.W, cell.b, mask, reverse)
 
 
 def dropout(x, rate, rng):

@@ -31,14 +31,29 @@ from .training import (
 )
 
 
+def _typed(where, kind, value):
+    """``value`` as a field of type ``kind``: an int widens to a float, any
+    other mismatch is an error that names ``where``."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise CogtransError(f"{where}: {value!r} is not a {kind.__name__}")
+    return value
+
+
 def _config(cls, args, extra=None):
-    """A ``cls`` config from the flags named after its fields, then the
-    matching keys of a ``--config`` section; the file wins over the flags."""
+    """A ``cls`` config from the flags named after its fields, then the keys
+    of a ``--config`` section, each of which must name a field and hold a
+    value of its type; the file wins over the flags."""
     fields = dataclasses.fields(cls)
-    names = {f.name for f in fields}
-    kwargs = {n: getattr(args, n) for n in names
+    types = {f.name: f.type for f in fields}
+    kwargs = {n: getattr(args, n) for n in types
               if getattr(args, n, None) is not None}
-    kwargs.update({k: v for k, v in (extra or {}).items() if k in names})
+    for key, value in (extra or {}).items():
+        if key not in types:
+            raise CogtransError(f"unknown config key {key!r} "
+                                f"(not a {cls.__name__} field)")
+        kwargs[key] = _typed(f"config key {key!r}", types[key], value)
     for f in fields:
         if f.name not in kwargs and f.default is dataclasses.MISSING:
             raise CogtransError(f"no {f.name} given")
@@ -55,16 +70,9 @@ def _axis(text):
         raise CogtransError(f"--axis expects name=v1,v2,..., got {text!r}")
     name, values = text.split("=", 1)
     kind = _AXIS_TYPES.get(name)
-    out = []
-    for raw in values.split(","):
-        value = data_io._coerce(raw)
-        if kind is float and type(value) is int:
-            value = float(value)
-        if kind is not None and type(value) is not kind:
-            raise CogtransError(
-                f"--axis {name}: {raw!r} is not a {kind.__name__}"
-            )
-        out.append(value)
+    out = [data_io._coerce(raw) for raw in values.split(",")]
+    if kind is not None:
+        out = [_typed(f"--axis {name}", kind, value) for value in out]
     return name, out
 
 

@@ -12,11 +12,14 @@ masks, and decode greedily through one loop (``transduce_ids``) that calls
 each family's start and next-step hooks over (B, ...) batches.  The
 recurrent models run each encoder recurrence through ``cells.run_rnn`` as
 one taped op over the whole (B, T, d) sequence (every step's input projected
-in one matmul), and each decoder step as one fused cell op; both keep padded
-rows' state.  The additive-attention keys ``H @ W_h`` are computed once per
-batch, each decoder step's attention is one taped op
-(``tensor.additive_attention``), and under teacher forcing the output layer
-runs once per batch over the stacked top states and contexts of all steps.
+in one matmul, ``tensor.rnn_seq``), and each decoder layer's step as one
+taped op (``tensor.rnn_step``) on the layer's state, [h | c] for LSTM and h
+for GRU; each layer keeps (h, state), so the next layer and the attention
+query read h without slicing it again.  The additive-attention keys
+``H @ W_h`` are computed once per batch, each decoder step's attention is
+one taped op (``tensor.additive_attention``), and under teacher forcing the
+output layer runs once per batch over the stacked top states and contexts
+of all steps.
 ``tn`` decodes incrementally: it encodes the word and
 projects each decoder layer's cross-attention keys/values once, and caches
 each layer's self-attention keys/values so every step runs the decoder on
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import cells, tensor as T
 from .cells import (cell_step, init_cell_params, init_embedding, run_rnn,
-                    stack_gates, zero_state)
+                    stack_gates)
 from .devanagari import CharVocab, strip_trailing_repeats
 from .errors import (EmptyInput, InvalidArgument, InvalidShape,
                      require_positive, require_rate)
@@ -361,12 +364,15 @@ class _RecurrentModel(TransductionModel):
         return enc, self._init_dec_state(enc.final, src.shape[0])
 
     def _init_dec_state(self, final, batch):
-        s0 = T.tanh(final @ self.params["W_init"] + self.params["b_init"])
+        """Per decoder layer (h, state): h = tanh(final W_init + b_init) for
+        the first layer and zeros above it; an LSTM's c starts at zero."""
+        zeros = Tensor(np.zeros((batch, self.cfg.hidden_dim)))
+        h = T.tanh(final @ self.params["W_init"] + self.params["b_init"])
         layers = []
-        for l, cell in enumerate(self.dec_cells):
-            st = list(zero_state(cell, batch))
-            st[0] = s0 if l == 0 else st[0]
-            layers.append(tuple(st))
+        for _ in self.dec_cells:
+            layers.append((h, h if self.cfg.cell == "gru"
+                           else T.concat([h, zeros], axis=-1)))
+            h = zeros
         return layers
 
     def _context(self, layers, enc):
@@ -381,17 +387,17 @@ class _RecurrentModel(TransductionModel):
         """One decoder step for a batch of rows.
 
         x_emb: (B, embed) embedded previous symbols; layers: per decoder
-        layer (h, c) or (h,).  Returns what the output layer
-        (``_output_dist``) takes, the top state (B, h) and the context
-        (B, 2h), then the new layers and the attention weights (None without
-        attention).
+        layer (h, state), the state as ``cell_step`` takes it.  Returns
+        what the output layer (``_output_dist``) takes, the top state (B, h)
+        and the context (B, 2h), then the new layers and the attention
+        weights (None without attention).
         """
         ctx, alpha = self._context(layers, enc)
         h = T.concat([x_emb, ctx], axis=-1)
         new_layers = []
-        for cell, state in zip(enc.dec_cells, layers):
-            h, st = cell_step(h, state, cell)
-            new_layers.append(st)
+        for cell, (_, state) in zip(enc.dec_cells, layers):
+            h, state = cell_step(h, state, cell)
+            new_layers.append((h, state))
         if train and self.cfg.dropout > 0:
             h = cells.dropout(h, self.cfg.dropout, rng)
         return h, ctx, new_layers, alpha

@@ -4,6 +4,10 @@ A ``Graph`` records every differentiable op in construction order (an eager
 tape); ``backward`` walks the tape in reverse and accumulates gradients into
 leaf tensors that were created with ``requires_grad=True``.  Everything is
 64-bit so finite-difference checks have enough headroom.
+
+Fused ops with hand-written backwards record one node for what would be
+many: a recurrent step (``rnn_step``) or sequence (``rnn_seq``) of either
+cell kind, and the multi-head and additive attention blocks.
 """
 
 import numpy as np
@@ -329,13 +333,18 @@ def embedding(table, ids):
 
 
 # ---------------------------------------------------------------------------
-# recurrent cells: one step's gate math per cell kind, shared by the fused
-# step op (one node per decoder step) and the sequence op (one node per
-# encoder recurrence).  W: (d + n, G * n) holds the gates side by side, its
-# first d rows for the input x and the rest for the state h, so a step's
-# pre-activations are x W_x + b + h W_h; the step functions take x W_x + b
-# already computed, which lets a sequence project every step's input in one
-# matmul before the recurrence.
+# recurrent cells: one step op (one node per decoder step) and one sequence
+# op (one node per encoder recurrence), each written once for both cell
+# kinds; only a kind's step, step backward and state rows of dW differ
+# (``_CELLS``).  W: (d + n, G * n) holds the gates side by side, its first d
+# rows for the input x and the rest for h, so a step's pre-activations are
+# x W_x + b + h W_h; the step functions take x W_x + b already computed,
+# which lets a sequence project every step's input in one matmul before the
+# recurrence.  A state is one (B, S) tensor whose first n columns are h:
+# [h | c] for an LSTM (S = 2n), h for a GRU (S = n).  The step functions
+# take and return its parts, (h, c) or (h,), so the sequence op never joins
+# them; the step op splits and joins.  Entry 0 of a step's cache is the h it
+# started from.
 
 def _freeze(mask, new, old):
     """Rows where the (B,) 0/1 mask is 0 keep ``old`` (padding)."""
@@ -343,9 +352,11 @@ def _freeze(mask, new, old):
     return m * new + (1.0 - m) * old
 
 
-def _lstm_step(xa, h, c, W_h, mask):
-    """One LSTM step over (B, n) rows from the input's (B, 4n) part of the
-    i|f|g|o pre-activations: returns h', c' and the backward's cache."""
+def _lstm_step(xa, state, W_h, mask):
+    """One LSTM step from (h, c) and the input's (B, 4n) part of the i|f|g|o
+    pre-activations: c' = f*c + i*g, h' = o*tanh(c').  Returns (h', c') and
+    the backward's cache."""
+    h, c = state
     n = h.shape[-1]
     a = xa + h @ W_h
     s = _sigmoid(a)
@@ -356,13 +367,14 @@ def _lstm_step(xa, h, c, W_h, mask):
     h2 = o * tc
     if mask is not None:
         h2, c2 = _freeze(mask, h2, h), _freeze(mask, c2, c)
-    return h2, c2, (c, i, f, g, o, tc, mask)
+    return (h2, c2), (h, c, i, f, g, o, tc, mask)
 
 
-def _lstm_step_bwd(gh, gc, W_h, cache):
+def _lstm_step_bwd(grads, W_h, cache):
     """Gradients of one LSTM step with respect to its (B, 4n) pre-activations
-    and to the h and c it started from."""
-    c, i, f, g, o, tc, mask = cache
+    and to the (h, c) it started from, given those of (h', c')."""
+    gh, gc = grads
+    _, c, i, f, g, o, tc, mask = cache
     if mask is not None:
         m = mask[:, None]
         keep_h, keep_c = (1.0 - m) * gh, (1.0 - m) * gc
@@ -374,13 +386,14 @@ def _lstm_step_bwd(gh, gc, W_h, cache):
     dh, dc = da @ W_h.T, dc2 * f
     if mask is not None:
         dh, dc = dh + keep_h, dc + keep_c
-    return da, dh, dc
+    return da, (dh, dc)
 
 
-def _gru_step(xa, h, W_h, mask):
-    """One GRU step over (B, n) rows from the input's (B, 3n) part of the
-    z|r|n pre-activations: h' = z*h + (1-z)*tanh(xa_n + (r*h) W_hn).
-    Returns h' and the backward's cache."""
+def _gru_step(xa, state, W_h, mask):
+    """One GRU step from (h,) and the input's (B, 3n) part of the z|r|n
+    pre-activations: h' = z*h + (1-z)*tanh(xa_n + (r*h) W_hn).  Returns
+    (h',) and the backward's cache."""
+    (h,) = state
     n = h.shape[-1]
     s = _sigmoid(xa[:, :2 * n] + h @ W_h[:, :2 * n])
     z, r = s[:, :n], s[:, n:]
@@ -389,76 +402,61 @@ def _gru_step(xa, h, W_h, mask):
     h2 = z * h + (1.0 - z) * cand
     if mask is not None:
         h2 = _freeze(mask, h2, h)
-    return h2, (h, z, r, rh, cand, mask)
+    return (h2,), (h, z, r, rh, cand, mask)
 
 
-def _gru_step_bwd(gh, W_h, cache):
+def _gru_step_bwd(grads, W_h, cache):
     """Gradients of one GRU step with respect to its (B, 3n) pre-activations
-    and to the h it started from."""
+    and to the (h,) it started from."""
+    (gh,) = grads
     h, z, r, rh, cand, mask = cache
     n = h.shape[-1]
     if mask is not None:
         m = mask[:, None]
-        keep = (1.0 - m) * gh
-        gh = m * gh
+        keep, gh = (1.0 - m) * gh, m * gh
     da_n = gh * (1.0 - z) * (1.0 - cand * cand)
     drh = da_n @ W_h[:, 2 * n:].T
     da = np.concatenate([(gh * h - gh * cand) * z * (1.0 - z),
                          drh * h * r * (1.0 - r), da_n], axis=-1)
     dh = gh * z + drh * r + da[:, :2 * n] @ W_h[:, :2 * n].T
-    if mask is not None:
-        dh = dh + keep
-    return da, dh
+    return da, (dh if mask is None else dh + keep,)
 
 
-def _gru_dW_h(h_in, rh, da):
-    """The state rows of a GRU's dW from (N, n) step states, their reset
-    products r*h and the (N, 3n) pre-activation gradients."""
-    n = h_in.shape[-1]
-    return np.concatenate([h_in.T @ da[:, :2 * n], rh.T @ da[:, 2 * n:]],
-                          axis=-1)
+def _split(s, n):
+    """A (B, S) state or its gradient as its parts: (h, c) or (h,)."""
+    return (s,) if s.shape[-1] == n else (s[:, :n], s[:, n:])
 
 
-def lstm_cell(x, h, c, W, b, mask=None):
-    """One LSTM step over (B, d) rows: c' = f*c + i*g, h' = o*tanh(c').
-
-    W: (d + n, 4n) and b: (4n,) hold the gates i|f|g|o side by side.  Rows
-    where the (B,) 0/1 ``mask`` is 0 keep h and c.  Returns [h' | c'] as one
-    (B, 2n) tensor.
-    """
-    x, h, c, W, b = (_as_tensor(t) for t in (x, h, c, W, b))
-    d, n = x.shape[-1], h.shape[-1]
-    W_x, W_h = W.data[:d], W.data[d:]
-    h2, c2, cache = _lstm_step(x.data @ W_x + b.data, h.data, c.data, W_h,
-                               mask)
-
-    def bwd(gout):
-        da, dh, dc = _lstm_step_bwd(gout[:, :n], gout[:, n:], W_h, cache)
-        dW = np.concatenate([x.data.T @ da, h.data.T @ da])
-        return da @ W_x.T, dh, dc, dW, da.sum(axis=0)
-
-    return _make(np.concatenate([h2, c2], axis=-1), (x, h, c, W, b), bwd)
+def _join(parts):
+    """The inverse of ``_split``."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def gru_cell(x, h, W, b, mask=None):
-    """One GRU step over (B, d) rows: h' = z*h + (1-z)*n, with the candidate
-    n = tanh([x, r*h] @ W_n + b_n).
+def _rows(caches, i):
+    """Entry ``i`` of every step's cache as (B*T, ·) rows, batch-major as the
+    (B*T, G*n) pre-activation gradients are."""
+    if len(caches) == 1:   # one step: its rows as they are, no copy
+        return caches[0][i]
+    return np.stack([c[i] for c in caches], axis=1).reshape(
+        -1, caches[0][i].shape[-1])
 
-    W: (d + n, 3n) and b: (3n,) hold the gates z|r|n side by side.  Rows
-    where the (B,) 0/1 ``mask`` is 0 keep h.
-    """
-    x, h, W, b = (_as_tensor(t) for t in (x, h, W, b))
-    d = x.shape[-1]
-    W_x, W_h = W.data[:d], W.data[d:]
-    h2, cache = _gru_step(x.data @ W_x + b.data, h.data, W_h, mask)
 
-    def bwd(gh):
-        da, dh = _gru_step_bwd(gh, W_h, cache)
-        dW = np.concatenate([x.data.T @ da,
-                             _gru_dW_h(h.data, cache[3], da)])   # cache[3]: r*h
-        return da @ W_x.T, dh, dW, da.sum(axis=0)
+def _lstm_dW_h(caches, da):
+    """The state rows of an LSTM's dW from every step's cache."""
+    return _rows(caches, 0).T @ da
 
-    return _make(h2, (x, h, W, b), bwd)
+
+def _gru_dW_h(caches, da):
+    """The state rows of a GRU's dW: the z|r columns from h, the candidate
+    columns from r*h (cache entry 3)."""
+    n = caches[0][0].shape[-1]
+    return np.concatenate([_rows(caches, 0).T @ da[:, :2 * n],
+                           _rows(caches, 3).T @ da[:, 2 * n:]], axis=-1)
+
+
+# kind -> (state width in multiples of n, step, step backward, dW state rows)
+_CELLS = {"lstm": (2, _lstm_step, _lstm_step_bwd, _lstm_dW_h),
+          "gru": (1, _gru_step, _gru_step_bwd, _gru_dW_h)}
 
 
 def _input_projection(X, W, b):
@@ -467,78 +465,71 @@ def _input_projection(X, W, b):
     return (X.data.reshape(-1, d) @ W.data[:d] + b.data).reshape(B, steps, -1)
 
 
-def _seq_grads(X, W, flat, dW_h):
-    """dX, dW and db of a sequence op from its (B*T, G*n) pre-activation
-    gradients, in single matmuls over all steps; ``dW_h`` is dW's state
-    rows."""
+def _grads(X, W, da, dW_h):
+    """dX, dW and db from the (N, G*n) pre-activation gradients of X's N
+    rows, in single matmuls; ``dW_h`` is dW's state rows."""
     d = X.shape[-1]
-    dX = (flat @ W.data[:d].T).reshape(X.shape)
-    dW = np.concatenate([X.data.reshape(-1, d).T @ flat, dW_h])
-    return dX, dW, flat.sum(axis=0)
+    dX = (da @ W.data[:d].T).reshape(X.shape)
+    dW = np.concatenate([X.data.reshape(-1, d).T @ da, dW_h])
+    return dX, dW, da.sum(axis=0)
 
 
-def lstm_seq(X, W, b, mask=None, reverse=False):
-    """An LSTM over (B, T, d) inputs from a zero state, as one taped op.
+def rnn_step(kind, x, state, W, b, mask=None):
+    """One step of an LSTM or GRU (``kind``) over (B, d) rows, as one taped
+    op: the (B, S) state ([h | c] or h) in, the new state out.
 
-    W and b are ``lstm_cell``'s.  Every step's input is projected in one
-    matmul before the recurrence, so each step multiplies only h @ W_h; the
-    backward returns dX, dW and db from single matmuls over all steps.
-    ``reverse`` runs the last step first.  Rows where the (B, T) 0/1
-    ``mask`` is 0 keep their state at that step (padding).  Returns every
-    step's h as (B, T, n), in input order.
+    W: (d + n, G * n) and b: (G * n,) hold the gates side by side (i|f|g|o
+    or z|r|n).  Rows where the (B,) 0/1 ``mask`` is 0 keep their state.
+    """
+    x, state, W, b = (_as_tensor(t) for t in (x, state, W, b))
+    _, step, step_bwd, dW_h = _CELLS[kind]
+    d = x.shape[-1]
+    W_h = W.data[d:]
+    n = W_h.shape[0]
+    parts, cache = step(x.data @ W.data[:d] + b.data, _split(state.data, n),
+                        W_h, mask)
+
+    def bwd(g):
+        da, ds = step_bwd(_split(g, n), W_h, cache)
+        dx, dW, db = _grads(x, W, da, dW_h([cache], da))
+        return dx, _join(ds), dW, db
+
+    return _make(_join(parts), (x, state, W, b), bwd)
+
+
+def rnn_seq(kind, X, W, b, mask=None, reverse=False):
+    """An LSTM or GRU (``kind``) over (B, T, d) inputs from a zero state, as
+    one taped op; W and b are ``rnn_step``'s.
+
+    Every step's input is projected in one matmul before the recurrence, so
+    each step multiplies only h @ W_h; the backward returns dX, dW and db
+    from single matmuls over all steps.  ``reverse`` runs the last step
+    first.  Rows where the (B, T) 0/1 ``mask`` is 0 keep their state at that
+    step (padding).  Returns every step's h as (B, T, n), in input order.
     """
     X, W, b = _as_tensor(X), _as_tensor(W), _as_tensor(b)
     B, steps, d = X.shape
-    n = W.shape[1] // 4
+    n = W.shape[0] - d
+    width, step, step_bwd, dW_h = _CELLS[kind]
     W_h = W.data[d:]
     XA = _input_projection(X, W, b)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    H, H_in = np.empty((B, steps, n)), np.empty((B, steps, n))
-    h, c = np.zeros((B, n)), np.zeros((B, n))
+    H = np.empty((B, steps, n))
+    parts = (np.zeros((B, n)),) * width
     caches = [None] * steps
     for t in order:
-        H_in[:, t] = h
-        h, c, caches[t] = _lstm_step(XA[:, t], h, c, W_h,
-                                     None if mask is None else mask[:, t])
-        H[:, t] = h
+        parts, caches[t] = step(XA[:, t], parts, W_h,
+                                None if mask is None else mask[:, t])
+        H[:, t] = parts[0]
 
     def bwd(G):
-        dA = np.empty((B, steps, 4 * n))
-        dh, dc = np.zeros((B, n)), np.zeros((B, n))
+        dA = np.empty((B, steps, W.shape[1]))
+        ds = (np.zeros((B, n)),) * width
         for t in reversed(order):
-            dA[:, t], dh, dc = _lstm_step_bwd(G[:, t] + dh, dc, W_h, caches[t])
+            dA[:, t], ds = step_bwd((G[:, t] + ds[0],) + ds[1:], W_h,
+                                    caches[t])
         flat = dA.reshape(B * steps, -1)
-        return _seq_grads(X, W, flat, H_in.reshape(-1, n).T @ flat)
-
-    return _make(H, (X, W, b), bwd)
-
-
-def gru_seq(X, W, b, mask=None, reverse=False):
-    """A GRU over (B, T, d) inputs from a zero state, as one taped op: the
-    sequence form of ``gru_cell``, as ``lstm_seq`` is of ``lstm_cell``."""
-    X, W, b = _as_tensor(X), _as_tensor(W), _as_tensor(b)
-    B, steps, d = X.shape
-    n = W.shape[1] // 3
-    W_h = W.data[d:]
-    XA = _input_projection(X, W, b)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    H, H_in, RH = (np.empty((B, steps, n)) for _ in range(3))
-    h = np.zeros((B, n))
-    caches = [None] * steps
-    for t in order:
-        H_in[:, t] = h
-        h, caches[t] = _gru_step(XA[:, t], h, W_h,
-                                 None if mask is None else mask[:, t])
-        H[:, t], RH[:, t] = h, caches[t][3]   # the step's r*h
-
-    def bwd(G):
-        dA = np.empty((B, steps, 3 * n))
-        dh = np.zeros((B, n))
-        for t in reversed(order):
-            dA[:, t], dh = _gru_step_bwd(G[:, t] + dh, W_h, caches[t])
-        flat = dA.reshape(B * steps, -1)
-        return _seq_grads(X, W, flat, _gru_dW_h(H_in.reshape(-1, n),
-                                                RH.reshape(-1, n), flat))
+        return _grads(X, W, flat, dW_h(caches, flat))
 
     return _make(H, (X, W, b), bwd)
 

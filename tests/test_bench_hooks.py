@@ -105,12 +105,14 @@ def _traced_training_batch(cfg):
     return tracer_mod, tracer, graph
 
 
-def test_traced_training_batch_counts_every_tape_node():
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_traced_training_batch_counts_every_tape_node(cell):
     """The tracer counts tape nodes through its patch of ``tensor._make``;
     an op that built nodes through another reference to ``_make`` would be
-    missed here."""
+    missed here.  Both cell kinds, so both state layouts ([h | c] and h)."""
     tracer_mod, tracer, graph = _traced_training_batch(
-        models.ModelConfig(architecture="am", hidden_dim=6, embed_dim=5))
+        models.ModelConfig(architecture="am", cell=cell, hidden_dim=6,
+                           embed_dim=5))
     assert tracer.counts()["tape_nodes.am"] == len(graph.nodes)
     assert any(rec[tracer_mod.NAME] == "cells.step" for rec in tracer.spans)
 

@@ -9,7 +9,6 @@ from cogtrans.cells import (
     init_embedding,
     run_rnn,
     stack_gates,
-    zero_state,
 )
 from cogtrans.devanagari import build_vocab
 from cogtrans.errors import InvalidArgument, InvalidShape
@@ -34,12 +33,20 @@ def _row(v):
 
 def lstm_step(x, h, c, p):
     """One LSTM step of CellParams ``p`` on rows; returns (h', c')."""
-    return cell_step(x, (h, c), stack_gates(p))[1]
+    _, s = cell_step(x, T.concat([h, c], axis=-1), stack_gates(p))
+    return s[:, :p.hidden_dim], s[:, p.hidden_dim:]
 
 
 def gru_step(x, h, p):
     """One GRU step of CellParams ``p`` on rows; returns h'."""
-    return cell_step(x, (h,), stack_gates(p))[0]
+    return cell_step(x, h, stack_gates(p))[0]
+
+
+def _state(kind, rows, n, values=None):
+    """A (rows, S) cell state: [h | c] for LSTM, h for GRU; zeros unless
+    ``values`` draws it."""
+    shape = (rows, 2 * n if kind == "lstm" else n)
+    return T.Tensor(np.zeros(shape) if values is None else values(shape))
 
 
 class TestLSTM:
@@ -129,8 +136,7 @@ def test_cell_step_gradients(kind):
 
     def f():
         cell = stack_gates(p)
-        state = zero_state(cell, 2)
-        h, state = cell_step(x, state, cell)
+        h, state = cell_step(x, _state(kind, 2, 4), cell)
         h, state = cell_step(x, state, cell)
         return T.tsum(T.mul(h, h))
 
@@ -142,13 +148,24 @@ def test_masked_rows_keep_their_state(kind):
     cell = stack_gates(_rand(kind, 3, 4, seed=2))
     r = np.random.default_rng(3)
     x = T.Tensor(r.normal(size=(3, 3)))
-    state = tuple(T.Tensor(r.normal(size=(3, 4))) for _ in range(len(
-        zero_state(cell, 3))))
+    state = _state(kind, 3, 4, lambda shape: r.normal(size=shape))
     _, free = cell_step(x, state, cell)
-    _, frozen = cell_step(x, state, cell, np.array([1.0, 0.0, 1.0]))
-    for new, kept, old in zip(free, frozen, state):
-        assert np.array_equal(kept.data[[0, 2]], new.data[[0, 2]])
-        assert np.array_equal(kept.data[1], old.data[1])
+    h, frozen = cell_step(x, state, cell, np.array([1.0, 0.0, 1.0]))
+    assert np.array_equal(frozen.data[[0, 2]], free.data[[0, 2]])
+    assert np.array_equal(frozen.data[1], state.data[1])
+    assert np.array_equal(h.data, frozen.data[:, :4])
+
+
+@pytest.mark.parametrize("kind, nodes", [("lstm", 2), ("gru", 1)])
+def test_cell_step_records_one_op_and_an_lstm_h_slice(kind, nodes):
+    """A step is one taped op; an LSTM step adds one slice of h from its
+    [h | c] state, a GRU step none."""
+    x = T.Tensor(np.ones((2, 3)))
+    with T.Graph() as g:
+        cell = stack_gates(_rand(kind, 3, 4, seed=4))   # two concat nodes
+        h, state = cell_step(x, _state(kind, 2, 4), cell)
+    assert len(g.nodes) == 2 + nodes
+    assert h.shape == (2, 4) and state is g.nodes[2]
 
 
 def _freeze_composed(mask, new, old):
@@ -156,10 +173,11 @@ def _freeze_composed(mask, new, old):
     return m * new + keep * old
 
 
-def _composed_lstm(x, h, c, W, b, mask=None):
-    """The LSTM step as separate taped ops, one matmul per gate: the
-    reference ``tensor.lstm_cell`` must match."""
-    n = h.shape[-1]
+def _composed_lstm(x, s, W, b, mask=None):
+    """The LSTM step on the [h | c] state as separate taped ops, one matmul
+    per gate: the reference ``tensor.rnn_step`` must match."""
+    n = s.shape[-1] // 2
+    h, c = s[:, :n], s[:, n:]
     z = T.concat([x, h], axis=-1)
 
     def gate(k):
@@ -169,14 +187,12 @@ def _composed_lstm(x, h, c, W, b, mask=None):
         T.sigmoid(gate(3))
     c2 = f * c + i * g
     h2 = o * T.tanh(c2)
-    if mask is not None:
-        h2, c2 = _freeze_composed(mask, h2, h), _freeze_composed(mask, c2, c)
-    return T.concat([h2, c2], axis=-1)
+    s2 = T.concat([h2, c2], axis=-1)
+    return s2 if mask is None else _freeze_composed(mask, s2, s)
 
 
 def _composed_gru(x, h, W, b, mask=None):
-    """The GRU step as separate taped ops: the reference for
-    ``tensor.gru_cell``."""
+    """The GRU step as separate taped ops."""
     n = h.shape[-1]
     zc = T.concat([x, h], axis=-1)
     z = T.sigmoid(zc @ W[:, :n] + b[:n])
@@ -186,26 +202,26 @@ def _composed_gru(x, h, W, b, mask=None):
     return h2 if mask is None else _freeze_composed(mask, h2, h)
 
 
-def _composed_seq(kind):
-    """The sequence op as composed steps from a zero state, each step
-    sliced out of X and the outputs stacked: the reference for
-    ``tensor.lstm_seq`` / ``tensor.gru_seq``."""
-    def seq(X, W, b, mask=None, reverse=False):
-        B, steps, _ = X.shape
-        n = W.shape[1] // (4 if kind == "lstm" else 3)
-        h = c = T.Tensor(np.zeros((B, n)))
-        out = [None] * steps
-        for t in (reversed(range(steps)) if reverse else range(steps)):
-            m = None if mask is None else mask[:, t]
-            if kind == "lstm":
-                hc = _composed_lstm(X[:, t], h, c, W, b, m)
-                h, c = hc[:, :n], hc[:, n:]
-            else:
-                h = _composed_gru(X[:, t], h, W, b, m)
-            out[t] = h
-        return T.stack(out, axis=1)
+def _composed_step(kind, x, s, W, b, mask=None):
+    """One step of either kind as composed ops: the reference for
+    ``tensor.rnn_step``."""
+    return (_composed_lstm if kind == "lstm" else _composed_gru)(x, s, W, b,
+                                                                 mask)
 
-    return seq
+
+def _composed_seq(kind, X, W, b, mask=None, reverse=False):
+    """The sequence op as composed steps from a zero state, each step
+    sliced out of X and each step's h sliced out of its state, the outputs
+    stacked: the reference for ``tensor.rnn_seq``."""
+    B, steps, d = X.shape
+    n = W.shape[0] - d
+    s = _state(kind, B, n)
+    out = [None] * steps
+    for t in (reversed(range(steps)) if reverse else range(steps)):
+        s = _composed_step(kind, X[:, t], s, W, b,
+                           None if mask is None else mask[:, t])
+        out[t] = s[:, :n]
+    return T.stack(out, axis=1)
 
 
 def _composed_additive_attention(s, W_s, keys, v, H, mask=None):
@@ -230,19 +246,15 @@ def test_fused_step_matches_composed_reference(kind, masked, seed):
     r = np.random.default_rng(seed)
     B, d, n = 4, 3, 5
     mask = np.array([1.0, 0.0, 1.0, 0.0]) if masked else None
-    if kind == "lstm":
-        leaves = _leaves(r, (B, d), (B, n), (B, n), (d + n, 4 * n), (4 * n,))
-        fused, composed = T.lstm_cell, _composed_lstm
-    else:
-        leaves = _leaves(r, (B, d), (B, n), (d + n, 3 * n), (3 * n,))
-        fused, composed = T.gru_cell, _composed_gru
-    weight = T.Tensor(r.normal(size=(B, 2 * n if kind == "lstm" else n)))
+    S, G = (2 * n, 4) if kind == "lstm" else (n, 3)
+    leaves = _leaves(r, (B, d), (B, S), (d + n, G * n), (G * n,))
+    weight = T.Tensor(r.normal(size=(B, S)))
     results = []
-    for step in (fused, composed):
+    for step in (T.rnn_step, _composed_step):
         for t in leaves:
             t.zero_grad()
         with T.Graph() as g:
-            y = step(*leaves, mask)
+            y = step(kind, *leaves, mask)
             T.backward(g, T.tsum(y * weight))
         results.append((y.data, [t.grad.copy() for t in leaves]))
     (y_f, g_f), (y_c, g_c) = results
@@ -266,12 +278,11 @@ def test_sequence_op_matches_composed_steps(kind, masked, reverse, seed):
     leaves = _leaves(r, (B, steps, d), (d + n, G * n), (G * n,))
     weight = T.Tensor(r.normal(size=(B, steps, n)))
     results = []
-    for seq in (T.lstm_seq if kind == "lstm" else T.gru_seq,
-                _composed_seq(kind)):
+    for seq in (T.rnn_seq, _composed_seq):
         for t in leaves:
             t.zero_grad()
         with T.Graph() as g:
-            y = seq(*leaves, mask, reverse)
+            y = seq(kind, *leaves, mask, reverse)
             T.backward(g, T.tsum(y * weight))
         results.append((y.data, [t.grad.copy() for t in leaves]))
     (y_f, g_f), (y_c, g_c) = results
@@ -325,10 +336,8 @@ def test_model_losses_match_composed_steps(arch, seed, monkeypatch):
     results = []
     for composed in (False, True):
         if composed:
-            monkeypatch.setattr(T, "lstm_cell", _composed_lstm)
-            monkeypatch.setattr(T, "gru_cell", _composed_gru)
-            monkeypatch.setattr(T, "lstm_seq", _composed_seq("lstm"))
-            monkeypatch.setattr(T, "gru_seq", _composed_seq("gru"))
+            monkeypatch.setattr(T, "rnn_step", _composed_step)
+            monkeypatch.setattr(T, "rnn_seq", _composed_seq)
             monkeypatch.setattr(T, "additive_attention",
                                 _composed_additive_attention)
         model.zero_grads()

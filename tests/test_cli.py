@@ -221,6 +221,33 @@ class TestTrainAndFriends:
         cfg = load_checkpoint(out).model_config
         assert (cfg.architecture, cfg.hidden_dim, cfg.embed_dim) == ("am", 4, 6)
 
+    @pytest.mark.parametrize("line, key", [
+        ("model.hiden_dim = 4", "hiden_dim"),
+        ("model.hidden_dim = 4.5", "hidden_dim"),
+        ("train.batch_size = many", "batch_size"),
+    ])
+    def test_bad_config_key_or_value_exit_1(self, corpus, tmp_path, capsys,
+                                            line, key):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "never.ckpt"
+        assert run_cli(["train", "--data", str(corpus), "--config", str(conf),
+                        "--arch", "am", "--epochs", "1",
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_int_widens_to_float(self, corpus, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("model.dropout = 0\noptimizer.lr = 1\n",
+                        encoding="utf-8")
+        args = build_parser().parse_args(["train", "--data", "x",
+                                          "--arch", "am"])
+        run_cfg = cli.data_io.load_config(conf)
+        assert _config(ModelConfig, args, run_cfg.model).dropout == 0.0
+        assert type(_config(OptimizerSpec, args, run_cfg.optimizer).lr) is float
+
     def test_flags_fill_every_config(self):
         args = build_parser().parse_args([
             "train", "--data", "x", "--optimizer", "sgd", "--lr", "0.5",

@@ -145,13 +145,22 @@ class TestFiniteDiffCheck:
             T.finite_diff_check(f, {"w": w})
 
 
+def _step_case(kind, x, s, w, b, mask):
+    """A finite-difference case for ``rnn_step`` of one cell kind; the case
+    ids name the kind and the form, one cell step or a whole sequence."""
+    name = f"{kind}_cell" + ("_masked" if mask is not None else "")
+    return (name, [x, s, w, b],
+            lambda x, s, w, b: T.tsum(T.mul(
+                y := T.rnn_step(kind, x, s, w, b, mask), y)))
+
+
 def _seq_case(kind, x, w, b, mask, reverse):
-    """A finite-difference case for ``lstm_seq`` or ``gru_seq``."""
-    seq = T.lstm_seq if kind == "lstm" else T.gru_seq
+    """A finite-difference case for ``rnn_seq`` of one cell kind."""
     name = (f"{kind}_seq" + ("_masked" if mask is not None else "")
             + ("_reverse" if reverse else ""))
     return (name, [x, w, b],
-            lambda x, w, b: T.tsum(T.mul(y := seq(x, w, b, mask, reverse), y)))
+            lambda x, w, b: T.tsum(T.mul(
+                y := T.rnn_seq(kind, x, w, b, mask, reverse), y)))
 
 
 def _op_cases():
@@ -213,16 +222,10 @@ def _op_cases():
          lambda x, gg, bb: T.tsum(T.mul(l := T.layer_norm(x, gg, bb), l))),
         ("cross_entropy", [np.array([0.2, 0.5, 0.3])],
          lambda p: T.cross_entropy(p, 1)),
-        ("lstm_cell", [x32, h34, c34, lstm_w, lstm_b],
-         lambda x, h, c, w, b: T.tsum(T.mul(y := T.lstm_cell(x, h, c, w, b), y))),
-        ("lstm_cell_masked", [x32, h34, c34, lstm_w, lstm_b],
-         lambda x, h, c, w, b: T.tsum(T.mul(
-             y := T.lstm_cell(x, h, c, w, b, mixed), y))),
-        ("gru_cell", [x32, h34, gru_w, gru_b],
-         lambda x, h, w, b: T.tsum(T.mul(y := T.gru_cell(x, h, w, b), y))),
-        ("gru_cell_masked", [x32, h34, gru_w, gru_b],
-         lambda x, h, w, b: T.tsum(T.mul(
-             y := T.gru_cell(x, h, w, b, mixed), y))),
+        *(_step_case(kind, x32, s, w, b, mask)
+          for kind, s, w, b in (("lstm", np.hstack([h34, c34]), lstm_w, lstm_b),
+                                ("gru", h34, gru_w, gru_b))
+          for mask in (None, mixed)),
         *(_seq_case(kind, seq_x, w, b, mask, reverse)
           for kind, w, b in (("lstm", lstm_w, lstm_b), ("gru", gru_w, gru_b))
           for mask in (None, lengths) for reverse in (False, True)),
