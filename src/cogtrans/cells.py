@@ -1,17 +1,19 @@
 """Recurrent cells, the embedding initialiser and dropout.
 
-A cell keeps one (input_dim + hidden_dim, hidden_dim) matrix and one bias
-per gate, the checkpoint layout.  ``stack_gates`` puts them side by side
-once per forward pass.  A whole recurrence over (B, T, d) inputs from a zero
-state (``run_rnn``: the encoders and the char LM) is then one taped op
-(``tensor.rnn_seq``) that projects every step's input in one matmul; a step
-whose input depends on the step before (``cell_step``: the decoders) is one
-taped op too (``tensor.rnn_step``).  Both ops serve both cell kinds, carry a
-cell's state as one (B, S) tensor whose first hidden_dim columns are h
-([h | c] for LSTM, h for GRU) and keep the state of padded rows.
+A cell stores its gates side by side, as PyTorch's ``nn.LSTM`` does: one
+(input_dim + hidden_dim, G * hidden_dim) matrix ``W`` and one (G *
+hidden_dim,) bias ``b``, gates i|f|g|o for LSTM and z|r|n for GRU; the
+checkpoint keeps the same two arrays.  A whole recurrence over (B, T, d)
+inputs from a zero state (``run_rnn``: the encoders and the char LM) is one
+taped op (``tensor.rnn_seq``) that projects every step's input in one
+matmul; a step whose input depends on the step before (``cell_step``: the
+decoders) is one taped op too (``tensor.rnn_step``).  Both ops serve both
+cell kinds, carry a cell's state as one (B, S) tensor whose first
+hidden_dim columns are h ([h | c] for LSTM, h for GRU) and keep the state
+of padded rows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +21,7 @@ from . import tensor as T
 from .errors import InvalidShape, require_rate
 from .tensor import Tensor
 
-LSTM_GATES = ("i", "f", "g", "o")
-GRU_GATES = ("z", "r", "n")
+GATES = {"lstm": 4, "gru": 3}   # gates per kind: i|f|g|o, z|r|n
 
 INIT_SCALE = 0.08         # uniform(-0.08, 0.08) for recurrent weights
 FORGET_BIAS = 1.0         # stabilizes early LSTM training
@@ -28,51 +29,35 @@ FORGET_BIAS = 1.0         # stabilizes early LSTM training
 
 @dataclass
 class CellParams:
+    """An LSTM or GRU cell: W is (input_dim + hidden_dim, G * hidden_dim)
+    and b is (G * hidden_dim,), the gates side by side."""
+
     kind: str                       # "lstm" | "gru"
-    input_dim: int
-    hidden_dim: int
-    weights: dict = field(default_factory=dict)   # name -> Tensor
-    prefix: str = ""                # weight-name prefix inside ``weights``
-
-
-def init_cell_params(kind, input_dim, hidden_dim, rng, prefix=""):
-    gates = LSTM_GATES if kind == "lstm" else GRU_GATES
-    w = {}
-    for g in gates:
-        mat = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(input_dim + hidden_dim, hidden_dim))
-        b = np.zeros(hidden_dim)
-        if kind == "lstm" and g == "f":
-            b += FORGET_BIAS
-        w[f"{prefix}W_{g}"] = Tensor(mat, requires_grad=True)
-        w[f"{prefix}b_{g}"] = Tensor(b, requires_grad=True)
-    return CellParams(kind, input_dim, hidden_dim, w, prefix)
-
-
-@dataclass
-class StackedCell:
-    """A cell's gates side by side, as the fused step takes them: W is
-    (input_dim + hidden_dim, G * hidden_dim) and b is (G * hidden_dim,)."""
-
-    kind: str
     input_dim: int
     hidden_dim: int
     W: Tensor
     b: Tensor
 
 
-def stack_gates(p):
-    """Concatenate a cell's per-gate weights and biases (two taped concats);
-    done once per forward pass, so every step of that pass shares them."""
-    gates = LSTM_GATES if p.kind == "lstm" else GRU_GATES
-    w = p.weights
-    W = T.concat([w[f"{p.prefix}W_{g}"] for g in gates], axis=1)
-    b = T.concat([w[f"{p.prefix}b_{g}"] for g in gates], axis=0)
-    return StackedCell(p.kind, p.input_dim, p.hidden_dim, W, b)
+def init_cell_params(kind, input_dim, hidden_dim, rng):
+    """Each gate's matrix drawn uniform(-0.08, 0.08) in gate order, then
+    side by side; biases zero but an LSTM's forget gate (columns
+    [h:2h]), which starts at 1."""
+    W = np.concatenate([
+        rng.uniform(-INIT_SCALE, INIT_SCALE,
+                    size=(input_dim + hidden_dim, hidden_dim))
+        for _ in range(GATES[kind])], axis=1)
+    b = np.zeros(GATES[kind] * hidden_dim)
+    if kind == "lstm":
+        b[hidden_dim:2 * hidden_dim] = FORGET_BIAS
+    return CellParams(kind, input_dim, hidden_dim,
+                      Tensor(W, requires_grad=True),
+                      Tensor(b, requires_grad=True))
 
 
 def cell_step(x, state, cell, mask=None):
-    """One step of a stacked cell over (B, d) rows: the (B, S) state in,
-    (h', state') out.  The state is [h | c] for LSTM, h for GRU, so only an
+    """One step of a cell over (B, d) rows: the (B, S) state in, (h',
+    state') out.  The state is [h | c] for LSTM, h for GRU, so only an
     LSTM's h is sliced out (one taped node).
 
     LSTM: c' = f*c + i*g, h' = o*tanh(c').  GRU: h' = z*h + (1-z)*n with
@@ -80,19 +65,20 @@ def cell_step(x, state, cell, mask=None):
     their state (padding).
     """
     n = cell.hidden_dim
-    width = 2 * n if cell.kind == "lstm" else n
+    lstm = cell.kind == "lstm"
+    width = 2 * n if lstm else n
     if x.shape[-1] != cell.input_dim or state.shape[-1] != width:
         raise InvalidShape(
             f"cell expects input {cell.input_dim} / state {width}, "
             f"got {x.shape[-1]} / {state.shape[-1]}"
         )
     state = T.rnn_step(cell.kind, x, state, cell.W, cell.b, mask)
-    return (state[:, :n] if cell.kind == "lstm" else state), state
+    return (state[:, :n] if lstm else state), state
 
 
 def run_rnn(X, cell, mask=None, reverse=False):
-    """Run a stacked cell over (B, T, d) inputs from a zero state, last step
-    first when ``reverse``, as one taped op; returns every step's (B, T, h)
+    """Run a cell over (B, T, d) inputs from a zero state, last step first
+    when ``reverse``, as one taped op; returns every step's (B, T, h)
     output in input order.  Where the (B, T) 0/1 ``mask`` is 0 (padding)
     the state stays put."""
     if X.shape[-1] != cell.input_dim:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .cells import (INIT_SCALE, dropout, init_cell_params, init_embedding,
-                    run_rnn, stack_gates)
+                    run_rnn)
 from .devanagari import CharVocab
 from .errors import EmptyInput, InvalidArgument, require_positive, require_rate
 from .metrics import nfc
@@ -154,14 +154,12 @@ class CharLM:
         rng = np.random.default_rng(seed)
         V = len(vocab)
         self.embedding = init_embedding(V, cfg.embed_dim, rng)
-        self.fwd = init_cell_params("lstm", cfg.embed_dim, cfg.hidden, rng,
-                                    prefix="fwd_")
-        self.cells = [self.fwd]
+        self.fwd = init_cell_params("lstm", cfg.embed_dim, cfg.hidden, rng)
+        self.cells = {"fwd_": self.fwd}
         out_dim = cfg.hidden
         if cfg.direction == "bidirectional":
-            self.bwd = init_cell_params("lstm", cfg.embed_dim, cfg.hidden,
-                                        rng, prefix="bwd_")
-            self.cells.append(self.bwd)
+            self.bwd = init_cell_params("lstm", cfg.embed_dim, cfg.hidden, rng)
+            self.cells["bwd_"] = self.bwd
             out_dim = 2 * cfg.hidden
         self.W_out = T.Tensor(
             rng.uniform(-INIT_SCALE, INIT_SCALE, size=(out_dim, V)),
@@ -172,8 +170,8 @@ class CharLM:
     def params(self):
         out = {"embedding": self.embedding, "W_out": self.W_out,
                "b_out": self.b_out}
-        for cell in self.cells:
-            out.update(cell.weights)
+        for prefix, cell in self.cells.items():
+            out.update({f"{prefix}W": cell.W, f"{prefix}b": cell.b})
         return out
 
     def zero_grads(self):
@@ -184,9 +182,9 @@ class CharLM:
         emb = T.embedding(self.embedding, ids)
         if train and self.cfg.dropout > 0:
             emb = dropout(emb, self.cfg.dropout, rng)
-        h = run_rnn(emb, stack_gates(self.fwd))[:, -1]
+        h = run_rnn(emb, self.fwd)[:, -1]
         if self.cfg.direction == "bidirectional":
-            hb = run_rnn(emb, stack_gates(self.bwd), reverse=True)[:, 0]
+            hb = run_rnn(emb, self.bwd, reverse=True)[:, 0]
             h = T.concat([h, hb], axis=-1)
         if train and self.cfg.dropout > 0:
             h = dropout(h, self.cfg.dropout, rng)

@@ -9,13 +9,16 @@
 
 All models share the taped tensor core, train on padded batches with loss
 masks, and decode greedily through one loop (``transduce_ids``) that calls
-each family's start and next-step hooks over (B, ...) batches.  The
+each family's start and next-step hooks over (B, ...) batches.  Each
+recurrent cell is one ``cells.CellParams`` whose gates are stored side by
+side, registered in ``params`` as ``{prefix}W`` and ``{prefix}b``.  The
 recurrent models run each encoder recurrence through ``cells.run_rnn`` as
 one taped op over the whole (B, T, d) sequence (every step's input projected
 in one matmul, ``tensor.rnn_seq``), and each decoder layer's step as one
 taped op (``tensor.rnn_step``) on the layer's state, [h | c] for LSTM and h
-for GRU; each layer keeps (h, state), so the next layer and the attention
-query read h without slicing it again.  The additive-attention keys
+for GRU; both ops take the cell's ``W`` and ``b`` as stored.  Each layer
+keeps (h, state), so the next layer and the attention query read h without
+slicing it again.  The additive-attention keys
 ``H @ W_h`` are computed once per batch, each decoder step's attention is
 one taped op (``tensor.additive_attention``), and under teacher forcing the
 output layer runs once per batch over the stacked top states and contexts
@@ -33,8 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cells, tensor as T
-from .cells import (cell_step, init_cell_params, init_embedding, run_rnn,
-                    stack_gates)
+from .cells import cell_step, init_cell_params, init_embedding, run_rnn
 from .devanagari import CharVocab, strip_trailing_repeats
 from .errors import (EmptyInput, InvalidArgument, InvalidShape,
                      require_positive, require_rate)
@@ -86,9 +88,9 @@ class ModelConfig:
 class EncoderOutput:
     """What a recurrent encoder hands the decoder for one batch.
 
-    ``keys`` and ``dec_cells`` are filled in after encoding
-    (``_RecurrentModel._start``): every decoder step of the batch reads
-    them, so they are computed once, not at every step.
+    ``keys`` is filled in after encoding (``_RecurrentModel._start``): every
+    decoder step of the batch reads it, so it is computed once, not at every
+    step.
     """
 
     H: Tensor                       # (B, T, 2h) states the decoder attends over
@@ -96,7 +98,6 @@ class EncoderOutput:
     mask: np.ndarray | None         # (B, T) 0/1 over H's rows; None = all real
     char_alpha: np.ndarray | None = None   # han: (B, K, chunk) char-level weights
     keys: Tensor | None = None      # (B, T, a) attention keys H @ W_h (am, han)
-    dec_cells: list = field(default_factory=list)  # stacked decoder cells
 
 
 @dataclass
@@ -226,8 +227,8 @@ class TransductionModel:
 
     def _add_cell(self, in_dim, prefix):
         p = init_cell_params(self.cfg.cell, in_dim, self.cfg.hidden_dim,
-                             self._rng, prefix=prefix)
-        self.params.update(p.weights)
+                             self._rng)
+        self.params.update({f"{prefix}W": p.W, f"{prefix}b": p.b})
         return p
 
     def zero_grads(self):
@@ -254,9 +255,8 @@ class TransductionModel:
         """X: (B, T, d) inputs -> (B, T, 2h) forward and backward states
         side by side; where the (B, T) mask is 0 (padding) a direction's
         state stays put."""
-        return T.concat([run_rnn(X, stack_gates(fwd_cell), mask),
-                         run_rnn(X, stack_gates(bwd_cell), mask, reverse=True)],
-                        axis=-1)
+        return T.concat([run_rnn(X, fwd_cell, mask),
+                         run_rnn(X, bwd_cell, mask, reverse=True)], axis=-1)
 
     def _output_dist(self, h_top, context):
         """Next-char distributions (N, V) from (N, h) top decoder states and
@@ -355,12 +355,11 @@ class _RecurrentModel(TransductionModel):
         return EncoderOutput(H, _birnn_summary(H), src_mask)
 
     def _start(self, src, src_mask, train, rng):
-        """Encode a batch and set up its decoder: the attention keys and the
-        stacked decoder cells, once per batch, and the initial layers."""
+        """Encode a batch and set up its decoder: the attention keys, once
+        per batch, and the initial layers."""
         enc = self._encode(src, src_mask, train, rng)
         if self.uses_attention:
             enc.keys = enc.H @ self.params["W_h"]
-        enc.dec_cells = [stack_gates(cell) for cell in self.dec_cells]
         return enc, self._init_dec_state(enc.final, src.shape[0])
 
     def _init_dec_state(self, final, batch):
@@ -395,7 +394,7 @@ class _RecurrentModel(TransductionModel):
         ctx, alpha = self._context(layers, enc)
         h = T.concat([x_emb, ctx], axis=-1)
         new_layers = []
-        for cell, (_, state) in zip(enc.dec_cells, layers):
+        for cell, (_, state) in zip(self.dec_cells, layers):
             h, state = cell_step(h, state, cell)
             new_layers.append((h, state))
         if train and self.cfg.dropout > 0:

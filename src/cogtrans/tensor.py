@@ -340,11 +340,10 @@ def embedding(table, ids):
 # rows for the input x and the rest for h, so a step's pre-activations are
 # x W_x + b + h W_h; the step functions take x W_x + b already computed,
 # which lets a sequence project every step's input in one matmul before the
-# recurrence.  A state is one (B, S) tensor whose first n columns are h:
-# [h | c] for an LSTM (S = 2n), h for a GRU (S = n).  The step functions
-# take and return its parts, (h, c) or (h,), so the sequence op never joins
-# them; the step op splits and joins.  Entry 0 of a step's cache is the h it
-# started from.
+# recurrence.  A state is one (B, S) array whose first n columns are h:
+# [h | c] for an LSTM (S = 2n), h for a GRU (S = n); the step functions take
+# and return it whole, as do their backward passes with its gradient.
+# Entry 0 of a step's cache is the h it started from.
 
 def _freeze(mask, new, old):
     """Rows where the (B,) 0/1 mask is 0 keep ``old`` (padding)."""
@@ -352,48 +351,45 @@ def _freeze(mask, new, old):
     return m * new + (1.0 - m) * old
 
 
-def _lstm_step(xa, state, W_h, mask):
-    """One LSTM step from (h, c) and the input's (B, 4n) part of the i|f|g|o
-    pre-activations: c' = f*c + i*g, h' = o*tanh(c').  Returns (h', c') and
-    the backward's cache."""
-    h, c = state
-    n = h.shape[-1]
+def _lstm_step(xa, s, W_h, mask):
+    """One LSTM step from [h | c] and the input's (B, 4n) part of the
+    i|f|g|o pre-activations: c' = f*c + i*g, h' = o*tanh(c').  Returns
+    [h' | c'] and the backward's cache."""
+    n = W_h.shape[0]
+    h, c = s[:, :n], s[:, n:]
     a = xa + h @ W_h
-    s = _sigmoid(a)
-    i, f, o = s[:, :n], s[:, n:2 * n], s[:, 3 * n:]
+    sg = _sigmoid(a)
+    i, f, o = sg[:, :n], sg[:, n:2 * n], sg[:, 3 * n:]
     g = np.tanh(a[:, 2 * n:3 * n])
     c2 = f * c + i * g
     tc = np.tanh(c2)
-    h2 = o * tc
+    s2 = np.concatenate([o * tc, c2], axis=-1)
     if mask is not None:
-        h2, c2 = _freeze(mask, h2, h), _freeze(mask, c2, c)
-    return (h2, c2), (h, c, i, f, g, o, tc, mask)
+        s2 = _freeze(mask, s2, s)
+    return s2, (h, c, i, f, g, o, tc, mask)
 
 
-def _lstm_step_bwd(grads, W_h, cache):
+def _lstm_step_bwd(gs, W_h, cache):
     """Gradients of one LSTM step with respect to its (B, 4n) pre-activations
-    and to the (h, c) it started from, given those of (h', c')."""
-    gh, gc = grads
+    and to the [h | c] it started from, given that of [h' | c']."""
     _, c, i, f, g, o, tc, mask = cache
+    n = c.shape[-1]
     if mask is not None:
         m = mask[:, None]
-        keep_h, keep_c = (1.0 - m) * gh, (1.0 - m) * gc
-        gh, gc = m * gh, m * gc
+        keep, gs = (1.0 - m) * gs, m * gs
+    gh, gc = gs[:, :n], gs[:, n:]
     dc2 = gc + gh * o * (1.0 - tc * tc)
     da = np.concatenate([dc2 * g * i * (1.0 - i), dc2 * c * f * (1.0 - f),
                          dc2 * i * (1.0 - g * g), gh * tc * o * (1.0 - o)],
                         axis=-1)
-    dh, dc = da @ W_h.T, dc2 * f
-    if mask is not None:
-        dh, dc = dh + keep_h, dc + keep_c
-    return da, (dh, dc)
+    ds = np.concatenate([da @ W_h.T, dc2 * f], axis=-1)
+    return da, (ds if mask is None else ds + keep)
 
 
-def _gru_step(xa, state, W_h, mask):
-    """One GRU step from (h,) and the input's (B, 3n) part of the z|r|n
-    pre-activations: h' = z*h + (1-z)*tanh(xa_n + (r*h) W_hn).  Returns
-    (h',) and the backward's cache."""
-    (h,) = state
+def _gru_step(xa, h, W_h, mask):
+    """One GRU step from h and the input's (B, 3n) part of the z|r|n
+    pre-activations: h' = z*h + (1-z)*tanh(xa_n + (r*h) W_hn).  Returns h'
+    and the backward's cache."""
     n = h.shape[-1]
     s = _sigmoid(xa[:, :2 * n] + h @ W_h[:, :2 * n])
     z, r = s[:, :n], s[:, n:]
@@ -402,13 +398,12 @@ def _gru_step(xa, state, W_h, mask):
     h2 = z * h + (1.0 - z) * cand
     if mask is not None:
         h2 = _freeze(mask, h2, h)
-    return (h2,), (h, z, r, rh, cand, mask)
+    return h2, (h, z, r, rh, cand, mask)
 
 
-def _gru_step_bwd(grads, W_h, cache):
+def _gru_step_bwd(gh, W_h, cache):
     """Gradients of one GRU step with respect to its (B, 3n) pre-activations
-    and to the (h,) it started from."""
-    (gh,) = grads
+    and to the h it started from."""
     h, z, r, rh, cand, mask = cache
     n = h.shape[-1]
     if mask is not None:
@@ -419,17 +414,7 @@ def _gru_step_bwd(grads, W_h, cache):
     da = np.concatenate([(gh * h - gh * cand) * z * (1.0 - z),
                          drh * h * r * (1.0 - r), da_n], axis=-1)
     dh = gh * z + drh * r + da[:, :2 * n] @ W_h[:, :2 * n].T
-    return da, (dh if mask is None else dh + keep,)
-
-
-def _split(s, n):
-    """A (B, S) state or its gradient as its parts: (h, c) or (h,)."""
-    return (s,) if s.shape[-1] == n else (s[:, :n], s[:, n:])
-
-
-def _join(parts):
-    """The inverse of ``_split``."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    return da, (dh if mask is None else dh + keep)
 
 
 def _rows(caches, i):
@@ -481,20 +466,19 @@ def rnn_step(kind, x, state, W, b, mask=None):
     W: (d + n, G * n) and b: (G * n,) hold the gates side by side (i|f|g|o
     or z|r|n).  Rows where the (B,) 0/1 ``mask`` is 0 keep their state.
     """
-    x, state, W, b = (_as_tensor(t) for t in (x, state, W, b))
+    x, state = _as_tensor(x), _as_tensor(state)
+    W, b = _as_tensor(W), _as_tensor(b)
     _, step, step_bwd, dW_h = _CELLS[kind]
     d = x.shape[-1]
     W_h = W.data[d:]
-    n = W_h.shape[0]
-    parts, cache = step(x.data @ W.data[:d] + b.data, _split(state.data, n),
-                        W_h, mask)
+    s, cache = step(x.data @ W.data[:d] + b.data, state.data, W_h, mask)
 
     def bwd(g):
-        da, ds = step_bwd(_split(g, n), W_h, cache)
+        da, ds = step_bwd(g, W_h, cache)
         dx, dW, db = _grads(x, W, da, dW_h([cache], da))
-        return dx, _join(ds), dW, db
+        return dx, ds, dW, db
 
-    return _make(_join(parts), (x, state, W, b), bwd)
+    return _make(s, (x, state, W, b), bwd)
 
 
 def rnn_seq(kind, X, W, b, mask=None, reverse=False):
@@ -515,19 +499,19 @@ def rnn_seq(kind, X, W, b, mask=None, reverse=False):
     XA = _input_projection(X, W, b)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     H = np.empty((B, steps, n))
-    parts = (np.zeros((B, n)),) * width
+    s = np.zeros((B, width * n))
     caches = [None] * steps
     for t in order:
-        parts, caches[t] = step(XA[:, t], parts, W_h,
-                                None if mask is None else mask[:, t])
-        H[:, t] = parts[0]
+        s, caches[t] = step(XA[:, t], s, W_h,
+                            None if mask is None else mask[:, t])
+        H[:, t] = s[:, :n]
 
     def bwd(G):
         dA = np.empty((B, steps, W.shape[1]))
-        ds = (np.zeros((B, n)),) * width
+        ds = np.zeros((B, width * n))
         for t in reversed(order):
-            dA[:, t], ds = step_bwd((G[:, t] + ds[0],) + ds[1:], W_h,
-                                    caches[t])
+            ds[:, :n] += G[:, t]    # h is also step t's output
+            dA[:, t], ds = step_bwd(ds, W_h, caches[t])
         flat = dA.reshape(B * steps, -1)
         return _grads(X, W, flat, dW_h(caches, flat))
 

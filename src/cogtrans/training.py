@@ -9,6 +9,7 @@ epochs; early stopping tracks the best validation loss with a patience budget.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -375,7 +376,9 @@ def grid_table(rows, axes, metric="bleu"):
 # checkpoint persistence
 
 CHECKPOINT_MAGIC = b"CGTCKPT\x01"
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
+_HEADER_KEYS = frozenset(("model_config", "vocab", "epoch", "train_loss",
+                          "val_loss", "metrics", "arrays"))
 
 
 def _header_dict(ckpt):
@@ -423,8 +426,41 @@ def save_checkpoint(ckpt, path):
         raise
 
 
+def _read_header(raw):
+    """The JSON header, checked to be an object of the current format with
+    every key ``load_checkpoint`` reads."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON
+        raise IncompatibleCheckpoint(
+            f"checkpoint header is not JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise IncompatibleCheckpoint("checkpoint header is not a JSON object")
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise IncompatibleCheckpoint(
+            f"unsupported checkpoint format {header.get('format')!r}"
+        )
+    missing = sorted(_HEADER_KEYS - header.keys())
+    if missing:
+        raise IncompatibleCheckpoint(f"checkpoint header lacks {missing}")
+    vocab, arrays = header["vocab"], header["arrays"]
+    if not (isinstance(vocab, list) and all(isinstance(s, str) for s in vocab)):
+        raise IncompatibleCheckpoint("checkpoint vocab is not a list of strings")
+    if not (isinstance(arrays, list) and all(map(_array_spec_ok, arrays))):
+        raise IncompatibleCheckpoint("checkpoint array list is malformed")
+    return header
+
+
+def _array_spec_ok(spec):
+    return (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in spec["shape"]))
+
+
 def load_checkpoint(path, expect_architecture=None):
-    """Inverse of save_checkpoint; verifies checksum and format version."""
+    """Inverse of save_checkpoint; verifies the checksum, the format version
+    and the header's layout.  A malformed file raises ``ChecksumError`` or
+    ``IncompatibleCheckpoint``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 32:
@@ -437,12 +473,8 @@ def load_checkpoint(path, expect_architecture=None):
     off = len(CHECKPOINT_MAGIC)
     (hlen,) = struct.unpack_from("<I", body, off)
     off += 4
-    header = json.loads(body[off : off + hlen].decode("utf-8"))
+    header = _read_header(body[off : off + hlen])
     off += hlen
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise IncompatibleCheckpoint(
-            f"unsupported checkpoint format {header.get('format')!r}"
-        )
     try:
         cfg = ModelConfig(**header["model_config"])
     except TypeError as exc:
@@ -457,9 +489,15 @@ def load_checkpoint(path, expect_architecture=None):
     params = {}
     for spec in header["arrays"]:
         shape = tuple(spec["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
+        if off + count * 8 > len(body):
+            raise ChecksumError("checkpoint payload length mismatch")
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=off)
-        params[spec["name"]] = arr.reshape(shape).copy()
+        try:
+            params[spec["name"]] = arr.reshape(shape).copy()
+        except ValueError as exc:   # more dimensions than NumPy allows
+            raise IncompatibleCheckpoint(
+                f"checkpoint array {spec['name']!r}: {exc}") from None
         off += count * 8
     if off != len(body):
         raise ChecksumError("checkpoint payload length mismatch")

@@ -8,7 +8,6 @@ from cogtrans.cells import (
     init_cell_params,
     init_embedding,
     run_rnn,
-    stack_gates,
 )
 from cogtrans.devanagari import build_vocab
 from cogtrans.errors import InvalidArgument, InvalidShape
@@ -18,13 +17,25 @@ from cogtrans.synthetic import generate_pairs
 
 def _zeroed(kind, in_dim, h):
     p = init_cell_params(kind, in_dim, h, np.random.default_rng(0))
-    for t in p.weights.values():
-        t.data[...] = 0.0
+    p.W.data[...] = 0.0
+    p.b.data[...] = 0.0
     return p
 
 
 def _rand(kind, in_dim, h, seed=0):
     return init_cell_params(kind, in_dim, h, np.random.default_rng(seed))
+
+
+def _gates(p):
+    """A cell's per-gate matrices and biases, W_i ... b_n, sliced out of
+    its stacked W and b."""
+    n = p.hidden_dim
+    names = "ifgo" if p.kind == "lstm" else "zrn"
+    out = {}
+    for k, g in enumerate(names):
+        out[f"W_{g}"] = p.W.data[:, k * n:(k + 1) * n]
+        out[f"b_{g}"] = p.b.data[k * n:(k + 1) * n]
+    return out
 
 
 def _row(v):
@@ -33,13 +44,13 @@ def _row(v):
 
 def lstm_step(x, h, c, p):
     """One LSTM step of CellParams ``p`` on rows; returns (h', c')."""
-    _, s = cell_step(x, T.concat([h, c], axis=-1), stack_gates(p))
+    _, s = cell_step(x, T.concat([h, c], axis=-1), p)
     return s[:, :p.hidden_dim], s[:, p.hidden_dim:]
 
 
 def gru_step(x, h, p):
     """One GRU step of CellParams ``p`` on rows; returns h'."""
-    return cell_step(x, h, stack_gates(p))[0]
+    return cell_step(x, h, p)[0]
 
 
 def _state(kind, rows, n, values=None):
@@ -59,8 +70,8 @@ class TestLSTM:
 
     def test_saturated_gates_carry_cell(self):
         p = _zeroed("lstm", 2, 2)
-        p.weights["b_f"].data[...] = 50.0
-        p.weights["b_i"].data[...] = -50.0
+        _gates(p)["b_f"][...] = 50.0
+        _gates(p)["b_i"][...] = -50.0
         c0 = np.array([0.3, -0.7])
         _, c1 = lstm_step(_row(np.ones(2)), _row(np.zeros(2)), _row(c0), p)
         assert np.allclose(c1.data[0], c0, atol=1e-12)
@@ -76,7 +87,7 @@ class TestLSTM:
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        w = {k: t.data for k, t in p.weights.items()}
+        w = _gates(p)
         i = sig(z @ w["W_i"] + w["b_i"])
         f = sig(z @ w["W_f"] + w["b_f"])
         g = np.tanh(z @ w["W_g"] + w["b_g"])
@@ -94,7 +105,8 @@ class TestLSTM:
 
     def test_forget_bias_initialized_positive(self):
         p = _rand("lstm", 3, 4, seed=1)
-        assert (p.weights["b_f"].data >= 1.0 - 0.09).all()
+        h = p.hidden_dim
+        assert (p.b.data[h:2 * h] >= 1.0 - 0.09).all()
 
 
 class TestGRU:
@@ -106,7 +118,7 @@ class TestGRU:
 
     def test_saturated_update_gate_carries_state(self):
         p = _zeroed("gru", 2, 2)
-        p.weights["b_z"].data[...] = 50.0
+        _gates(p)["b_z"][...] = 50.0
         h0 = np.array([0.3, -0.1])
         h1 = gru_step(_row(np.ones(2)), _row(h0), p)
         assert np.allclose(h1.data[0], h0, atol=1e-12)
@@ -120,7 +132,7 @@ class TestGRU:
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        w = {k: t.data for k, t in p.weights.items()}
+        w = _gates(p)
         zc = np.concatenate([x, h0])
         z = sig(zc @ w["W_z"] + w["b_z"])
         r = sig(zc @ w["W_r"] + w["b_r"])
@@ -135,17 +147,31 @@ def test_cell_step_gradients(kind):
     x = T.Tensor(np.random.default_rng(1).normal(size=(2, 3)))
 
     def f():
-        cell = stack_gates(p)
-        h, state = cell_step(x, _state(kind, 2, 4), cell)
-        h, state = cell_step(x, state, cell)
+        h, state = cell_step(x, _state(kind, 2, 4), p)
+        h, state = cell_step(x, state, p)
         return T.tsum(T.mul(h, h))
 
-    assert T.finite_diff_check(f, p.weights) < 1e-4
+    assert T.finite_diff_check(f, {"W": p.W, "b": p.b}) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_init_concatenates_per_gate_draws(kind):
+    """W is each gate's uniform draw in gate order, side by side, from the
+    same generator; b is zero but for an LSTM's forget-gate columns."""
+    p = _rand(kind, 3, 4, seed=6)
+    rng = np.random.default_rng(6)
+    draws = [rng.uniform(-cells.INIT_SCALE, cells.INIT_SCALE, size=(7, 4))
+             for _ in range(4 if kind == "lstm" else 3)]
+    assert np.array_equal(p.W.data, np.concatenate(draws, axis=1))
+    bias = np.zeros(len(draws) * 4)
+    if kind == "lstm":
+        bias[4:8] = cells.FORGET_BIAS
+    assert np.array_equal(p.b.data, bias)
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_masked_rows_keep_their_state(kind):
-    cell = stack_gates(_rand(kind, 3, 4, seed=2))
+    cell = _rand(kind, 3, 4, seed=2)
     r = np.random.default_rng(3)
     x = T.Tensor(r.normal(size=(3, 3)))
     state = _state(kind, 3, 4, lambda shape: r.normal(size=shape))
@@ -161,11 +187,11 @@ def test_cell_step_records_one_op_and_an_lstm_h_slice(kind, nodes):
     """A step is one taped op; an LSTM step adds one slice of h from its
     [h | c] state, a GRU step none."""
     x = T.Tensor(np.ones((2, 3)))
+    cell = _rand(kind, 3, 4, seed=4)
     with T.Graph() as g:
-        cell = stack_gates(_rand(kind, 3, 4, seed=4))   # two concat nodes
         h, state = cell_step(x, _state(kind, 2, 4), cell)
-    assert len(g.nodes) == 2 + nodes
-    assert h.shape == (2, 4) and state is g.nodes[2]
+    assert len(g.nodes) == nodes
+    assert h.shape == (2, 4) and state is g.nodes[0]
 
 
 def _freeze_composed(mask, new, old):
@@ -317,7 +343,7 @@ def test_additive_attention_matches_composed_ops(masked, seed):
 
 
 def test_run_rnn_checks_input_width():
-    cell = stack_gates(_rand("lstm", 3, 2))
+    cell = _rand("lstm", 3, 2)
     with pytest.raises(InvalidShape):
         run_rnn(T.Tensor(np.zeros((1, 2, 4))), cell)
 

@@ -6,11 +6,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cogtrans import tensor as T
+from cogtrans.cli import run_cli
 from cogtrans.data_io import DatasetSplit
 from cogtrans.errors import (
     ChecksumError,
+    CogtransError,
     DivergedError,
     EmptyInput,
     IncompatibleCheckpoint,
@@ -29,6 +33,7 @@ from cogtrans.training import (
     Optimizer,
     OptimizerSpec,
     TrainConfig,
+    _header_dict,
     average_checkpoints,
     grid_search,
     load_checkpoint,
@@ -272,30 +277,53 @@ class TestCheckpointIO:
 
     @staticmethod
     def _rewrite_header(path, edit):
-        """Re-save a checkpoint with an edited JSON header and a valid
-        checksum, as an older or foreign writer would have made it."""
+        """Re-save a checkpoint with an edited header and a valid checksum,
+        as an older or foreign writer would have made it.  ``edit`` changes
+        the JSON header in place, or returns the raw header bytes."""
         body = path.read_bytes()[:-32]
         off = len(CHECKPOINT_MAGIC)
         (hlen,) = struct.unpack_from("<I", body, off)
         header = json.loads(body[off + 4 : off + 4 + hlen])
-        edit(header)
-        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        raw = edit(header)
+        if raw is None:
+            raw = json.dumps(header, sort_keys=True).encode("utf-8")
         blob = (CHECKPOINT_MAGIC + struct.pack("<I", len(raw)) + raw
                 + body[off + 4 + hlen :])
         path.write_bytes(blob + hashlib.sha256(blob).digest())
 
-    def test_format_1_rejected(self, tmp_path):
+    @pytest.mark.parametrize("fmt", [1, 2])
+    def test_old_formats_rejected(self, tmp_path, fmt):
+        """Format 1 had two more config fields; formats 1 and 2 kept one
+        matrix and one bias per gate."""
         res = self._trained()
         path = tmp_path / "m.ckpt"
         save_checkpoint(res.best, path)
 
-        def to_format_1(header):
-            header["format"] = 1
-            header["model_config"].update(beam_width=1, l2=0.0)
+        def to_old_format(header):
+            header["format"] = fmt
+            if fmt == 1:
+                header["model_config"].update(beam_width=1, l2=0.0)
 
-        self._rewrite_header(path, to_format_1)
-        with pytest.raises(IncompatibleCheckpoint, match="format 1"):
+        self._rewrite_header(path, to_old_format)
+        with pytest.raises(IncompatibleCheckpoint, match=f"format {fmt}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: b"\xff" + json.dumps(header).encode("utf-8"),
+        lambda header: header.pop("arrays") and None,
+        lambda header: header["arrays"][-1].update(shape=[10 ** 6]),
+        lambda header: b"[" * 100_000,
+        lambda header: header["arrays"][-1].update(shape=[1] * 100),
+    ], ids=["header-not-utf8", "no-arrays", "shape-past-payload",
+            "header-nested-too-deep", "shape-too-many-dims"])
+    def test_malformed_header_is_a_typed_error(self, tmp_path, edit):
+        res = self._trained()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(res.best, path)
+        self._rewrite_header(path, edit)
+        with pytest.raises((ChecksumError, IncompatibleCheckpoint)):
+            load_checkpoint(path)
+        assert run_cli(["transduce", "--model", str(path), "--word", "ab"]) == 1
 
     def test_unknown_model_config_key_rejected(self, tmp_path):
         res = self._trained()
@@ -313,6 +341,72 @@ class TestCheckpointIO:
         model = restore_model(load_checkpoint(path))
         out = transduce_greedy(model, "abc")
         assert out.word == transduce_greedy(res.model, "abc").word
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+
+_ARRAY_SPECS = st.lists(st.fixed_dictionaries({
+    "name": st.text(max_size=3) | _JSON,
+    "shape": st.lists(st.integers(-1, 4), max_size=3) | _JSON,
+}) | _JSON, max_size=3)
+
+
+def _valid_checkpoint_parts():
+    """The JSON header and the payload of a small valid checkpoint."""
+    ckpt = Checkpoint(params={"w": np.arange(6.0).reshape(2, 3),
+                              "b": np.ones(2)},
+                      epoch=1, train_loss=0.5, val_loss=0.6,
+                      model_config=ModelConfig(architecture="am"),
+                      vocab_symbols=("a", "b"))
+    header = json.loads(json.dumps(_header_dict(ckpt)))
+    payload = b"".join(a.astype("<f8").tobytes() for a in ckpt.params.values())
+    return header, payload
+
+
+@st.composite
+def _checksum_valid_bodies(draw):
+    """Checkpoint bodies with a valid checksum: mostly a valid header with
+    keys dropped or replaced (the array list by near-valid specs), else raw
+    header bytes; mostly the true header length; the true payload, a slice
+    of it, or drawn bytes."""
+    header, payload = _valid_checkpoint_parts()
+    if draw(st.integers(0, 3)) == 0:
+        raw = draw(st.binary(max_size=40))
+    else:
+        if draw(st.booleans()):
+            header["arrays"] = draw(_ARRAY_SPECS)
+        for key in draw(st.lists(st.sampled_from(sorted(header)), max_size=2,
+                                 unique=True)):
+            if draw(st.booleans()):
+                del header[key]
+            else:
+                header[key] = draw(_JSON)
+        raw = json.dumps(header).encode("utf-8")
+    hlen = len(raw)
+    if draw(st.integers(0, 3)) == 0:
+        hlen = draw(st.integers(0, 2 ** 32 - 1))
+    payload = draw(st.just(payload)
+                   | st.builds(payload.__getitem__, st.slices(len(payload)))
+                   | st.binary(max_size=40))
+    body = CHECKPOINT_MAGIC + struct.pack("<I", hlen) + raw + payload
+    return body + hashlib.sha256(body).digest()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=_checksum_valid_bodies())
+def test_checksum_valid_body_loads_or_raises_typed_error(tmp_path, blob):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(blob)
+    try:
+        load_checkpoint(path)
+    except CogtransError:
+        pass
 
 
 class TestGridSearch:
