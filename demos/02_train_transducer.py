@@ -2,7 +2,7 @@
 and watch it learn the rewrite rules."""
 
 from cogtrans.data_io import split_dataset
-from cogtrans.models import ModelConfig, transduce_greedy
+from cogtrans.models import ModelConfig, transduce_batch
 from cogtrans.synthetic import generate_pairs, oracle_transduce
 from cogtrans.training import OptimizerSpec, TrainConfig, evaluate_model, train
 
@@ -23,6 +23,6 @@ scores = evaluate_model(result.model, split.test)
 print("held-out scores:",
       " ".join(f"{k}={v:.2f}" for k, v in sorted(scores.items())))
 
-for word in ("yambo", "hanA", "aMbc"):
-    got = transduce_greedy(result.model, word).word
-    print(f"{word} -> {got}   (rule target: {oracle_transduce(word)})")
+words = ["yambo", "hanA", "aMbc"]
+for word, got in zip(words, transduce_batch(result.model, words)):
+    print(f"{word} -> {got.word}   (rule target: {oracle_transduce(word)})")

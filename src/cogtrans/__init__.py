@@ -36,7 +36,8 @@ from .metrics import (
     string_similarity,
     word_accuracy,
 )
-from .models import ModelConfig, Transduction, build_model, transduce_greedy
+from .models import (ModelConfig, Transduction, build_model, transduce_batch,
+                     transduce_greedy)
 from .oov import (
     AlignedSentencePair,
     align_from_attention,

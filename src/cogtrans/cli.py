@@ -18,8 +18,8 @@ from .devanagari import (
     wx_decode,
     wx_encode,
 )
-from .errors import CogtransError
-from .models import ModelConfig, transduce_greedy
+from .errors import CogtransError, require_type
+from .models import ModelConfig, transduce_batch, transduce_greedy
 from .training import (
     OptimizerSpec,
     TrainConfig,
@@ -29,16 +29,6 @@ from .training import (
     save_checkpoint,
     train,
 )
-
-
-def _typed(where, kind, value):
-    """``value`` as a field of type ``kind``: an int widens to a float, any
-    other mismatch is an error that names ``where``."""
-    if kind is float and type(value) is int:
-        return float(value)
-    if type(value) is not kind:
-        raise CogtransError(f"{where}: {value!r} is not a {kind.__name__}")
-    return value
 
 
 def _config(cls, args, extra=None):
@@ -53,7 +43,7 @@ def _config(cls, args, extra=None):
         if key not in types:
             raise CogtransError(f"unknown config key {key!r} "
                                 f"(not a {cls.__name__} field)")
-        kwargs[key] = _typed(f"config key {key!r}", types[key], value)
+        kwargs[key] = require_type(f"config key {key!r}", types[key], value)
     for f in fields:
         if f.name not in kwargs and f.default is dataclasses.MISSING:
             raise CogtransError(f"no {f.name} given")
@@ -72,7 +62,7 @@ def _axis(text):
     kind = _AXIS_TYPES.get(name)
     out = [data_io._coerce(raw) for raw in values.split(",")]
     if kind is not None:
-        out = [_typed(f"--axis {name}", kind, value) for value in out]
+        out = [require_type(f"--axis {name}", kind, value) for value in out]
     return name, out
 
 
@@ -203,7 +193,7 @@ def _cmd_evaluate(args):
         ckpt = load_checkpoint(path)
         model = restore_model(ckpt)
         arch = ckpt.model_config.architecture
-        decoded = [transduce_greedy(model, src) for src, _ in pairs]
+        decoded = transduce_batch(model, [src for src, _ in pairs])
         triples = [(src, gold, out.word)
                    for (src, gold), out in zip(pairs, decoded)]
         tags_fn = None
@@ -285,11 +275,10 @@ def _cmd_oov_correct(args):
     model = restore_model(load_checkpoint(args.model))
     memo = {}
 
-    def transducer(word):
-        # rare words recur across sentences and shortlist sizes: decode each once
-        if word not in memo:
-            memo[word] = transduce_greedy(model, word).word
-        return memo[word]
+    def prefetch(words):
+        # rare words recur across sentences and shortlist sizes: decode every
+        # flagged word once, all in one batch, and look each one up after
+        memo.update(zip(words, (t.word for t in transduce_batch(model, words))))
 
     with open(args.shortlist_corpus, "r", encoding="utf-8") as fh:
         corpus = fh.read().splitlines()
@@ -297,18 +286,21 @@ def _cmd_oov_correct(args):
         with open(args.references, "r", encoding="utf-8") as fh:
             refs = [line.split() for line in fh.read().splitlines()
                     if line.strip()]
-        rows = oov.evaluate_pipeline(records, refs, corpus, sizes, transducer)
+        rows = oov.evaluate_pipeline(records, refs, corpus, sizes,
+                                     memo.__getitem__, prefetch=prefetch)
         print("K\tbaseline\tcorrected\tdelta")
         for row in rows:
             print(f"{row['K']}\t{row['baseline']:.2f}\t"
                   f"{row['corrected']:.2f}\t{row['delta']:+.2f}")
     else:
         shortlist = oov.build_shortlist(corpus, sizes[0])
+        flagged = [oov.detect_oov(rec.source, shortlist) for rec in records]
+        prefetch(oov.flagged_words(records, flagged))
         out_path = args.out or "corrected.tsv"
         with open(out_path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                corrected, _ = oov.correct_translation(
-                    rec, oov.detect_oov(rec.source, shortlist), transducer)
+            for rec, positions in zip(records, flagged):
+                corrected, _ = oov.correct_translation(rec, positions,
+                                                       memo.__getitem__)
                 fh.write(" ".join(rec.source) + "\t" + " ".join(corrected) + "\n")
         print(f"wrote corrected corpus to {out_path}")
     return 0

@@ -64,3 +64,13 @@ def require_rate(name, value):
     """Raise ``InvalidArgument`` unless 0 <= value < 1."""
     if not 0.0 <= value < 1.0:
         raise InvalidArgument(f"{name} must be in [0, 1), got {value}")
+
+
+def require_type(where, kind, value, error=InvalidArgument):
+    """``value`` as a config field of type ``kind``: an int widens to a
+    float; any other mismatch raises ``error`` naming ``where``."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise error(f"{where}: {value!r} is not a {kind.__name__}")
+    return value

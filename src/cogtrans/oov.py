@@ -142,12 +142,23 @@ def correct_translation(pair, oov_positions, transducer):
     return corrected, log
 
 
+def flagged_words(records, *position_lists):
+    """The distinct source words at flagged positions, in order of first
+    appearance; each of ``position_lists`` holds one position set per
+    record, as ``detect_oov`` gives them."""
+    return list(dict.fromkeys(rec.source[i] for positions in position_lists
+                              for rec, oov in zip(records, positions)
+                              for i in sorted(oov)))
+
+
 def evaluate_pipeline(records, references, shortlist_corpus, shortlist_sizes,
-                      transducer):
+                      transducer, prefetch=None):
     """One (K, baseline BLEU, corrected BLEU, delta) row per shortlist size.
 
     records are AlignedSentencePairs; references are token lists aligned with
-    them.
+    them.  ``prefetch``, when given, is called once before any correction
+    with the distinct words flagged at any size (``flagged_words``), so that
+    ``transducer`` can look up transductions made in one batch.
     """
     if len(records) != len(references):
         raise InvalidArgument("record/reference counts differ")
@@ -157,13 +168,15 @@ def evaluate_pipeline(records, references, shortlist_corpus, shortlist_sizes,
     rows = []
     # rank the corpus once, at the largest size, and cut it for each size
     ranked = build_shortlist(shortlist_corpus, max(shortlist_sizes, default=1))
+    flagged = []
     for K in shortlist_sizes:
         shortlist = ranked.top(K)
-        corrected_all = []
-        for rec in records:
-            oov = detect_oov(rec.source, shortlist)
-            corrected, _ = correct_translation(rec, oov, transducer)
-            corrected_all.append(corrected)
+        flagged.append([detect_oov(rec.source, shortlist) for rec in records])
+    if prefetch is not None:
+        prefetch(flagged_words(records, *flagged))
+    for K, per_size in zip(shortlist_sizes, flagged):
+        corrected_all = [correct_translation(rec, oov, transducer)[0]
+                         for rec, oov in zip(records, per_size)]
         corrected_bleu = corpus_bleu(corrected_all, references)
         rows.append({
             "K": K,

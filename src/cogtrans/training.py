@@ -29,8 +29,9 @@ from .errors import (
     MissingGrad,
     require_positive,
     require_rate,
+    require_type,
 )
-from .models import ModelConfig, build_model, transduce_greedy
+from .models import ModelConfig, build_model, transduce_batch
 from . import tensor as T
 
 OPTIMIZER_KINDS = (
@@ -210,9 +211,11 @@ def _epoch_split(pool, rng, train_cfg, fixed):
 
 
 def evaluate_model(model, pairs):
-    """Greedy-decode every pair and aggregate BLEU/SS/WA."""
-    triples = [(src, gold, transduce_greedy(model, src).word)
-               for src, gold in pairs]
+    """Greedy-decode every pair (``transduce_batch``) and aggregate
+    BLEU/SS/WA."""
+    decoded = transduce_batch(model, [src for src, _ in pairs])
+    triples = [(src, gold, out.word)
+               for (src, gold), out in zip(pairs, decoded)]
     report = metrics.score_items(triples)
     return {"bleu": report.bleu, "ss": report.ss, "wa": report.wa}
 
@@ -305,7 +308,7 @@ def average_checkpoints(history, k):
 # grid search
 
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
-_MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)}
+_MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
 _OPT_FIELDS = {f.name for f in dataclasses.fields(OptimizerSpec)}
 
 
@@ -457,6 +460,26 @@ def _array_spec_ok(spec):
             and all(type(n) is int and n >= 0 for n in spec["shape"]))
 
 
+def _model_config(raw):
+    """The header's model config: a JSON object of ``ModelConfig`` fields,
+    each value of its field's type, else ``IncompatibleCheckpoint``."""
+    if not isinstance(raw, dict):
+        raise IncompatibleCheckpoint("checkpoint model config is not an object")
+    kwargs = {}
+    for key, value in raw.items():
+        if key in _MODEL_FIELDS:
+            value = require_type(f"checkpoint model config {key!r}",
+                                 _MODEL_FIELDS[key], value,
+                                 IncompatibleCheckpoint)
+        kwargs[key] = value
+    try:
+        return ModelConfig(**kwargs)
+    except TypeError as exc:   # a key that names no field, or one missing
+        raise IncompatibleCheckpoint(
+            f"checkpoint model config does not fit this version ({exc})"
+        ) from None
+
+
 def load_checkpoint(path, expect_architecture=None):
     """Inverse of save_checkpoint; verifies the checksum, the format version
     and the header's layout.  A malformed file raises ``ChecksumError`` or
@@ -475,12 +498,7 @@ def load_checkpoint(path, expect_architecture=None):
     off += 4
     header = _read_header(body[off : off + hlen])
     off += hlen
-    try:
-        cfg = ModelConfig(**header["model_config"])
-    except TypeError as exc:
-        raise IncompatibleCheckpoint(
-            f"checkpoint model config does not fit this version ({exc})"
-        ) from None
+    cfg = _model_config(header["model_config"])
     if expect_architecture is not None and cfg.architecture != expect_architecture:
         raise IncompatibleCheckpoint(
             f"checkpoint holds a {cfg.architecture!r} model, "

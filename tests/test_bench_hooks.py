@@ -1,8 +1,8 @@
 """The benchmark's span tracer (``bench/tracer.py``) wraps cogtrans layer
 functions by name from outside the package.  A refactor that moves a call
 off one of those names silently drops its spans; these tests catch that
-with a traced ``cogtrans evaluate`` on tiny checkpoints of all four
-architectures.
+with traced ``cogtrans transduce`` and ``cogtrans evaluate`` runs on tiny
+checkpoints of all four architectures.
 """
 
 import importlib.util
@@ -13,11 +13,16 @@ import pytest
 import cogtrans
 from cogtrans import models, tensor as T
 from cogtrans.cli import run_cli
+from cogtrans.data_io import load_cognate_tsv
 from cogtrans.devanagari import build_vocab
 from cogtrans.synthetic import generate_pairs
 
 _TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "tracer.py")
+
+_TINY = {"tn": ["--d-model", "8", "--num-heads", "2", "--ffn-dim", "12",
+                "--num-layers", "1"]}
+_TINY_RECURRENT = ["--hidden-dim", "6", "--embed-dim", "5"]
 
 
 def _load_tracer():
@@ -27,17 +32,18 @@ def _load_tracer():
     return module
 
 
-def _traced_evaluate(tmp_path, arch, model_flags):
-    """Train a tiny ``arch`` checkpoint on 40 words, then trace ``cogtrans
-    evaluate`` on them; returns the tracer module and the tracer."""
+def _traced(tmp_path, arch, commands):
+    """Train a tiny ``arch`` checkpoint on 40 words, then trace the
+    ``cogtrans`` commands that ``commands(checkpoint, corpus)`` lists;
+    returns the tracer module and the tracer."""
     corpus = tmp_path / "corpus.tsv"
     ckpt = tmp_path / f"{arch}.ckpt"
     assert run_cli(["synth-gen", "--seed", "2", "--n", "40",
                     "--out", str(corpus)]) == 0
     assert run_cli(["train", "--data", str(corpus), "--arch", arch,
-                    *model_flags, "--epochs", "1", "--batch-size", "16",
-                    "--metrics-every", "0", "--max-decode-len", "6",
-                    "--out", str(ckpt)]) == 0
+                    *_TINY.get(arch, _TINY_RECURRENT), "--epochs", "1",
+                    "--batch-size", "16", "--metrics-every", "0",
+                    "--max-decode-len", "6", "--out", str(ckpt)]) == 0
 
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer()
@@ -45,19 +51,26 @@ def _traced_evaluate(tmp_path, arch, model_flags):
     try:
         tracer.scope = arch
         tracer.enabled = True
-        assert run_cli(["evaluate", "--model", str(ckpt),
-                        "--data", str(corpus)]) == 0
+        for argv in commands(str(ckpt), str(corpus)):   # as the bench calls
+            assert cogtrans.cli.run_cli(argv) == 0
     finally:
         tracer.enabled = False
         tracer.uninstall()
     assert cogtrans.cli.transduce_greedy is models.transduce_greedy
+    assert cogtrans.cli.transduce_batch is models.transduce_batch
     return tracer_mod, tracer
+
+
+def _traced_transduce(tmp_path, arch):
+    """``cogtrans transduce`` on each of the 40 words, one call per word."""
+    return _traced(tmp_path, arch, lambda ckpt, corpus: [
+        ["transduce", "--model", ckpt, "--word", src]
+        for src, _ in load_cognate_tsv(corpus)])
 
 
 @pytest.mark.parametrize("arch", ["seq2seq", "am", "han"])
 def test_traced_evaluate_reaches_every_decode_layer(tmp_path, arch):
-    tracer_mod, tracer = _traced_evaluate(
-        tmp_path, arch, ["--hidden-dim", "6", "--embed-dim", "5"])
+    tracer_mod, tracer = _traced_transduce(tmp_path, arch)
     name, phase = tracer_mod.NAME, tracer_mod.PHASE
     in_transduce = {rec[name] for rec in tracer.spans
                     if rec[phase] == "models.transduce"}
@@ -71,9 +84,7 @@ def test_traced_evaluate_reaches_every_decode_layer(tmp_path, arch):
 
 
 def test_traced_tn_evaluate_encodes_each_word_once(tmp_path):
-    tracer_mod, tracer = _traced_evaluate(
-        tmp_path, "tn", ["--d-model", "8", "--num-heads", "2",
-                         "--ffn-dim", "12", "--num-layers", "1"])
+    tracer_mod, tracer = _traced_transduce(tmp_path, "tn")
     name, phase = tracer_mod.NAME, tracer_mod.PHASE
     words = sum(rec[name] == "models.transduce" for rec in tracer.spans)
     assert words == 40
@@ -83,6 +94,26 @@ def test_traced_tn_evaluate_encodes_each_word_once(tmp_path):
                 and rec[phase] == "models.transduce" for rec in tracer.spans)
     assert steps >= words
     assert counts["models.tn_forward.tn"] == steps
+
+
+@pytest.mark.parametrize("arch", ["seq2seq", "am", "han", "tn"])
+def test_traced_evaluate_decodes_in_batches(tmp_path, arch):
+    """``cogtrans evaluate`` encodes its 40 words once per batch of up to
+    ``DECODE_BATCH`` words, and steps each batch's decoder below the
+    ``cli.evaluate`` span."""
+    batches = -(-40 // models.DECODE_BATCH)
+    tracer_mod, tracer = _traced(tmp_path, arch, lambda ckpt, corpus: [
+        ["evaluate", "--model", ckpt, "--data", corpus]])
+    name, root = tracer_mod.NAME, tracer_mod.ROOT
+    counts = tracer.counts()
+    assert counts[f"models.encode.{arch}"] == batches
+    assert not any(rec[name] == "models.transduce" for rec in tracer.spans)
+    step = "models.tn_forward" if arch == "tn" else "models.decode_step"
+    steps = [rec for rec in tracer.spans if rec[name] == step]
+    # lockstep: one step per decoder position, at most --max-decode-len
+    assert batches <= len(steps) <= 6 * batches
+    assert all(tracer.spans[rec[root]][name] == "cli.evaluate"
+               for rec in steps)
 
 
 def _traced_training_batch(cfg):

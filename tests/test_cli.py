@@ -8,7 +8,7 @@ from cogtrans import cli
 from cogtrans.cli import _config, build_parser, run_cli
 from cogtrans.data_io import load_cognate_tsv
 from cogtrans.devanagari import CharVocab
-from cogtrans.models import ModelConfig, transduce_greedy
+from cogtrans.models import ModelConfig, transduce_batch, transduce_greedy
 from cogtrans.oov import (
     AlignedSentencePair,
     build_shortlist,
@@ -349,12 +349,14 @@ class TestOovCorrect:
             self, checkpoint, tmp_path, monkeypatch, capsys):
         args, refs = self._pipeline(tmp_path)
         calls = Counter()
+        batches = []
 
-        def counting(model, word):
-            calls[word] += 1
-            return transduce_greedy(model, word)
+        def counting(model, words):
+            calls.update(words)
+            batches.append(len(words))
+            return transduce_batch(model, words)
 
-        monkeypatch.setattr(cli, "transduce_greedy", counting)
+        monkeypatch.setattr(cli, "transduce_batch", counting)
         argv = ["oov-correct", *args, "--model", str(checkpoint),
                 "--sizes", "1,2,3", "--references", str(refs)]
         flagged = {s[i] for K in (1, 2, 3)
@@ -365,6 +367,11 @@ class TestOovCorrect:
         assert calls == Counter({w: 1 for w in flagged})
         assert run_cli(argv) == 0
         assert calls == Counter({w: 2 for w in flagged})
+        out = tmp_path / "corrected.tsv"
+        assert run_cli(["oov-correct", *args, "--model", str(checkpoint),
+                        "--sizes", "1", "--out", str(out)]) == 0
+        assert calls == Counter({w: 3 for w in flagged})
+        assert batches == [len(flagged)] * 3   # one batch per command
 
 
 class TestErrorReport:

@@ -14,6 +14,7 @@ from cogtrans.models import (
     encode_batch,
     multi_head_attention,
     positional_encoding,
+    transduce_batch,
     transduce_greedy,
 )
 from cogtrans.synthetic import generate_pairs
@@ -293,7 +294,8 @@ class TestDecoding:
         model = build_model(_cfg(arch), vocab, seed=3)
         sym = CharVocab.EOS if stop else vocab.index["a"]
         model.params["b_out"].data[sym] = 1e3
-        out, att, truncated = model.transduce_ids(vocab.encode("abc"))
+        src, _, mask = encode_batch(vocab, ["abc"])
+        [(out, att, truncated)] = model.transduce_ids(src, mask)
         assert truncated is not stop
         assert len(out) == (0 if stop else model.cfg.max_decode_len)
         assert att.shape == (len(out) + (not truncated), 5)
@@ -337,6 +339,85 @@ class TestDecoding:
                     assert max(deltas) == 0.0
 
 
+def _per_word_greedy(model, word):
+    """Greedy decoding of one word on its own (B = 1), step by step through
+    the model's hooks: the reference for batched decoding."""
+    src, _, mask = encode_batch(model.vocab, [word])
+    prefix = [CharVocab.BOS]
+    rows = []
+    truncated = True
+    with T.no_grad():
+        state = model._decode_start(src, mask)
+        for _ in range(model.cfg.max_decode_len):
+            dist, att = model._decode_next(state,
+                                           np.array([prefix], dtype=np.intp))
+            rows.append(att[0])
+            sym = int(np.argmax(dist[0]))
+            if sym == CharVocab.EOS:
+                truncated = False
+                break
+            prefix.append(sym)
+    out = model.vocab.decode(prefix[1:])
+    if model.cfg.architecture == "han":
+        out = strip_trailing_repeats(out)
+    return out, np.array(rows), truncated
+
+
+_BATCH_CASES = [("tn", "lstm", 1)] + [
+    (arch, cell, layers) for arch in ("seq2seq", "am", "han")
+    for cell in ("lstm", "gru") for layers in (1, 2)]
+
+
+class TestBatchDecoding:
+    @staticmethod
+    def _trained(arch, cell, layers):
+        split = split_dataset(generate_pairs(5, 160), seed=5)
+        cfg = ModelConfig(architecture=arch, cell=cell, decoder_layers=layers,
+                          hidden_dim=16, embed_dim=8, d_model=16, num_heads=2,
+                          ffn_dim=24, num_layers=1, chunk_size=3,
+                          max_decode_len=6)
+        model = train(cfg, TrainConfig(batch_size=16, max_epochs=10, seed=0,
+                                       metrics_every=0),
+                      OptimizerSpec("adam", lr=2e-2), split).model
+        words = [src for src, _ in split.test]
+        longest = max(words, key=len)
+        # a 1-char word, the longest, and a repeated word, among words of
+        # every length from 2 to 12
+        return model, ["a", longest] + words + [words[3]]
+
+    @pytest.mark.parametrize("arch,cell,layers", _BATCH_CASES)
+    def test_batch_equals_per_word(self, arch, cell, layers, monkeypatch):
+        model, words = self._trained(arch, cell, layers)
+        if arch == "han":   # BOS + word + EOS fills the last chunk partly
+            assert any((len(w) + 2) % 3 for w in words)
+        flags = set()
+        for endless in (False, True):
+            if endless:   # a copy that never emits EOS: every row is cut
+                model.params["b_out"].data[CharVocab.EOS] = -1e3
+            refs = [_per_word_greedy(model, word) for word in words]
+            # all words in one batch, then in length-sorted batches
+            for size in (len(words), models.DECODE_BATCH, 5):
+                monkeypatch.setattr(models, "DECODE_BATCH", size)
+                batch = transduce_batch(model, words)
+                assert len(batch) == len(words)
+                for word, got, (out, att, truncated) in zip(words, batch, refs):
+                    assert (got.word, got.truncated) == (out, truncated)
+                    assert got.attention.shape == att.shape
+                    assert att.shape[1] == len(word) + 2
+                    assert np.allclose(got.attention, att, rtol=0, atol=1e-12)
+                    assert np.allclose(got.attention.sum(axis=1), 1.0,
+                                       rtol=0, atol=1e-9)
+                    flags.add((endless, truncated))
+        # rows that stop early and rows that are cut share a batch
+        assert flags == {(False, False), (False, True), (True, True)}
+
+    def test_empty_word_in_batch_rejected(self):
+        model = build_model(_cfg("am"), _vocab(), seed=0)
+        with pytest.raises(EmptyInput):
+            transduce_batch(model, ["ab", ""])
+        assert transduce_batch(model, []) == []
+
+
 class TestHan:
     @staticmethod
     def _encode(model, word):
@@ -375,7 +456,8 @@ class TestHan:
             for b, word in enumerate(words):
                 if lens[b] % 3 == 0:
                     continue
-                enc = model._decode_start(np.array([vocab.encode(word)])).enc
+                one, _, ones = encode_batch(vocab, [word])
+                enc = model._decode_start(one, ones).enc
                 K = enc.H.shape[1]
                 assert K == -(-lens[b] // 3)
                 assert np.allclose(enc.H.data[0], batch.H.data[b, :K],
@@ -456,9 +538,10 @@ class TestTransformer:
             model = train(cfg, TrainConfig(batch_size=16, max_epochs=6,
                                            seed=seed, metrics_every=0),
                           OptimizerSpec("adam", lr=1e-2), split).model
-            for word in words:
+            src, _, mask = encode_batch(model.vocab, words)
+            for word, (out, att, cut) in zip(words,
+                                             model.transduce_ids(src, mask)):
                 ids = model.vocab.encode(word)
-                out, att, cut = model.transduce_ids(ids)
                 ref_out, ref_att, ref_cut = self._full_prefix_greedy(model, ids)
                 assert (out, cut) == (ref_out, ref_cut)
                 assert att.shape == ref_att.shape

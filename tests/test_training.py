@@ -334,6 +334,21 @@ class TestCheckpointIO:
         with pytest.raises(IncompatibleCheckpoint, match="no_such_key"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("hidden_dim", "8"), ("dropout", None), ("architecture", 5)])
+    def test_wrong_typed_model_config_value_rejected(self, tmp_path, key,
+                                                     value, capsys):
+        res = self._trained()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(res.best, path)
+        self._rewrite_header(
+            path, lambda header: header["model_config"].update({key: value}))
+        with pytest.raises(IncompatibleCheckpoint, match=key):
+            load_checkpoint(path)
+        assert run_cli(["transduce", "--model", str(path),
+                        "--word", "kama"]) == 1
+        assert key in capsys.readouterr().err
+
     def test_restore_model_decodes(self, tmp_path):
         res = self._trained()
         path = tmp_path / "m.ckpt"
