@@ -18,7 +18,7 @@ from .devanagari import (
     wx_decode,
     wx_encode,
 )
-from .errors import CogtransError, require_type
+from .errors import CogtransError, build_config, require_type
 from .models import ModelConfig, transduce_batch, transduce_greedy
 from .training import (
     OptimizerSpec,
@@ -31,27 +31,15 @@ from .training import (
 )
 
 
-def _config(cls, args, extra=None):
+CHECKPOINT_DIR_ENV = "COGTRANS_CHECKPOINT_DIR"
+
+
+def _config(cls, args, section=None):
     """A ``cls`` config from the flags named after its fields, then the keys
-    of a ``--config`` section, each of which must name a field and hold a
-    value of its type; the file wins over the flags."""
-    fields = dataclasses.fields(cls)
-    types = {f.name: f.type for f in fields}
-    kwargs = {n: getattr(args, n) for n in types
-              if getattr(args, n, None) is not None}
-    for key, value in (extra or {}).items():
-        if key not in types:
-            raise CogtransError(f"unknown config key {key!r} "
-                                f"(not a {cls.__name__} field)")
-        kwargs[key] = require_type(f"config key {key!r}", types[key], value)
-    for f in fields:
-        if f.name not in kwargs and f.default is dataclasses.MISSING:
-            raise CogtransError(f"no {f.name} given")
-    return cls(**kwargs)
-
-
-_AXIS_TYPES = {f.name: f.type for cls in (ModelConfig, TrainConfig, OptimizerSpec)
-               for f in dataclasses.fields(cls)}
+    of a ``--config`` section, which win over the flags."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if getattr(args, f.name, None) is not None}
+    return build_config(cls, {**flags, **(section or {})}, "run config")
 
 
 def _axis(text):
@@ -59,9 +47,9 @@ def _axis(text):
     if "=" not in text:
         raise CogtransError(f"--axis expects name=v1,v2,..., got {text!r}")
     name, values = text.split("=", 1)
-    kind = _AXIS_TYPES.get(name)
     out = [data_io._coerce(raw) for raw in values.split(",")]
-    if kind is not None:
+    if name in training.CONFIG_FIELDS:
+        kind = training.CONFIG_FIELDS[name][1]
         out = [require_type(f"--axis {name}", kind, value) for value in out]
     return name, out
 
@@ -74,7 +62,7 @@ def _maybe_wx(pairs, script):
 
 
 def _default_ckpt_path(name):
-    directory = os.environ.get(data_io.CHECKPOINT_DIR_ENV, ".")
+    directory = os.environ.get(CHECKPOINT_DIR_ENV, ".")
     return os.path.join(directory, name)
 
 
@@ -216,12 +204,8 @@ def _cmd_pretrain_embed(args):
     if args.mode == "lm":
         with open(args.corpus, "r", encoding="utf-8") as fh:
             text = fh.read()
-        cfg = embeddings.CharLMConfig(
-            window=args.window, hidden=args.hidden, dropout=args.dropout,
-            direction=args.direction, embed_dim=args.embed_dim,
-            max_epochs=args.max_epochs, seed=args.seed,
-        )
-        lm, table, ppl = embeddings.train_char_lm(text, cfg)
+        lm, table, ppl = embeddings.train_char_lm(
+            text, _config(embeddings.CharLMConfig, args))
         vocab = lm.vocab
         print(f"held-out perplexity: {ppl:.4f}")
     else:
@@ -477,10 +461,7 @@ def run_cli(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CogtransError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CogtransError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,16 +2,12 @@
 key=value run configuration.
 """
 
-import dataclasses
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, ParseError
+from .errors import InvalidArgument, ParseError, require_seed
 from .metrics import nfc
-
-CHECKPOINT_DIR_ENV = "COGTRANS_CHECKPOINT_DIR"
 
 
 @dataclass
@@ -60,6 +56,7 @@ def split_dataset(pairs, seed=0):
     """
     if len(pairs) < 4:
         raise InvalidArgument("need at least 4 pairs to split")
+    require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pairs))
     shuffled = [pairs[i] for i in order]
@@ -78,12 +75,8 @@ def split_dataset(pairs, seed=0):
 
 @dataclass
 class RunConfig:
-    """Paths plus sectioned hyperparameters parsed from key=value lines."""
+    """Sectioned hyperparameters parsed from key=value lines."""
 
-    data_path: str = ""
-    vectors_path: str = ""
-    checkpoint_dir: str = ""
-    report_dir: str = ""
     script: str = "raw"
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
@@ -92,16 +85,6 @@ class RunConfig:
     def __post_init__(self):
         if self.script not in ("devanagari", "wx", "raw"):
             raise InvalidArgument(f"unknown script mode {self.script!r}")
-        if not self.checkpoint_dir:
-            self.checkpoint_dir = os.environ.get(CHECKPOINT_DIR_ENV, ".")
-
-
-_PATH_KEYS = {
-    "data": "data_path",
-    "vectors": "vectors_path",
-    "checkpoints": "checkpoint_dir",
-    "reports": "report_dir",
-}
 
 
 def _coerce(value):
@@ -118,8 +101,8 @@ def _coerce(value):
 def parse_config(text):
     """Parse "section.key = value" lines into a RunConfig.
 
-    Sections: paths.*, model.*, train.*, optimizer.*, and the bare key
-    "script".  Comments (#) and blank lines are ignored.
+    Sections: model.*, train.*, optimizer.*, and the bare key "script".
+    Comments (#) and blank lines are ignored.
     """
     kwargs = {"model": {}, "train": {}, "optimizer": {}}
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -131,22 +114,12 @@ def parse_config(text):
         key, value = (s.strip() for s in line.split("=", 1))
         if key == "script":
             kwargs["script"] = value
-        elif key.startswith("paths."):
-            sub = key[len("paths."):]
-            if sub not in _PATH_KEYS:
-                raise ParseError(line_no, f"unknown path key {sub!r}")
-            kwargs[_PATH_KEYS[sub]] = value
         elif key.startswith(("model.", "train.", "optimizer.")):
             section, sub = key.split(".", 1)
             kwargs[section][sub] = _coerce(value)
         else:
             raise ParseError(line_no, f"unknown config key {key!r}")
-    try:
-        return RunConfig(**kwargs)
-    except InvalidArgument:
-        raise
-    except TypeError as exc:
-        raise ParseError(0, str(exc)) from None
+    return RunConfig(**kwargs)
 
 
 def load_config(path):

@@ -13,7 +13,8 @@ from . import tensor as T
 from .cells import (INIT_SCALE, dropout, init_cell_params, init_embedding,
                     run_rnn)
 from .devanagari import CharVocab
-from .errors import EmptyInput, InvalidArgument, require_positive, require_rate
+from .errors import (EmptyInput, InvalidArgument, ParseError,
+                     require_positive, require_rate, require_seed)
 from .metrics import nfc
 
 
@@ -50,17 +51,16 @@ class WordVectorStore:
     def load(cls, path):
         vectors = {}
         with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-            parts = first.split()
-            # optional "count dim" header line
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                if parts:
-                    vectors[parts[0]] = [float(x) for x in parts[1:]]
-            for line in fh:
+            for line_no, line in enumerate(fh, 1):
                 parts = line.split()
-                if not parts:
-                    continue
-                vectors[parts[0]] = [float(x) for x in parts[1:]]
+                if not parts or (line_no == 1 and len(parts) == 2
+                                 and all(p.isdigit() for p in parts)):
+                    continue   # blank, or the optional "count dim" header
+                try:
+                    vectors[parts[0]] = [float(x) for x in parts[1:]]
+                except ValueError:
+                    raise ParseError(line_no, f"vector for {parts[0]!r} has a "
+                                     "non-numeric component") from None
         return cls(vectors)
 
     def save(self, path):
@@ -141,6 +141,7 @@ class CharLMConfig:
         require_positive(self, ("hidden", "embed_dim", "batch_size",
                                 "max_epochs"))
         require_rate("dropout", self.dropout)
+        require_seed("seed", self.seed)
         return self
 
 
@@ -235,7 +236,7 @@ def train_char_lm(corpus, cfg, vocab=None):
     if len(held_y) == 0:
         held_x, held_y = train_x, train_y
     lm = CharLM(cfg, vocab, seed=cfg.seed)
-    from .training import Optimizer, OptimizerSpec  # local: avoids cycle at import
+    from .training import Optimizer, OptimizerSpec, train_step  # avoids a cycle
 
     opt = Optimizer(OptimizerSpec("adam", lr=cfg.lr))
     rng = np.random.default_rng(cfg.seed)
@@ -246,12 +247,8 @@ def train_char_lm(corpus, cfg, vocab=None):
         order = rng.permutation(len(train_y))
         for i in range(0, len(order), cfg.batch_size):
             sel = order[i : i + cfg.batch_size]
-            lm.zero_grads()
-            with T.Graph() as g:
-                loss = lm.loss_batch(train_x[sel], train_y[sel], train=True,
-                                     rng=rng)
-                T.backward(g, loss)
-            opt.step(lm.params, epoch=epoch)
+            train_step(lm, opt, lambda: lm.loss_batch(
+                train_x[sel], train_y[sel], train=True, rng=rng), epoch)
         nll = lm.nll(held_x, held_y)
         if nll < best - 1e-9:
             best = nll

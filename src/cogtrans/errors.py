@@ -1,5 +1,7 @@
 """Shared exception types and the config checks that raise them."""
 
+import dataclasses
+
 
 class CogtransError(Exception):
     """Base for all toolkit errors."""
@@ -66,6 +68,13 @@ def require_rate(name, value):
         raise InvalidArgument(f"{name} must be in [0, 1), got {value}")
 
 
+def require_seed(name, value):
+    """Raise ``InvalidArgument`` unless ``value`` can seed a generator
+    (``np.random.default_rng`` takes no negative seed)."""
+    if value < 0:
+        raise InvalidArgument(f"{name} must be >= 0, got {value}")
+
+
 def require_type(where, kind, value, error=InvalidArgument):
     """``value`` as a config field of type ``kind``: an int widens to a
     float; any other mismatch raises ``error`` naming ``where``."""
@@ -74,3 +83,22 @@ def require_type(where, kind, value, error=InvalidArgument):
     if type(value) is not kind:
         raise error(f"{where}: {value!r} is not a {kind.__name__}")
     return value
+
+
+def build_config(cls, values, where, error=InvalidArgument):
+    """A ``cls`` config dataclass from the untrusted mapping ``values`` (the
+    ``where`` it came from): each key must name a field and hold a value of
+    that field's type, and every field without a default must be given;
+    else ``error`` naming the key."""
+    fields = dataclasses.fields(cls)
+    types = {f.name: f.type for f in fields}
+    kwargs = {}
+    for key, value in values.items():
+        if key not in types:
+            raise error(f"{where} key {key!r} names no {cls.__name__} field")
+        kwargs[key] = require_type(f"{where} key {key!r}", types[key], value,
+                                   error)
+    for f in fields:
+        if f.name not in kwargs and f.default is dataclasses.MISSING:
+            raise error(f"no {f.name} given in the {where}")
+    return cls(**kwargs)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, require_seed
 
 ALPHABET = tuple("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN")
 MIN_LEN = 2
@@ -77,6 +77,7 @@ def generate_pairs(seed, n, ruleset=DEFAULT_RULESET,
         raise InvalidArgument("n must be >= 1")
     if not ruleset:
         raise InvalidArgument("empty ruleset")
+    require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < n:

@@ -114,8 +114,13 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _taped(parents):
+    """Whether an op over ``parents`` goes on the tape (``_make``)."""
+    return Graph.current is not None and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn):
-    rg = Graph.current is not None and any(p.requires_grad for p in parents)
+    rg = _taped(parents)
     out = Tensor(data, requires_grad=rg)
     if rg:
         out._parents = parents
@@ -500,10 +505,12 @@ def rnn_seq(kind, X, W, b, mask=None, reverse=False):
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     H = np.empty((B, steps, n))
     s = np.zeros((B, width * n))
-    caches = [None] * steps
+    caches = [None] * steps   # kept only for a taped op's backward
+    keep = _taped((X, W, b))
     for t in order:
-        s, caches[t] = step(XA[:, t], s, W_h,
-                            None if mask is None else mask[:, t])
+        s, cache = step(XA[:, t], s, W_h, None if mask is None else mask[:, t])
+        if keep:
+            caches[t] = cache
         H[:, t] = s[:, :n]
 
     def bwd(G):

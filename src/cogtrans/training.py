@@ -27,9 +27,10 @@ from .errors import (
     IncompatibleCheckpoint,
     InvalidArgument,
     MissingGrad,
+    build_config,
     require_positive,
     require_rate,
-    require_type,
+    require_seed,
 )
 from .models import ModelConfig, build_model, transduce_batch
 from . import tensor as T
@@ -170,6 +171,7 @@ class TrainConfig:
             raise InvalidArgument("patience must be >= 0")
         if self.metrics_every < 0:   # 0 turns the per-epoch metrics off
             raise InvalidArgument("metrics_every must be >= 0")
+        require_seed("seed", self.seed)
         return self
 
 
@@ -220,6 +222,22 @@ def evaluate_model(model, pairs):
     return {"bleu": report.bleu, "ss": report.ss, "wa": report.wa}
 
 
+def train_step(model, opt, loss_fn, epoch, l2=0.0):
+    """One update of ``model``'s parameters from the loss that ``loss_fn()``
+    records on a fresh tape; returns the loss value.  A non-finite loss
+    raises DivergedError carrying ``epoch``."""
+    model.zero_grads()
+    with T.Graph() as g:
+        loss = loss_fn()
+        value = loss.item()
+        if not np.isfinite(value):
+            raise DivergedError(epoch)
+        T.backward(g, loss)
+    del g, loss   # free the tape now, not after the next batch's forward
+    opt.step(model.params, l2=l2, epoch=epoch)
+    return value
+
+
 def train(model_cfg, train_cfg, opt_spec, data, embedding=None, vocab=None):
     """Fit a model on a DatasetSplit-like object with .train/.validation.
 
@@ -248,15 +266,10 @@ def train(model_cfg, train_cfg, opt_spec, data, embedding=None, vocab=None):
         epoch_loss = 0.0
         n_batches = 0
         for batch in _batches(tr, train_cfg.batch_size):
-            model.zero_grads()
-            with T.Graph() as g:
-                loss = model.loss_words(batch, train=True, rng=rng)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise DivergedError(epoch)
-                T.backward(g, loss)
-            opt.step(model.params, l2=train_cfg.l2, epoch=epoch)
-            epoch_loss += value
+            epoch_loss += train_step(
+                model, opt,
+                lambda: model.loss_words(batch, train=True, rng=rng),
+                epoch, l2=train_cfg.l2)
             n_batches += 1
         train_loss = epoch_loss / max(n_batches, 1)
         if va:
@@ -307,9 +320,10 @@ def average_checkpoints(history, k):
 # ---------------------------------------------------------------------------
 # grid search
 
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
-_MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
-_OPT_FIELDS = {f.name for f in dataclasses.fields(OptimizerSpec)}
+# every field a grid axis may set: name -> (its config class, its type)
+CONFIG_FIELDS = {f.name: (cls, f.type)
+                 for cls in (ModelConfig, TrainConfig, OptimizerSpec)
+                 for f in dataclasses.fields(cls)}
 
 
 def grid_search(space, model_cfg, train_cfg, opt_spec, data, base_seed=0):
@@ -324,8 +338,7 @@ def grid_search(space, model_cfg, train_cfg, opt_spec, data, base_seed=0):
         raise InvalidArgument("empty search space")
     axes = sorted(space)
     for axis in axes:
-        if not (axis in _MODEL_FIELDS or axis in _TRAIN_FIELDS
-                or axis in _OPT_FIELDS):
+        if axis not in CONFIG_FIELDS:
             raise InvalidArgument(f"unknown hyperparameter {axis!r}")
         if not space[axis]:
             raise InvalidArgument(f"empty axis {axis!r}")
@@ -335,10 +348,8 @@ def grid_search(space, model_cfg, train_cfg, opt_spec, data, base_seed=0):
         combo = dict(zip(axes, values))
         mc, tc, op = (
             dataclasses.replace(base, **{k: v for k, v in combo.items()
-                                         if k in names})
-            for base, names in ((model_cfg, _MODEL_FIELDS),
-                                (train_cfg, _TRAIN_FIELDS),
-                                (opt_spec, _OPT_FIELDS))
+                                         if CONFIG_FIELDS[k][0] is type(base)})
+            for base in (model_cfg, train_cfg, opt_spec)
         )
         tc = dataclasses.replace(tc, seed=base_seed * 100003 + idx)
         try:
@@ -465,19 +476,8 @@ def _model_config(raw):
     each value of its field's type, else ``IncompatibleCheckpoint``."""
     if not isinstance(raw, dict):
         raise IncompatibleCheckpoint("checkpoint model config is not an object")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _MODEL_FIELDS:
-            value = require_type(f"checkpoint model config {key!r}",
-                                 _MODEL_FIELDS[key], value,
-                                 IncompatibleCheckpoint)
-        kwargs[key] = value
-    try:
-        return ModelConfig(**kwargs)
-    except TypeError as exc:   # a key that names no field, or one missing
-        raise IncompatibleCheckpoint(
-            f"checkpoint model config does not fit this version ({exc})"
-        ) from None
+    return build_config(ModelConfig, raw, "checkpoint model config",
+                        IncompatibleCheckpoint)
 
 
 def load_checkpoint(path, expect_architecture=None):

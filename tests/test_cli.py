@@ -3,11 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cogtrans import cli
 from cogtrans.cli import _config, build_parser, run_cli
-from cogtrans.data_io import load_cognate_tsv
+from cogtrans.data_io import load_cognate_tsv, parse_config
 from cogtrans.devanagari import CharVocab
+from cogtrans.errors import CogtransError
 from cogtrans.models import ModelConfig, transduce_batch, transduce_greedy
 from cogtrans.oov import (
     AlignedSentencePair,
@@ -225,6 +228,7 @@ class TestTrainAndFriends:
         ("model.hiden_dim = 4", "hiden_dim"),
         ("model.hidden_dim = 4.5", "hidden_dim"),
         ("train.batch_size = many", "batch_size"),
+        ("paths.data = corpus.tsv", "paths.data"),
     ])
     def test_bad_config_key_or_value_exit_1(self, corpus, tmp_path, capsys,
                                             line, key):
@@ -337,6 +341,14 @@ class TestOovCorrect:
                         "--sizes", "20,abc", "--references", str(refs)]) == 1
         assert "--sizes" in capsys.readouterr().err
 
+    def test_non_utf8_references_exit_1(self, checkpoint, tmp_path, capsys):
+        args, refs = self._pipeline(tmp_path)
+        refs.write_bytes(b"ya \xff na\n")
+        assert run_cli(["oov-correct", *args, "--model", str(checkpoint),
+                        "--sizes", "1,2", "--references", str(refs)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "utf-8" in err
+
     def test_several_sizes_need_references(self, checkpoint, tmp_path, capsys):
         args, _ = self._pipeline(tmp_path)
         out = tmp_path / "corrected.tsv"
@@ -386,3 +398,110 @@ class TestErrorReport:
         assert "2 records" in text
         assert "Anusvara" in text
         assert out.exists()
+
+
+class TestTypedInputErrors:
+    """Bad seeds and unreadable text end in ``error:`` and exit code 1."""
+
+    @staticmethod
+    def _run(argv, tmp_path, **paths):
+        """``run_cli`` on ``argv`` with its {placeholders} filled in; asserts
+        exit code 1 and no ``--out`` file."""
+        out = tmp_path / "out"
+        assert run_cli([a.format(out=out, **paths) for a in argv]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{corpus}", "--arch", "am", "--seed", "-1",
+         "--out", "{out}"],
+        ["train", "--data", "{corpus}", "--arch", "am", "--split-seed", "-1",
+         "--out", "{out}"],
+        ["tune", "--data", "{corpus}", "--arch", "am", "--axis", "lr=0.01",
+         "--seed", "-1"],
+        ["synth-gen", "--n", "5", "--seed", "-1", "--out", "{out}"],
+        ["pretrain-embed", "lm", "--corpus", "{corpus}", "--seed", "-1",
+         "--out", "{out}"],
+    ], ids=["train", "train-split-seed", "tune", "synth-gen", "pretrain-lm"])
+    def test_negative_seed_exit_1(self, corpus, tmp_path, capsys, argv):
+        self._run(argv, tmp_path, corpus=corpus)
+        err = capsys.readouterr().err
+        assert "error:" in err and "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{bad}", "--arch", "am", "--out", "{out}"],
+        ["train", "--data", "{corpus}", "--config", "{bad}", "--arch", "am",
+         "--out", "{out}"],
+        ["evaluate", "--data", "{bad}", "--model", "{ckpt}",
+         "--report", "{out}"],
+        ["pretrain-embed", "lm", "--corpus", "{bad}", "--out", "{out}"],
+        ["pretrain-embed", "ftavg", "--corpus", "{corpus}",
+         "--vectors", "{bad}", "--out", "{out}"],
+        ["error-report", "--predictions", "{bad}", "--out", "{out}"],
+    ], ids=["train-data", "train-config", "evaluate-data", "lm-corpus",
+            "ftavg-vectors", "error-report-predictions"])
+    def test_non_utf8_text_exit_1(self, corpus, checkpoint, tmp_path, capsys,
+                                  argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\u00e9\tcafe\tcafe\n".encode("latin-1"))
+        self._run(argv, tmp_path, bad=bad, corpus=corpus, ckpt=checkpoint)
+        err = capsys.readouterr().err
+        assert "error:" in err and "utf-8" in err
+
+    def test_non_numeric_vector_exit_1(self, corpus, tmp_path, capsys):
+        vec = tmp_path / "bad.vec"
+        vec.write_text("ab 1.0 2.0\nba 3.0 four\n", encoding="utf-8")
+        self._run(["pretrain-embed", "ftavg", "--corpus", "{corpus}",
+                   "--vectors", "{vec}", "--out", "{out}"],
+                  tmp_path, corpus=corpus, vec=vec)
+        assert "error: line 2:" in capsys.readouterr().err
+
+
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig,
+             "optimizer": OptimizerSpec}
+_CONFIG_KEYS = st.sampled_from(
+    ["script", "paths.data", "paths.checkpoints", "model.", "train",
+     "optimizer.kind.x", "model.hidden_dim.", " train.seed"]
+    + [f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+       for f in dataclasses.fields(cls)])
+_CONFIG_VALUES = (
+    st.integers(-3, 300).map(str)
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.sampled_from(["true", "False", "lstm", "gru", "am", "tn", "han",
+                       "seq2seq", "adam", "SGD+Nesterov", "raw", "wx",
+                       "devanagari", "", "1e400", "0x10", "1_0"])
+    | st.text(max_size=8))
+_KEY_VALUE_LINES = st.tuples(_CONFIG_KEYS, _CONFIG_VALUES).map(" = ".join)
+# mostly key = value lines, so that many drawn files parse
+_CONFIG_LINES = st.one_of(_KEY_VALUE_LINES, _KEY_VALUE_LINES, _KEY_VALUE_LINES,
+                          st.text(max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@example(lines=["paths.data = corpus.tsv"], arch_flag=True)
+@given(lines=st.lists(_CONFIG_LINES, max_size=5), arch_flag=st.booleans())
+def test_config_file_gives_typed_configs_or_typed_errors(lines, arch_flag):
+    """Any config-file text, through ``parse_config``, ``_config`` and the
+    checks, gives configs whose fields hold values of their types (from
+    keys that name a section's field), or a ``CogtransError``."""
+    argv = ["train", "--data", "x"] + (["--arch", "am"] if arch_flag else [])
+    args = build_parser().parse_args(argv)
+    text = "\n".join(lines)
+    try:
+        run_cfg = parse_config(text)
+    except CogtransError:
+        return
+    for line in text.splitlines():   # each key is "script" or in a section
+        line = line.split("#", 1)[0].strip()
+        if line:
+            key = line.split("=", 1)[0].strip()
+            assert key == "script" or key.split(".", 1)[0] in _SECTIONS
+    for section, cls in _SECTIONS.items():
+        try:
+            cfg = _config(cls, args, getattr(run_cfg, section))
+            cfg = cfg.normalized() if cls is OptimizerSpec else cfg.validate()
+        except CogtransError:
+            continue
+        for f in dataclasses.fields(cls):
+            value = getattr(cfg, f.name)
+            assert type(value) is f.type or (value is None
+                                             and f.default is None)

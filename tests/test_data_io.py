@@ -70,8 +70,6 @@ class TestConfig:
     TEXT = """
 # run setup
 script = wx
-paths.data = corpus.tsv
-paths.checkpoints = ckpts
 model.architecture = am
 model.hidden_dim = 64
 train.batch_size = 20
@@ -84,24 +82,17 @@ train.shuffle_each_epoch = true
     def test_sections_and_coercion(self):
         cfg = parse_config(self.TEXT)
         assert cfg.script == "wx"
-        assert cfg.data_path == "corpus.tsv"
-        assert cfg.checkpoint_dir == "ckpts"
         assert cfg.model == {"architecture": "am", "hidden_dim": 64}
         assert cfg.train["batch_size"] == 20
         assert cfg.train["val_fraction"] == 0.1
         assert cfg.train["shuffle_each_epoch"] is True
         assert cfg.optimizer == {"kind": "adam", "lr": 1e-3}
 
-    def test_env_fallback_for_checkpoint_dir(self, monkeypatch):
-        monkeypatch.setenv("COGTRANS_CHECKPOINT_DIR", "/tmp/ckpt-env")
-        cfg = parse_config("script = raw")
-        assert cfg.checkpoint_dir == "/tmp/ckpt-env"
-
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):
             parse_config("decoder.size = 4")
         with pytest.raises(ParseError):
-            parse_config("paths.logs = x")
+            parse_config("paths.data = corpus.tsv")
 
     def test_missing_equals(self):
         with pytest.raises(ParseError) as exc:

@@ -13,7 +13,8 @@ from cogtrans.embeddings import (
     perplexity,
     train_char_lm,
 )
-from cogtrans.errors import EmptyInput, InvalidArgument
+from cogtrans import tensor as T
+from cogtrans.errors import DivergedError, EmptyInput, InvalidArgument, ParseError
 
 
 class TestWordVectorStore:
@@ -31,6 +32,13 @@ class TestWordVectorStore:
         path.write_text("ab 1.0 2.0\ncd 3.0 4.0\n", encoding="utf-8")
         store = WordVectorStore.load(path)
         assert len(store) == 2 and store.dim == 2
+
+    def test_non_numeric_component_is_parse_error(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("2 2\nab 1.0 2.0\ncd 3.0 x4\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="'cd'") as exc:
+            WordVectorStore.load(path)
+        assert exc.value.line_no == 3
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -139,6 +147,13 @@ class TestCharLM:
         with pytest.raises(InvalidArgument):
             train_char_lm("ab", self._cfg())
 
+    def test_non_finite_loss_is_divergence(self, monkeypatch):
+        monkeypatch.setattr(CharLM, "loss_batch",
+                            lambda self, *args, **kw: T.Tensor(np.nan))
+        with pytest.raises(DivergedError) as exc:
+            train_char_lm(self.CORPUS, self._cfg())
+        assert exc.value.epoch == 0
+
     def test_held_out_too_short(self):
         lm, _, _ = train_char_lm(self.CORPUS, self._cfg(max_epochs=1))
         with pytest.raises(EmptyInput):
@@ -151,6 +166,7 @@ class TestCharLM:
             CharLMConfig(direction="sideways").validate()
         for field, value in (("hidden", 0), ("embed_dim", 0),
                              ("batch_size", 0), ("max_epochs", 0),
-                             ("dropout", 1.0), ("dropout", -0.5)):
+                             ("dropout", 1.0), ("dropout", -0.5),
+                             ("seed", -1)):
             with pytest.raises(InvalidArgument, match=field):
                 CharLMConfig(**{field: value}).validate()

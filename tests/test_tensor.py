@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -255,6 +256,48 @@ def test_op_gradients_match_finite_differences(case):
     params = {f"p{i}": leaf(a) for i, a in enumerate(arrays)}
     err = T.finite_diff_check(lambda: fn(*params.values()), params)
     assert err < 1e-4
+
+
+class _Cache(list):
+    """A step cache, as a list so that it can be weakly referenced."""
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_rnn_seq_keeps_step_caches_only_when_taped(monkeypatch, kind):
+    """Untaped (no graph, or no parent that needs a gradient), a step's
+    cache is freed once the next step has run; taped, every step's cache is
+    kept for the backward pass."""
+    width, step, step_bwd, dW_h = T._CELLS[kind]
+    refs, alive = [], []
+
+    def watched_step(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        s, cache = step(*args)
+        cache = _Cache(cache)
+        refs.append(weakref.ref(cache))
+        return s, cache
+
+    monkeypatch.setitem(T._CELLS, kind, (width, watched_step, step_bwd, dW_h))
+    r = np.random.default_rng(0)
+    d, n, steps = 2, 3, 6
+    X = r.normal(size=(2, steps, d))
+    W = r.normal(size=(d + n, (4 if kind == "lstm" else 3) * n))
+    b = np.zeros(W.shape[1])
+
+    def run(*args):
+        refs.clear()
+        alive.clear()
+        return T.rnn_seq(kind, *args)
+
+    run(leaf(X), leaf(W), leaf(b))
+    assert max(alive) <= 1
+    with T.Graph():
+        run(T.Tensor(X), T.Tensor(W), T.Tensor(b))
+    assert max(alive) <= 1
+    with T.Graph() as g:
+        out = run(T.Tensor(X), leaf(W), leaf(b))
+        assert alive[-1] == steps - 1
+        T.backward(g, T.tsum(out))
 
 
 def test_no_grad_suppresses_taping():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from cogtrans import tensor as T
 from cogtrans.cli import run_cli
 from cogtrans.data_io import DatasetSplit
+from cogtrans.embeddings import CharLM, CharLMConfig, train_char_lm
 from cogtrans.errors import (
     ChecksumError,
     CogtransError,
@@ -21,7 +23,7 @@ from cogtrans.errors import (
     InvalidArgument,
     MissingGrad,
 )
-from cogtrans.models import ModelConfig, transduce_greedy
+from cogtrans.models import ModelConfig, TransductionModel, transduce_greedy
 from cogtrans.training import (
     ADAGRAD_EPS,
     ADADELTA_EPS,
@@ -194,6 +196,37 @@ class TestTrain:
             [c.train_loss for c in r2.history]
         assert [c.val_loss for c in r1.history] == \
             [c.val_loss for c in r2.history]
+
+
+@pytest.mark.parametrize("loop", ["train", "train_char_lm"])
+def test_batch_tape_freed_before_next_forward(monkeypatch, loop):
+    """No batch's graph or loss is still alive when the next forward pass
+    (training or held-out) starts."""
+    backward = T.backward
+    tapes, live = [], []
+
+    def recording_backward(graph, loss):
+        tapes.append((weakref.ref(graph), weakref.ref(loss.data)))
+        backward(graph, loss)
+
+    def watched(forward):
+        def forward_after_check(*args, **kwargs):
+            live.append(sum(ref() is not None for pair in tapes for ref in pair))
+            return forward(*args, **kwargs)
+        return forward_after_check
+
+    monkeypatch.setattr(T, "backward", recording_backward)
+    if loop == "train":
+        monkeypatch.setattr(TransductionModel, "loss_words",
+                            watched(TransductionModel.loss_words))
+        mc, tc = _small_cfgs(max_epochs=1)
+        train(mc, tc, OptimizerSpec("adam"), _toy_split())
+    else:
+        monkeypatch.setattr(CharLM, "loss_batch", watched(CharLM.loss_batch))
+        train_char_lm("ab" * 60, CharLMConfig(window=4, hidden=4, embed_dim=3,
+                                              batch_size=16, max_epochs=1))
+    assert len(live) >= len(tapes) > 1
+    assert not any(live)
 
 
 class TestAverageCheckpoints:
