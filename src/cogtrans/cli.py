@@ -18,7 +18,7 @@ from .devanagari import (
     wx_decode,
     wx_encode,
 )
-from .errors import CogtransError, build_config, require_type
+from .errors import CogtransError, build_config, require_finite, require_type
 from .models import ModelConfig, transduce_batch, transduce_greedy
 from .training import (
     OptimizerSpec,
@@ -51,6 +51,9 @@ def _axis(text):
     if name in training.CONFIG_FIELDS:
         kind = training.CONFIG_FIELDS[name][1]
         out = [require_type(f"--axis {name}", kind, value) for value in out]
+        if kind is float:   # no float field takes NaN or infinity
+            for value in out:
+                require_finite(f"--axis {name}", value)
     return name, out
 
 
@@ -202,16 +205,14 @@ def _cmd_evaluate(args):
 
 def _cmd_pretrain_embed(args):
     if args.mode == "lm":
-        with open(args.corpus, "r", encoding="utf-8") as fh:
-            text = fh.read()
         lm, table, ppl = embeddings.train_char_lm(
-            text, _config(embeddings.CharLMConfig, args))
+            data_io.read_text(args.corpus),
+            _config(embeddings.CharLMConfig, args))
         vocab = lm.vocab
         print(f"held-out perplexity: {ppl:.4f}")
     else:
         store = embeddings.WordVectorStore.load(args.vectors)
-        with open(args.corpus, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
+        tokens = data_io.read_text(args.corpus).split()
         vocab = CharVocab({c for t in tokens for c in t})
         table, missing = embeddings.ft_avg_embed(store, tokens, vocab=vocab)
         real = [m for m in missing if m not in CharVocab.SPECIALS]
@@ -264,12 +265,11 @@ def _cmd_oov_correct(args):
         # flagged word once, all in one batch, and look each one up after
         memo.update(zip(words, (t.word for t in transduce_batch(model, words))))
 
-    with open(args.shortlist_corpus, "r", encoding="utf-8") as fh:
-        corpus = fh.read().splitlines()
+    corpus = data_io.read_text(args.shortlist_corpus).splitlines()
     if args.references:
-        with open(args.references, "r", encoding="utf-8") as fh:
-            refs = [line.split() for line in fh.read().splitlines()
-                    if line.strip()]
+        refs = [line.split()
+                for line in data_io.read_text(args.references).splitlines()
+                if line.strip()]
         rows = oov.evaluate_pipeline(records, refs, corpus, sizes,
                                      memo.__getitem__, prefetch=prefetch)
         print("K\tbaseline\tcorrected\tdelta")
@@ -292,7 +292,8 @@ def _cmd_oov_correct(args):
 
 def _cmd_wx(args):
     convert = wx_encode if args.mode == "encode" else wx_decode
-    words = args.word if args.word else sys.stdin.read().split()
+    with data_io.naming_decode_errors("standard input"):
+        words = args.word or sys.stdin.read().split()
     for word in words:
         print(convert(word))
     return 0
@@ -309,16 +310,16 @@ def _cmd_synth_gen(args):
 
 def _cmd_error_report(args):
     triples = []
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise CogtransError(
-                    f"line {line_no}: expected source<TAB>gold<TAB>prediction"
-                )
-            triples.append(tuple(parts))
+    text = data_io.read_text(args.predictions)
+    for line_no, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CogtransError(
+                f"line {line_no}: expected source<TAB>gold<TAB>prediction"
+            )
+        triples.append(tuple(parts))
 
     def tags_fn(s, g, p):
         return classify_errors(s, g, p, script=args.script)
@@ -461,7 +462,7 @@ def run_cli(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CogtransError, OSError, UnicodeDecodeError) as exc:
+    except (CogtransError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

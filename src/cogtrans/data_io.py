@@ -2,6 +2,7 @@
 key=value run configuration.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,10 +16,23 @@ class DatasetSplit:
     train: list
     validation: list
     test: list
-    seed: int = 0
 
-    def __iter__(self):
-        return iter((self.train, self.validation, self.test))
+
+@contextmanager
+def naming_decode_errors(name):
+    """Re-raise a ``UnicodeDecodeError`` inside the block as
+    ``InvalidArgument`` naming the text's source ``name``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InvalidArgument(f"{name}: {exc}") from None
+
+
+def read_text(path):
+    """The text of the UTF-8 file at ``path``, newlines as text mode reads
+    them; a file that is not UTF-8 raises ``InvalidArgument`` naming it."""
+    with naming_decode_errors(path), open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_cognate_tsv(path):
@@ -29,16 +43,14 @@ def load_cognate_tsv(path):
     its 1-based line number.
     """
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ParseError(line_no,
-                                 f"expected 'source<TAB>target', got {line!r}")
-            pairs.append((nfc(parts[0]), nfc(parts[1])))
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ParseError(line_no,
+                             f"expected 'source<TAB>target', got {line!r}")
+        pairs.append((nfc(parts[0]), nfc(parts[1])))
     return pairs
 
 
@@ -67,7 +79,7 @@ def split_dataset(pairs, seed=0):
     n_val = min(n_val, len(rest) - 1)
     validation = rest[len(rest) - n_val:] if n_val else []
     train = rest[: len(rest) - n_val]
-    return DatasetSplit(train=train, validation=validation, test=test, seed=seed)
+    return DatasetSplit(train=train, validation=validation, test=test)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +105,6 @@ def _coerce(value):
             return cast(value)
         except ValueError:
             pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
     return value
 
 
@@ -123,5 +133,4 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))

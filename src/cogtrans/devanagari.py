@@ -173,11 +173,9 @@ class CharVocab:
     def __len__(self):
         return len(self.symbols)
 
-    def encode(self, word, add_markers=True):
-        ids = [self.index.get(c, self.UNK) for c in nfc(word)]
-        if add_markers:
-            return [self.BOS] + ids + [self.EOS]
-        return ids
+    def encode(self, word):
+        return ([self.BOS] + [self.index.get(c, self.UNK) for c in nfc(word)]
+                + [self.EOS])
 
     def decode(self, ids):
         return "".join(

@@ -12,6 +12,7 @@ import numpy as np
 from . import tensor as T
 from .cells import (INIT_SCALE, dropout, init_cell_params, init_embedding,
                     run_rnn)
+from .data_io import read_text
 from .devanagari import CharVocab
 from .errors import (EmptyInput, InvalidArgument, ParseError,
                      require_positive, require_rate, require_seed)
@@ -50,17 +51,16 @@ class WordVectorStore:
     @classmethod
     def load(cls, path):
         vectors = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                parts = line.split()
-                if not parts or (line_no == 1 and len(parts) == 2
-                                 and all(p.isdigit() for p in parts)):
-                    continue   # blank, or the optional "count dim" header
-                try:
-                    vectors[parts[0]] = [float(x) for x in parts[1:]]
-                except ValueError:
-                    raise ParseError(line_no, f"vector for {parts[0]!r} has a "
-                                     "non-numeric component") from None
+        for line_no, line in enumerate(read_text(path).split("\n"), 1):
+            parts = line.split()
+            if not parts or (line_no == 1 and len(parts) == 2
+                             and all(p.isdigit() for p in parts)):
+                continue   # blank, or the optional "count dim" header
+            try:
+                vectors[parts[0]] = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise ParseError(line_no, f"vector for {parts[0]!r} has a "
+                                 "non-numeric component") from None
         return cls(vectors)
 
     def save(self, path):
@@ -71,37 +71,32 @@ class WordVectorStore:
                 fh.write(f"{word} {nums}\n")
 
 
-def ft_avg_embed(store, corpus, vocab=None, token_frequency=False):
+def ft_avg_embed(store, corpus, vocab=None):
     """Character embeddings as count-weighted means of word vectors.
 
     e_c = sum_w count(c, w) * v_w / sum_w count(c, w), where count(c, w) is
-    the number of occurrences of c in w.  By default each word type counts
-    once; token_frequency=True additionally weights by corpus frequency.
-    Characters never seen in any stored word get zero vectors and are
-    reported in the returned missing list.  Returns the trainable
+    the number of occurrences of c in w and each word type of the corpus
+    counts once.  Characters never seen in any stored word get zero vectors
+    and are reported in the returned missing list.  Returns the trainable
     (vocab, dim) table and that list.
     """
     if len(store) == 0:
         raise EmptyInput("empty word-vector store")
-    word_freq = {}
-    for token in corpus:
-        token = nfc(token)
-        word_freq[token] = word_freq.get(token, 0) + 1
+    words = dict.fromkeys(nfc(token) for token in corpus)   # first-seen order
     if vocab is None:
-        vocab = CharVocab({c for w in word_freq for c in w})
+        vocab = CharVocab({c for w in words for c in w})
     dim = store.dim
     table = np.zeros((len(vocab), dim))
     totals = np.zeros(len(vocab))
-    for word, freq in word_freq.items():
+    for word in words:
         if word not in store:
             continue
-        weight = freq if token_frequency else 1
         vec = store[word]
         for ch in set(word):
             idx = vocab.index.get(ch)
             if idx is None:
                 continue
-            count = weight * word.count(ch)
+            count = word.count(ch)
             table[idx] += count * vec
             totals[idx] += count
     covered = totals > 0
@@ -119,6 +114,9 @@ def ft_avg_embed(store, corpus, vocab=None, token_frequency=False):
 # ---------------------------------------------------------------------------
 # character language model
 
+HOLDOUT_FRACTION = 0.1   # corpus tail held out for perplexity and stopping
+
+
 @dataclass
 class CharLMConfig:
     window: int = 30
@@ -131,7 +129,6 @@ class CharLMConfig:
     max_epochs: int = 50
     patience: int = 7
     seed: int = 0
-    holdout_fraction: float = 0.1
 
     def validate(self):
         if self.window < 2:
@@ -220,7 +217,7 @@ def train_char_lm(corpus, cfg, vocab=None):
     """Fit the LM on a raw text corpus; returns (lm, its embedding table,
     held-out perplexity).
 
-    The corpus tail (cfg.holdout_fraction) is held out for the perplexity
+    The corpus tail (HOLDOUT_FRACTION) is held out for the perplexity
     estimate; early stopping uses the same held-out NLL with cfg.patience.
     """
     cfg.validate()
@@ -230,7 +227,7 @@ def train_char_lm(corpus, cfg, vocab=None):
     if vocab is None:
         vocab = CharVocab(set(text))
     ids = [vocab.index.get(c, CharVocab.UNK) for c in text]
-    cut = max(cfg.window, int(len(ids) * (1.0 - cfg.holdout_fraction)))
+    cut = max(cfg.window, int(len(ids) * (1.0 - HOLDOUT_FRACTION)))
     train_x, train_y = _windows(ids[:cut], cfg.window)
     held_x, held_y = _windows(ids[cut - cfg.window + 1:], cfg.window)
     if len(held_y) == 0:

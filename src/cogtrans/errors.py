@@ -1,6 +1,7 @@
 """Shared exception types and the config checks that raise them."""
 
 import dataclasses
+import math
 
 
 class CogtransError(Exception):
@@ -66,6 +67,12 @@ def require_rate(name, value):
     """Raise ``InvalidArgument`` unless 0 <= value < 1."""
     if not 0.0 <= value < 1.0:
         raise InvalidArgument(f"{name} must be in [0, 1), got {value}")
+
+
+def require_finite(name, value):
+    """Raise ``InvalidArgument`` if ``value`` is NaN or infinite."""
+    if not math.isfinite(value):
+        raise InvalidArgument(f"{name} must be finite, got {value}")
 
 
 def require_seed(name, value):

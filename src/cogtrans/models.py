@@ -4,7 +4,8 @@
              the decoder at every step
 * am       - additive-attention alignment model: a fresh context per step
 * han      - hierarchical attention: char-level attention pools fixed-size
-             chunks, chunk-level attention feeds the decoder
+             chunks, chunk-level attention feeds the decoder; both levels
+             are ``tensor.additive_attention``
 * tn       - transformer: multi-head self-attention, residuals, layer norm
 
 All models share the taped tensor core, train on padded batches with loss
@@ -229,9 +230,8 @@ class TransductionModel:
         self.params[name] = t
         return t
 
-    def _add_cell(self, in_dim, prefix):
-        p = init_cell_params(self.cfg.cell, in_dim, self.cfg.hidden_dim,
-                             self._rng)
+    def _add_cell(self, in_dim, prefix, rng):
+        p = init_cell_params(self.cfg.cell, in_dim, self.cfg.hidden_dim, rng)
         self.params.update({f"{prefix}W": p.W, f"{prefix}b": p.b})
         return p
 
@@ -335,7 +335,6 @@ class _RecurrentModel(TransductionModel):
 
     def _build(self, rng, embedding):
         cfg = self.cfg
-        self._rng = rng
         V = len(self.vocab)
         self.params["embedding"] = init_embedding(V, cfg.embed_dim, rng,
                                                   pretrained=embedding)
@@ -344,15 +343,15 @@ class _RecurrentModel(TransductionModel):
             in_dim = cfg.embed_dim
             for l in range(cfg.encoder_layers):
                 self.enc_cells.append(
-                    (self._add_cell(in_dim, f"enc{l}_fwd_"),
-                     self._add_cell(in_dim, f"enc{l}_bwd_"))
+                    (self._add_cell(in_dim, f"enc{l}_fwd_", rng),
+                     self._add_cell(in_dim, f"enc{l}_bwd_", rng))
                 )
                 in_dim = 2 * cfg.hidden_dim
         ctx_dim = 2 * cfg.hidden_dim
         self.dec_cells = []
         in_dim = cfg.embed_dim + ctx_dim
         for l in range(cfg.decoder_layers):
-            self.dec_cells.append(self._add_cell(in_dim, f"dec{l}_"))
+            self.dec_cells.append(self._add_cell(in_dim, f"dec{l}_", rng))
             in_dim = cfg.hidden_dim
         self._add("W_init", _uniform(rng, 2 * cfg.hidden_dim, cfg.hidden_dim))
         self._add("b_init", np.zeros(cfg.hidden_dim))
@@ -362,7 +361,6 @@ class _RecurrentModel(TransductionModel):
             self._add("W_s", _uniform(rng, cfg.hidden_dim, cfg.hidden_dim))
             self._add("W_h", _uniform(rng, 2 * cfg.hidden_dim, cfg.hidden_dim))
             self._add("v", _uniform(rng, cfg.hidden_dim, 1))
-        del self._rng
 
     def _encode(self, src, src_mask, train, rng):
         H = self._embed(self.params["embedding"], src, train, rng)
@@ -472,35 +470,28 @@ class HierarchicalAttentionModel(_RecurrentModel):
 
     def _build(self, rng, embedding):
         super()._build(rng, embedding)
-        self._rng = rng
         cfg = self.cfg
         h2 = 2 * cfg.hidden_dim
-        self.char_cells = (self._add_cell(cfg.embed_dim, "chr_fwd_"),
-                           self._add_cell(cfg.embed_dim, "chr_bwd_"))
-        self.chunk_cells = (self._add_cell(h2, "chk_fwd_"),
-                            self._add_cell(h2, "chk_bwd_"))
+        self.char_cells = (self._add_cell(cfg.embed_dim, "chr_fwd_", rng),
+                           self._add_cell(cfg.embed_dim, "chr_bwd_", rng))
+        self.chunk_cells = (self._add_cell(h2, "chk_fwd_", rng),
+                            self._add_cell(h2, "chk_bwd_", rng))
         self._add("W_c", _uniform(rng, h2, cfg.hidden_dim))
         self._add("b_c", np.zeros(cfg.hidden_dim))
         self._add("v_c", _uniform(rng, cfg.hidden_dim, 1))
-        del self._rng
 
     def _char_attention(self, S, mask):
-        """S: (N, cs, 2h) states -> pooled (N, 2h) + weights (N, cs)."""
-        e = T.reshape(
-            T.tanh(S @ self.params["W_c"] + self.params["b_c"]) @ self.params["v_c"],
-            (S.shape[0], S.shape[1]),
-        )
-        add = None if mask is None else np.where(mask > 0, 0.0, NEG_INF)
-        if add is not None:
-            # keep all-pad chunks numerically sane: let them go uniform
-            dead = mask.sum(axis=1) == 0
-            add[dead] = 0.0
-        alpha = T.softmax(e, axis=-1, mask=add)
-        pooled = T.reshape(
-            T.reshape(alpha, (S.shape[0], 1, S.shape[1])) @ S,
-            (S.shape[0], S.shape[2]),
-        )
-        return pooled, alpha
+        """S: (N, cs, 2h) states -> pooled (N, 2h) and weights (N, cs) of
+        the additive attention v_c·tanh(W_c s_j + b_c) with a learned query:
+        one ``tensor.additive_attention`` call whose query is ones and whose
+        query weight is b_c as a row."""
+        add = np.where(mask > 0, 0.0, NEG_INF)
+        # a chunk of padding only stays unmasked; its zero states weigh alike
+        add[mask.sum(axis=1) == 0] = 0.0
+        p = self.params
+        return T.additive_attention(
+            Tensor(np.ones((S.shape[0], 1))),
+            T.reshape(p["b_c"], (1, -1)), S @ p["W_c"], p["v_c"], S, add)
 
     def _encode(self, src, src_mask, train, rng):
         cfg = self.cfg
@@ -522,7 +513,7 @@ class HierarchicalAttentionModel(_RecurrentModel):
         chunk_mask = (mask_p.reshape(B, K, cs).sum(axis=2) > 0).astype(np.float64)
         H = self._run_birnn(chunk_in, chunk_mask, *self.chunk_cells)  # (B, K, 2h)
         return EncoderOutput(H, _birnn_summary(H), chunk_mask,
-                             char_alpha.data.reshape(B, K, cs))
+                             char_alpha.reshape(B, K, cs))
 
     def _attention_rows(self, alpha, state):
         # expand chunk weights to char columns through the char-level weights;
@@ -540,7 +531,6 @@ class HierarchicalAttentionModel(_RecurrentModel):
 class TransformerModel(TransductionModel):
     def _build(self, rng, embedding):
         cfg = self.cfg
-        self._rng = rng
         V = len(self.vocab)
         d, f = cfg.d_model, cfg.ffn_dim
         self.params["embedding"] = init_embedding(V, d, rng,
@@ -561,7 +551,6 @@ class TransformerModel(TransductionModel):
         self._add("W_out", _uniform(rng, d, V))
         self._add("b_out", np.zeros(V))
         self._pe = positional_encoding(0, d)   # grown by _embed_pos
-        del self._rng
 
     def _mha_params(self, side, l, blk):
         return {w: self.params[f"{side}{l}_{blk}_{w}"]

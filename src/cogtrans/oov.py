@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_io import read_text
 from .errors import EmptyInput, InvalidArgument, InvalidAttention
 from .metrics import corpus_bleu, nfc
 
@@ -206,8 +207,7 @@ def save_pipeline_file(records, tsv_path, matrix_path):
 
 def load_pipeline_file(tsv_path, matrix_path):
     records = []
-    with open(tsv_path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln for ln in read_text(tsv_path).split("\n") if ln.strip()]
     with open(matrix_path, "rb") as fh:
         blob = fh.read()
     off = 0

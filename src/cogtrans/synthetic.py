@@ -21,15 +21,12 @@ class RewriteRule:
     anchor: str
     src: str
     repl: str
-    prob: float = 1.0
 
     def __post_init__(self):
         if self.anchor not in ("initial", "final", "anywhere"):
             raise InvalidArgument(f"unknown anchor {self.anchor!r}")
         if not self.src:
             raise InvalidArgument("rule source must be nonempty")
-        if not 0.0 <= self.prob <= 1.0:
-            raise InvalidArgument("rule probability must be in [0, 1]")
 
     def apply(self, word):
         if self.anchor == "initial":
@@ -51,7 +48,7 @@ DEFAULT_RULESET = (
 
 
 def oracle_transduce(word, ruleset=DEFAULT_RULESET):
-    """Apply every rule left-to-right in ruleset order (probabilities ignored)."""
+    """Apply every rule left-to-right in ruleset order."""
     for rule in ruleset:
         word = rule.apply(word)
     return word
@@ -65,11 +62,10 @@ def _random_word(rng, alphabet, length):
     return "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=length))
 
 
-def generate_pairs(seed, n, ruleset=DEFAULT_RULESET,
-                   identity_fraction=IDENTITY_FRACTION):
+def generate_pairs(seed, n, ruleset=DEFAULT_RULESET):
     """n seeded (source, target) pairs with target == oracle_transduce(source).
 
-    Roughly identity_fraction of the pairs use rule-clean sources (target
+    Roughly IDENTITY_FRACTION of the pairs use rule-clean sources (target
     equals source); the rest are boosted so each rule's pattern appears with
     useful frequency instead of the tiny natural rate of uniform sampling.
     """
@@ -83,7 +79,7 @@ def generate_pairs(seed, n, ruleset=DEFAULT_RULESET,
     while len(pairs) < n:
         length = int(rng.integers(MIN_LEN, MAX_LEN + 1))
         word = _random_word(rng, ALPHABET, length)
-        want_identity = rng.random() < identity_fraction
+        want_identity = rng.random() < IDENTITY_FRACTION
         if want_identity:
             # resample until no rule fires, so source == target exactly
             while _touched(word, ruleset):

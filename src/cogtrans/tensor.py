@@ -628,13 +628,13 @@ def _row_mean(a):
     return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
-def layer_norm(x, gain, bias, eps=LN_EPS):
+def layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.shape[-1] != gain.shape[-1] or x.shape[-1] != bias.shape[-1]:
         raise InvalidShape("layer_norm dims mismatch")
     xc = x.data - _row_mean(x.data)
-    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + LN_EPS)
     xhat = xc * inv
     y = xhat * gain.data + bias.data
 

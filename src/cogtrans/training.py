@@ -28,6 +28,7 @@ from .errors import (
     InvalidArgument,
     MissingGrad,
     build_config,
+    require_finite,
     require_positive,
     require_rate,
     require_seed,
@@ -72,8 +73,12 @@ class OptimizerSpec:
         kind = _KIND_ALIASES.get(self.kind.lower(), self.kind.lower())
         if kind not in OPTIMIZER_KINDS:
             raise InvalidArgument(f"unknown optimizer kind {self.kind!r}")
-        if self.lr <= 0:
-            raise InvalidArgument("learning rate must be positive")
+        if not 0 < self.lr < math.inf:
+            raise InvalidArgument(
+                f"learning rate must be positive and finite, got {self.lr}")
+        for name in ("decay", "momentum"):
+            if getattr(self, name) is not None:
+                require_finite(name, getattr(self, name))
         return dataclasses.replace(self, kind=kind)
 
 
@@ -161,12 +166,13 @@ class TrainConfig:
     l2: float = 0.0
     seed: int = 0
     val_fraction: float = 0.1
-    shuffle_each_epoch: bool = True
     metrics_every: int = 1
 
     def validate(self):
         require_positive(self, ("batch_size", "max_epochs"))
         require_rate("val_fraction", self.val_fraction)
+        if not 0.0 <= self.l2 < math.inf:
+            raise InvalidArgument(f"l2 must be >= 0 and finite, got {self.l2}")
         if self.patience < 0:
             raise InvalidArgument("patience must be >= 0")
         if self.metrics_every < 0:   # 0 turns the per-epoch metrics off
@@ -202,9 +208,7 @@ def _batches(pairs, batch_size):
         yield pairs[i : i + batch_size]
 
 
-def _epoch_split(pool, rng, train_cfg, fixed):
-    if not train_cfg.shuffle_each_epoch:
-        return fixed
+def _epoch_split(pool, rng, train_cfg):
     order = rng.permutation(len(pool))
     shuffled = [pool[i] for i in order]
     n_val = int(round(train_cfg.val_fraction * len(pool)))
@@ -246,11 +250,10 @@ def train(model_cfg, train_cfg, opt_spec, data, embedding=None, vocab=None):
     raises DivergedError carrying the epoch index.
     """
     train_cfg.validate()
-    train_pairs = list(data.train)
-    val_pairs = list(data.validation)
-    if not train_pairs:
+    pool = list(data.train)
+    if not pool:
         raise EmptyInput("empty train set")
-    pool = train_pairs + val_pairs
+    pool += data.validation
     if vocab is None:
         vocab = build_vocab(pool)
     model = build_model(model_cfg, vocab, seed=train_cfg.seed,
@@ -262,7 +265,7 @@ def train(model_cfg, train_cfg, opt_spec, data, embedding=None, vocab=None):
     stale = 0
     stopped = -1
     for epoch in range(train_cfg.max_epochs):
-        tr, va = _epoch_split(pool, rng, train_cfg, (train_pairs, val_pairs))
+        tr, va = _epoch_split(pool, rng, train_cfg)
         epoch_loss = 0.0
         n_batches = 0
         for batch in _batches(tr, train_cfg.batch_size):
@@ -330,9 +333,11 @@ def grid_search(space, model_cfg, train_cfg, opt_spec, data, base_seed=0):
     """One independent seeded run per combination of the axis lists.
 
     ``space`` maps field names (of ModelConfig, TrainConfig or OptimizerSpec)
-    to value lists.  Returns (rows, skipped): each row carries the combination
-    plus bleu/ss/wa and the best-validation epoch ("ep"); invalid combinations
-    and diverged runs are recorded in ``skipped`` with a reason.
+    to value lists; without a ``seed`` axis each run's seed is derived from
+    ``base_seed`` and the combination's index.  Returns (rows, skipped): each
+    row carries the combination plus bleu/ss/wa and the best-validation epoch
+    ("ep"); invalid combinations and diverged runs are recorded in
+    ``skipped`` with a reason.
     """
     if not space:
         raise InvalidArgument("empty search space")
@@ -351,7 +356,8 @@ def grid_search(space, model_cfg, train_cfg, opt_spec, data, base_seed=0):
                                          if CONFIG_FIELDS[k][0] is type(base)})
             for base in (model_cfg, train_cfg, opt_spec)
         )
-        tc = dataclasses.replace(tc, seed=base_seed * 100003 + idx)
+        if "seed" not in combo:
+            tc = dataclasses.replace(tc, seed=base_seed * 100003 + idx)
         try:
             mc.validate()
             tc.validate()
@@ -480,7 +486,7 @@ def _model_config(raw):
                         IncompatibleCheckpoint)
 
 
-def load_checkpoint(path, expect_architecture=None):
+def load_checkpoint(path):
     """Inverse of save_checkpoint; verifies the checksum, the format version
     and the header's layout.  A malformed file raises ``ChecksumError`` or
     ``IncompatibleCheckpoint``."""
@@ -499,11 +505,6 @@ def load_checkpoint(path, expect_architecture=None):
     header = _read_header(body[off : off + hlen])
     off += hlen
     cfg = _model_config(header["model_config"])
-    if expect_architecture is not None and cfg.architecture != expect_architecture:
-        raise IncompatibleCheckpoint(
-            f"checkpoint holds a {cfg.architecture!r} model, "
-            f"expected {expect_architecture!r}"
-        )
     params = {}
     for spec in header["arrays"]:
         shape = tuple(spec["shape"])

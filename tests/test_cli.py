@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import sys
 from collections import Counter
 
 import numpy as np
@@ -436,16 +438,54 @@ class TestTypedInputErrors:
         ["pretrain-embed", "lm", "--corpus", "{bad}", "--out", "{out}"],
         ["pretrain-embed", "ftavg", "--corpus", "{corpus}",
          "--vectors", "{bad}", "--out", "{out}"],
+        ["pretrain-embed", "ftavg", "--corpus", "{bad}",
+         "--vectors", "{vec}", "--out", "{out}"],
         ["error-report", "--predictions", "{bad}", "--out", "{out}"],
     ], ids=["train-data", "train-config", "evaluate-data", "lm-corpus",
-            "ftavg-vectors", "error-report-predictions"])
+            "ftavg-vectors", "ftavg-corpus", "error-report-predictions"])
     def test_non_utf8_text_exit_1(self, corpus, checkpoint, tmp_path, capsys,
                                   argv):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes("caf\u00e9\tcafe\tcafe\n".encode("latin-1"))
-        self._run(argv, tmp_path, bad=bad, corpus=corpus, ckpt=checkpoint)
+        vec = tmp_path / "good.vec"
+        vec.write_text("cafe 1.0 2.0\n", encoding="utf-8")
+        self._run(argv, tmp_path, bad=bad, corpus=corpus, ckpt=checkpoint,
+                  vec=vec)
         err = capsys.readouterr().err
-        assert "error:" in err and "utf-8" in err
+        assert "error:" in err and "utf-8" in err and str(bad) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--lr", "nan"],
+        ["train", "--lr", "inf"],
+        ["train", "--decay", "nan"],
+        ["train", "--decay=-inf"],
+        ["train", "--momentum", "nan"],
+        ["train", "--momentum", "inf"],
+        ["train", "--l2", "nan"],
+        ["train", "--l2", "inf"],
+        ["train", "--l2=-0.5"],
+        ["train", "--config", "{cfg}"],
+        ["tune", "--axis", "lr=0.01,nan"],
+        ["tune", "--axis", "l2=inf"],
+    ], ids=["lr-nan", "lr-inf", "decay-nan", "decay-neg-inf", "momentum-nan",
+            "momentum-inf", "l2-nan", "l2-inf", "l2-negative",
+            "config-lr-nan", "axis-lr-nan", "axis-l2-inf"])
+    def test_non_finite_hyperparameter_exit_1(self, corpus, tmp_path, capsys,
+                                              argv):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("optimizer.lr = nan\n", encoding="utf-8")
+        out = [] if argv[0] == "tune" else ["--out", "{out}"]
+        self._run([*argv, "--data", "{corpus}", "--arch", "am", "--epochs",
+                   "1", *out], tmp_path, corpus=corpus, cfg=cfg)
+        err = capsys.readouterr().err
+        assert "error:" in err and "must be" in err   # not a divergence
+
+    def test_non_utf8_stdin_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(b"kara\xe9\n"), encoding="utf-8"))
+        assert run_cli(["wx", "decode"]) == 1
+        err = capsys.readouterr().err
+        assert "error: standard input:" in err and "utf-8" in err
 
     def test_non_numeric_vector_exit_1(self, corpus, tmp_path, capsys):
         vec = tmp_path / "bad.vec"

@@ -76,7 +76,6 @@ train.batch_size = 20
 train.val_fraction = 0.1
 optimizer.kind = adam
 optimizer.lr = 1e-3
-train.shuffle_each_epoch = true
 """
 
     def test_sections_and_coercion(self):
@@ -85,7 +84,6 @@ train.shuffle_each_epoch = true
         assert cfg.model == {"architecture": "am", "hidden_dim": 64}
         assert cfg.train["batch_size"] == 20
         assert cfg.train["val_fraction"] == 0.1
-        assert cfg.train["shuffle_each_epoch"] is True
         assert cfg.optimizer == {"kind": "adam", "lr": 1e-3}
 
     def test_unknown_key_rejected(self):

@@ -73,7 +73,7 @@ class TestVocab:
         ids = vocab.encode("ab")
         assert ids[0] == vocab.BOS and ids[-1] == vocab.EOS
         assert vocab.decode(ids) == "ab"
-        assert vocab.encode("q", add_markers=False) == [vocab.UNK]
+        assert vocab.encode("q") == [vocab.BOS, vocab.UNK, vocab.EOS]
 
 
 class TestStripTrailingRepeats:

@@ -73,14 +73,6 @@ class TestFtAvg:
         t2, _ = ft_avg_embed(store, ["a", "ab"])
         assert np.array_equal(t1.data, t2.data)
 
-    def test_token_frequency_weighting(self):
-        store = WordVectorStore({"a": [1.0], "ab": [7.0]})
-        table, _ = ft_avg_embed(store, ["a", "a", "a", "ab"],
-                                token_frequency=True)
-        vocab = CharVocab(set("ab"))
-        assert table.data[vocab.index["a"]][0] == \
-            pytest.approx((3 * 1.0 + 1 * 7.0) / 4)
-
     def test_missing_chars_zero_with_warning(self):
         store = WordVectorStore({"ab": [1.0]})
         with pytest.warns(UserWarning):

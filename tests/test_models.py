@@ -467,6 +467,53 @@ class TestHan:
                 assert np.allclose(enc.char_alpha[0],
                                    batch.char_alpha[b, :K], rtol=0, atol=1e-12)
 
+    @staticmethod
+    def _composed_char_attention(model, S, mask):
+        """The char-level pooling as composed taped ops: the reference for
+        the one ``tensor.additive_attention`` call of ``_char_attention``."""
+        p = model.params
+        N, cs, d = S.shape
+        e = T.reshape(T.tanh(S @ p["W_c"] + p["b_c"]) @ p["v_c"], (N, cs))
+        add = np.where(mask > 0, 0.0, models.NEG_INF)
+        add[mask.sum(axis=1) == 0] = 0.0   # a chunk of padding only: unmasked
+        alpha = T.softmax(e, axis=-1, mask=add)
+        pooled = T.reshape(T.reshape(alpha, (N, 1, cs)) @ S, (N, d))
+        return pooled, alpha.data
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_char_pooling_matches_composed_ops(self, seed):
+        words = ["abcdefg", "ab", "abcd"]
+        vocab = build_vocab([(w, w) for w in words])
+        model = build_model(_cfg("han", chunk_size=3), vocab, seed=seed)
+        _, _, mask = encode_batch(vocab, words)    # 7 chars -> 3 chunks
+        char_mask = np.pad(mask, ((0, 0), (0, 2))).reshape(-1, 3)
+        assert 0 < char_mask.sum() < char_mask.size      # masked chars
+        assert (char_mask.sum(axis=1) == 0).any()        # a chunk of padding
+        r = np.random.default_rng(seed)
+        S = T.Tensor(r.normal(size=(len(char_mask), 3, 12)),
+                     requires_grad=True)
+        C = T.Tensor(r.normal(size=(len(char_mask), 12)))
+        names = ("W_c", "b_c", "v_c")
+
+        def run(pool):
+            model.zero_grads()
+            S.zero_grad()
+            with T.Graph() as g:
+                pooled, alpha = pool(S, char_mask)
+                T.backward(g, T.tsum(pooled * C))
+            return (pooled.data, alpha,
+                    [model.params[k].grad.copy() for k in names] + [S.grad])
+
+        pooled, alpha, grads = run(model._char_attention)
+        ref = run(lambda S, m: self._composed_char_attention(model, S, m))
+        for got, want in zip([pooled, alpha, *grads],
+                             [ref[0], ref[1], *ref[2]]):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert (alpha[char_mask.sum(axis=1) == 0] > 0).all()
+        assert T.finite_diff_check(
+            lambda: T.tsum(model._char_attention(S, char_mask)[0] * C),
+            {k: model.params[k] for k in names}) < 1e-6
+
     @pytest.mark.parametrize("seed", range(4))
     def test_output_cleaned_of_trailing_repeats(self, seed):
         vocab = build_vocab([("aab", "abb")])

@@ -34,8 +34,6 @@ class TestRewriteRule:
             RewriteRule("middle", "a", "b")
         with pytest.raises(InvalidArgument):
             RewriteRule("initial", "", "b")
-        with pytest.raises(InvalidArgument):
-            RewriteRule("initial", "a", "b", prob=1.5)
 
 
 class TestOracle:

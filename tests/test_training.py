@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cogtrans import tensor as T
+from cogtrans import tensor as T, training
 from cogtrans.cli import run_cli
 from cogtrans.data_io import DatasetSplit
 from cogtrans.embeddings import CharLM, CharLMConfig, train_char_lm
@@ -35,6 +35,7 @@ from cogtrans.training import (
     Optimizer,
     OptimizerSpec,
     TrainConfig,
+    TrainResult,
     _header_dict,
     average_checkpoints,
     grid_search,
@@ -301,13 +302,6 @@ class TestCheckpointIO:
         with pytest.raises(ChecksumError):
             load_checkpoint(path)
 
-    def test_architecture_mismatch(self, tmp_path):
-        res = self._trained()
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(res.best, path)
-        with pytest.raises(IncompatibleCheckpoint):
-            load_checkpoint(path, expect_architecture="tn")
-
     @staticmethod
     def _rewrite_header(path, edit):
         """Re-save a checkpoint with an edited header and a valid checksum,
@@ -495,3 +489,32 @@ class TestGridSearch:
         with pytest.raises(InvalidArgument):
             grid_search({"warp": [1]}, mc, tc, OptimizerSpec("adam"),
                         _toy_split())
+
+    @staticmethod
+    def _seeds_run(space, monkeypatch, base_seed=0):
+        """The train seeds ``grid_search`` runs over ``space``, with
+        ``train`` stubbed to record them."""
+        seeds = []
+
+        def fake_train(mc, tc, op, data):
+            seeds.append(tc.seed)
+            best = Checkpoint(params={}, epoch=0, train_loss=0.0,
+                              val_loss=0.0)
+            return TrainResult([best], best, None, None, -1)
+
+        monkeypatch.setattr(training, "train", fake_train)
+        mc, tc = _small_cfgs()
+        rows, _ = grid_search(space, mc, tc, OptimizerSpec("adam"),
+                              _toy_split(), base_seed=base_seed)
+        return seeds, rows
+
+    def test_seed_axis_runs_its_seeds(self, monkeypatch):
+        seeds, rows = self._seeds_run({"seed": [5, 9], "lr": [1e-3]},
+                                      monkeypatch, base_seed=2)
+        assert seeds == [5, 9]
+        assert [row["seed"] for row in rows] == [5, 9]
+
+    def test_seeds_derived_without_seed_axis(self, monkeypatch):
+        seeds, _ = self._seeds_run({"lr": [1e-3, 1e-2]}, monkeypatch,
+                                   base_seed=2)
+        assert seeds == [2 * 100003, 2 * 100003 + 1]
