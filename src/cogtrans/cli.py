@@ -211,6 +211,8 @@ def _cmd_pretrain_embed(args):
         vocab = lm.vocab
         print(f"held-out perplexity: {ppl:.4f}")
     else:
+        if args.vectors is None:
+            raise CogtransError("pretrain-embed ftavg needs --vectors")
         store = embeddings.WordVectorStore.load(args.vectors)
         tokens = data_io.read_text(args.corpus).split()
         vocab = CharVocab({c for t in tokens for c in t})

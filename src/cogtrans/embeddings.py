@@ -61,6 +61,8 @@ class WordVectorStore:
             except ValueError:
                 raise ParseError(line_no, f"vector for {parts[0]!r} has a "
                                  "non-numeric component") from None
+        if not vectors:
+            raise EmptyInput(f"{path}: no word vectors")
         return cls(vectors)
 
     def save(self, path):
@@ -213,7 +215,7 @@ def _windows(ids, window):
     return np.asarray(ids, dtype=np.intp)[idx], np.asarray(ids[ctx:], dtype=np.intp)
 
 
-def train_char_lm(corpus, cfg, vocab=None):
+def train_char_lm(corpus, cfg):
     """Fit the LM on a raw text corpus; returns (lm, its embedding table,
     held-out perplexity).
 
@@ -224,8 +226,7 @@ def train_char_lm(corpus, cfg, vocab=None):
     text = nfc(corpus)
     if len(text) <= cfg.window:
         raise InvalidArgument("corpus shorter than the LM window")
-    if vocab is None:
-        vocab = CharVocab(set(text))
+    vocab = CharVocab(set(text))
     ids = [vocab.index.get(c, CharVocab.UNK) for c in text]
     cut = max(cfg.window, int(len(ids) * (1.0 - HOLDOUT_FRACTION)))
     train_x, train_y = _windows(ids[:cut], cfg.window)

@@ -30,9 +30,10 @@ of all steps.
 ``tn`` decodes incrementally: it encodes the word and
 projects each decoder layer's cross-attention keys/values once, and caches
 each layer's self-attention keys/values so every step runs the decoder on
-the new position only.  Each ``tn`` attention block projects its queries,
-keys and values and then runs the scores, mask, softmax and weighted sum
-of all heads as one taped op (``tensor.attention``).
+the new position only.  The model projects each ``tn`` attention block's
+queries, keys and values and builds its masks once per pass, and
+``multi_head_attention`` runs the scores, mask, softmax and weighted sum of
+all heads as one taped op (``tensor.attention``) and the output projection.
 """
 
 from dataclasses import dataclass, field
@@ -159,35 +160,25 @@ def attend_bahdanau(s_prev, H, keys, p, mask=None):
     return T.additive_attention(s_prev, p["W_s"], keys, p["v"], H, add_mask)
 
 
-def multi_head_attention(Q, K, V, heads, p, causal=False, key_mask=None,
-                         return_weights=False, kv=None):
-    """Multi-head scaled dot-product attention over (B, t, d) batches.
-
-    ``kv`` gives the keys and values already projected (K @ W_k, V @ W_v),
-    and K/V are then not used.  The causal flag masks query i, the
-    (Tk - Tq + i)-th position, from attending beyond itself (decoder
-    self-attention), so the queries may be the last Tq of the Tk positions.
-    The scores, mask, softmax and weighted sum are one taped op
-    (``tensor.attention``); an additive mask is built only when some key is
-    masked: a causal mask over more than one query, or a key mask.
+def multi_head_attention(q, k, v, heads, W_o, mask):
+    """Multi-head scaled dot-product attention of projected (B, tq, d)
+    queries over projected (B, tk, d) keys and values, then the output
+    projection ``W_o``.  ``mask`` is an additive constant that broadcasts to
+    (B, heads, tq, tk), or None when no key is masked.  The scores, mask,
+    softmax and weighted sum are one taped op (``tensor.attention``).
+    Returns the output and the (B, heads, tq, tk) weights as an array.
     """
-    d = Q.shape[-1]
-    if d % heads != 0:
+    if q.shape[-1] % heads != 0:
         raise InvalidArgument("model dim not divisible by head count")
-    q = Q @ p["W_q"]
-    k, v = kv if kv is not None else (K @ p["W_k"], V @ p["W_v"])
-    tq, tk = q.shape[1], k.shape[1]
-    mask = None
-    if causal and tq > 1:
-        mask = np.triu(np.full((tq, tk), NEG_INF), k=1 + tk - tq)[None, None]
-    if key_mask is not None:
-        pad = np.where(key_mask > 0, 0.0, NEG_INF)[:, None, None, :]
-        mask = pad if mask is None else mask + pad
     out, weights = T.attention(q, k, v, heads, mask)
-    out = out @ p["W_o"]
-    if return_weights:
-        return out, weights.mean(axis=1)  # head-averaged, (B, tq, tk)
-    return out
+    return out @ W_o, weights
+
+
+def _key_mask(src_mask):
+    """The additive (B, 1, 1, T) mask over the source keys from the (B, T)
+    0/1 source mask; None (no mask) when there is none."""
+    return (None if src_mask is None
+            else np.where(src_mask > 0, 0.0, NEG_INF)[:, None, None, :])
 
 
 def _birnn_summary(H):
@@ -552,9 +543,15 @@ class TransformerModel(TransductionModel):
         self._add("b_out", np.zeros(V))
         self._pe = positional_encoding(0, d)   # grown by _embed_pos
 
-    def _mha_params(self, side, l, blk):
-        return {w: self.params[f"{side}{l}_{blk}_{w}"]
-                for w in ("W_q", "W_k", "W_v", "W_o")}
+    def _kv(self, x, name):
+        """The keys and values of attention block ``name`` over rows x."""
+        return x @ self.params[name + "W_k"], x @ self.params[name + "W_v"]
+
+    def _self_kv(self, y, l, state):
+        """Decoder layer l's self-attention keys and values: y's, or with a
+        ``DecodeState`` those of every position decoded so far."""
+        kv = self._kv(y, f"dec{l}_self_")
+        return kv if state is None else state.extend(l, *kv)
 
     def _ln(self, x, side, l, i):
         return T.layer_norm(x, self.params[f"{side}{l}_ln{i}_g"],
@@ -579,71 +576,76 @@ class TransformerModel(TransductionModel):
 
     def _encode(self, src, src_mask, train, rng):
         x = self._embed_pos(src, train, rng)
+        p, mask = self.params, _key_mask(src_mask)
         for l in range(self.cfg.num_layers):
-            a = multi_head_attention(x, x, x, self.cfg.num_heads,
-                                     self._mha_params("enc", l, "self"),
-                                     key_mask=src_mask)
+            n = f"enc{l}_self_"
+            a = multi_head_attention(x @ p[n + "W_q"], *self._kv(x, n),
+                                     self.cfg.num_heads, p[n + "W_o"], mask)[0]
             x = self._ln(x + a, "enc", l, 0)
             x = self._ln(x + self._ffn(x, "enc", l), "enc", l, 1)
         return x
 
-    def _decode(self, tgt_in, enc_out, src_mask, train, rng, want_weights=False,
-                state=None):
-        start = 0 if state is None else state.length
+    def _decode(self, tgt_in, enc_out, src_mask, train, rng, state=None):
+        """The top decoder states and the last layer's cross-attention
+        weights (B, heads, t, T).  Each block projects its queries before
+        its keys and values: ``tensor.backward`` adds the gradient parts of
+        the block input in the reverse of that order, and another order
+        changes the gradients in their last bits.  The projections are
+        arguments of ``multi_head_attention``, evaluated left to right, so
+        none outlives its block."""
+        p, heads = self.params, self.cfg.num_heads
+        if state is None:
+            start, key_mask = 0, _key_mask(src_mask)
+            t = tgt_in.shape[1]
+            causal = np.triu(np.full((t, t), NEG_INF), k=1)[None, None]
+        else:   # the one new position attends to every cached one
+            start, key_mask, causal = state.length, state.key_mask, None
         y = self._embed_pos(tgt_in[:, start:], train, rng, start=start)
-        heads = self.cfg.num_heads
-        cross_w = None
         for l in range(self.cfg.num_layers):
-            p = self._mha_params("dec", l, "self")
-            if state is None:
-                a = multi_head_attention(y, y, y, heads, p, causal=True)
-            else:
-                a = multi_head_attention(y, None, None, heads, p, causal=True,
-                                         kv=state.extend(l, y, p))
+            weights = None   # free the previous layer's before this one runs
+            n = f"dec{l}_self_"
+            a = multi_head_attention(y @ p[n + "W_q"],
+                                     *self._self_kv(y, l, state), heads,
+                                     p[n + "W_o"], causal)[0]
             y = self._ln(y + a, "dec", l, 0)
-            last = want_weights and l == self.cfg.num_layers - 1
-            a = multi_head_attention(y, enc_out, enc_out, heads,
-                                     self._mha_params("dec", l, "cross"),
-                                     key_mask=src_mask, return_weights=last,
-                                     kv=None if state is None else state.cross[l])
-            if last:
-                a, cross_w = a
+            n = f"dec{l}_cross_"
+            a, weights = multi_head_attention(
+                y @ p[n + "W_q"],
+                *(self._kv(enc_out, n) if state is None else state.cross[l]),
+                heads, p[n + "W_o"], key_mask)
             y = self._ln(y + a, "dec", l, 1)
             y = self._ln(y + self._ffn(y, "dec", l), "dec", l, 2)
         if state is not None:
             state.length = tgt_in.shape[1]
-        return y, cross_w
+        return y, weights
 
     def forward(self, src, tgt_in, src_mask=None, train=False, rng=None,
-                want_weights=False, state=None):
-        """Next-char distributions (B, T_tgt, V) under teacher forcing.
+                state=None):
+        """Next-char distributions (B, T_tgt, V) under teacher forcing, and
+        the last decoder layer's cross-attention weights (B, heads, T_tgt,
+        T_src).
 
         With a ``DecodeState`` from ``_decode_start`` (greedy decoding),
-        ``src`` and ``src_mask`` are not read: the state holds the encoded
-        source and its mask.  ``tgt_in`` is then the whole prefix decoded so
-        far, and the distributions (and weights) cover only the positions
-        the state has not seen yet.
+        ``src`` and ``src_mask`` are not read: the state holds the source's
+        projected keys/values and its mask.  ``tgt_in`` is then the whole
+        prefix decoded so far, one position longer than at the state's
+        previous call, and the distributions and weights cover only that
+        position.
         """
         if train and rng is None:
             rng = np.random.default_rng(0)
-        if state is None:
-            if src.shape[1] == 0:
-                raise EmptyInput("empty source")
-            enc = self._encode(src, src_mask, train, rng)
-        else:
-            enc, src_mask = state.enc, state.mask
-        y, cross_w = self._decode(tgt_in, enc, src_mask, train, rng,
-                                  want_weights=want_weights, state=state)
+        if state is None and src.shape[1] == 0:
+            raise EmptyInput("empty source")
+        enc = (self._encode(src, src_mask, train, rng) if state is None
+               else None)
+        y, weights = self._decode(tgt_in, enc, src_mask, train, rng, state)
         logits = y @ self.params["W_out"] + self.params["b_out"]
-        probs = T.softmax(logits, axis=-1)
-        if want_weights:
-            return probs, cross_w
-        return probs
+        return T.softmax(logits, axis=-1), weights
 
     def loss_batch(self, src, src_mask, tgt, tgt_len, tgt_mask, train=True,
                    rng=None):
-        probs = self.forward(src, tgt[:, :-1], src_mask=src_mask,
-                             train=train, rng=rng)
+        probs, _ = self.forward(src, tgt[:, :-1], src_mask=src_mask,
+                                train=train, rng=rng)
         flat = T.reshape(probs, (-1, len(self.vocab)))
         return self._loss_from_probs(flat, tgt, tgt_len, tgt_mask)
 
@@ -651,15 +653,12 @@ class TransformerModel(TransductionModel):
         """Encode the source and project each decoder layer's
         cross-attention keys/values, once per decoded batch."""
         enc = self._encode(src, src_mask, False, None)
-        return DecodeState(enc, src_mask, [
-            tuple(enc @ self.params[f"dec{l}_cross_{w}"] for w in ("W_k", "W_v"))
-            for l in range(self.cfg.num_layers)
-        ])
+        return DecodeState(_key_mask(src_mask), [
+            self._kv(enc, f"dec{l}_cross_") for l in range(self.cfg.num_layers)])
 
     def _decode_next(self, state, prefix):
-        probs, cross = self.forward(None, prefix, want_weights=True,
-                                    state=state)
-        return probs.data[:, -1], cross[:, -1]
+        probs, weights = self.forward(None, prefix, state=state)
+        return probs.data[:, -1], weights[:, :, -1].mean(axis=1)
 
 
 @dataclass
@@ -667,23 +666,22 @@ class DecodeState:
     """One batch's ``tn`` decoding cache, made by ``_decode_start`` and
     extended by ``TransformerModel.forward``.
 
-    ``enc`` is the encoder output, ``mask`` the (B, T) 0/1 source mask that
-    masks the cross-attention keys, ``cross`` each decoder layer's projected
+    ``key_mask`` is the additive mask over the cross-attention keys
+    (``_key_mask``), ``cross`` each decoder layer's projected
     cross-attention (keys, values), ``self_kv`` each decoder layer's
     self-attention (keys, values) of the ``length`` target positions decoded
     so far; keys and values are projected (B, t, d) rows.
     """
 
-    enc: Tensor
-    mask: np.ndarray
+    key_mask: np.ndarray | None
     cross: list
     self_kv: list = field(default_factory=list)
     length: int = 0
 
-    def extend(self, layer, y, p):
-        """Append the new positions ``y``'s keys/values to ``layer``'s cache
-        and return the cached (keys, values) of every position so far."""
-        k, v = y @ p["W_k"], y @ p["W_v"]
+    def extend(self, layer, k, v):
+        """Append the new positions' keys k and values v to ``layer``'s
+        cache and return the cached (keys, values) of every position so
+        far."""
         if layer < len(self.self_kv):
             k_old, v_old = self.self_kv[layer]
             k, v = T.concat([k_old, k], axis=1), T.concat([v_old, v], axis=1)

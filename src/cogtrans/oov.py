@@ -14,8 +14,9 @@ from .metrics import corpus_bleu, nfc
 
 ROW_SUM_TOL = 1e-3
 
-# Devanagari danda, double danda, and common ASCII punctuation detached
-# before alignment and re-attached after replacement
+# Devanagari danda, double danda, and common ASCII punctuation: ``tokenize``
+# splits them off a word's ends as tokens of their own, and ``detect_oov``
+# never flags them
 _PUNCT = set("।॥.,!?;:\"'()[]{}")
 
 
@@ -206,12 +207,16 @@ def save_pipeline_file(records, tsv_path, matrix_path):
 
 
 def load_pipeline_file(tsv_path, matrix_path):
+    """The records ``save_pipeline_file`` wrote.  Each record's matrix must
+    have one row per target token and one column per source token."""
     records = []
-    lines = [ln for ln in read_text(tsv_path).split("\n") if ln.strip()]
+    lines = read_text(tsv_path).split("\n")
     with open(matrix_path, "rb") as fh:
         blob = fh.read()
     off = 0
-    for line in lines:
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise InvalidArgument(f"malformed pipeline line {line!r}")
@@ -224,9 +229,14 @@ def load_pipeline_file(tsv_path, matrix_path):
             raise InvalidArgument("matrix sidecar shorter than the TSV")
         att = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         off += count * 8
+        source, target = parts[0].split(), parts[1].split()
+        if (rows, cols) != (len(target), len(source)):
+            raise InvalidArgument(
+                f"line {line_no}: attention matrix is {rows}x{cols}, but the "
+                f"pair has {len(target)} target and {len(source)} source "
+                "tokens")
         records.append(AlignedSentencePair(
-            source=parts[0].split(),
-            target=parts[1].split(),
+            source=source, target=target,
             attention=att.reshape(rows, cols).copy(),
         ))
     if off != len(blob):

@@ -47,22 +47,18 @@ DEFAULT_RULESET = (
 )
 
 
-def oracle_transduce(word, ruleset=DEFAULT_RULESET):
-    """Apply every rule left-to-right in ruleset order."""
-    for rule in ruleset:
+def oracle_transduce(word):
+    """Apply every rule left-to-right in ``DEFAULT_RULESET`` order."""
+    for rule in DEFAULT_RULESET:
         word = rule.apply(word)
     return word
-
-
-def _touched(word, ruleset):
-    return oracle_transduce(word, ruleset) != word
 
 
 def _random_word(rng, alphabet, length):
     return "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=length))
 
 
-def generate_pairs(seed, n, ruleset=DEFAULT_RULESET):
+def generate_pairs(seed, n):
     """n seeded (source, target) pairs with target == oracle_transduce(source).
 
     Roughly IDENTITY_FRACTION of the pairs use rule-clean sources (target
@@ -71,8 +67,6 @@ def generate_pairs(seed, n, ruleset=DEFAULT_RULESET):
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    if not ruleset:
-        raise InvalidArgument("empty ruleset")
     require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     pairs = []
@@ -82,11 +76,12 @@ def generate_pairs(seed, n, ruleset=DEFAULT_RULESET):
         want_identity = rng.random() < IDENTITY_FRACTION
         if want_identity:
             # resample until no rule fires, so source == target exactly
-            while _touched(word, ruleset):
+            while oracle_transduce(word) != word:
                 word = _random_word(rng, ALPHABET, length)
         else:
             # plant the pattern of a random rule so transductions dominate
-            rule = ruleset[int(rng.integers(0, len(ruleset)))]
+            pick = int(rng.integers(0, len(DEFAULT_RULESET)))
+            rule = DEFAULT_RULESET[pick]
             if rule.anchor == "initial":
                 word = rule.src + word[len(rule.src):]
             elif rule.anchor == "final":
@@ -94,20 +89,20 @@ def generate_pairs(seed, n, ruleset=DEFAULT_RULESET):
             else:
                 pos = int(rng.integers(0, max(1, len(word) - len(rule.src) + 1)))
                 word = word[:pos] + rule.src + word[pos + len(rule.src):]
-        pairs.append((word, oracle_transduce(word, ruleset)))
+        pairs.append((word, oracle_transduce(word)))
     return pairs
 
 
-def dataset_stats(pairs, ruleset=DEFAULT_RULESET):
+def dataset_stats(pairs):
     """Reproducible summary: length histogram, identity and per-rule counts."""
     lengths = {}
     identity = 0
-    rule_hits = {i: 0 for i in range(len(ruleset))}
+    rule_hits = {i: 0 for i in range(len(DEFAULT_RULESET))}
     for src, tgt in pairs:
         lengths[len(src)] = lengths.get(len(src), 0) + 1
         if src == tgt:
             identity += 1
-        for i, rule in enumerate(ruleset):
+        for i, rule in enumerate(DEFAULT_RULESET):
             if rule.apply(src) != src:
                 rule_hits[i] += 1
     return {

@@ -28,7 +28,6 @@ from .errors import (
     InvalidArgument,
     MissingGrad,
     build_config,
-    require_finite,
     require_positive,
     require_rate,
     require_seed,
@@ -76,9 +75,14 @@ class OptimizerSpec:
         if not 0 < self.lr < math.inf:
             raise InvalidArgument(
                 f"learning rate must be positive and finite, got {self.lr}")
-        for name in ("decay", "momentum"):
-            if getattr(self, name) is not None:
-                require_finite(name, getattr(self, name))
+        if self.momentum is not None:
+            require_rate("momentum", self.momentum)
+        if self.decay is not None:
+            if kind == "adadelta":   # decay is the accumulators' rho
+                require_rate("decay", self.decay)
+            elif not 0.0 < self.decay <= 1.0:   # a per-epoch factor on lr
+                raise InvalidArgument(
+                    f"decay must be in (0, 1], got {self.decay}")
         return dataclasses.replace(self, kind=kind)
 
 

@@ -467,16 +467,22 @@ class TestTypedInputErrors:
         ["train", "--config", "{cfg}"],
         ["tune", "--axis", "lr=0.01,nan"],
         ["tune", "--axis", "l2=inf"],
+        ["train", "--decay=-1.0"],
+        ["train", "--optimizer", "momentum", "--momentum", "1.5"],
+        ["train", "--config", "{rho}"],
     ], ids=["lr-nan", "lr-inf", "decay-nan", "decay-neg-inf", "momentum-nan",
             "momentum-inf", "l2-nan", "l2-inf", "l2-negative",
-            "config-lr-nan", "axis-lr-nan", "axis-l2-inf"])
+            "config-lr-nan", "axis-lr-nan", "axis-l2-inf", "decay-negative",
+            "momentum-above-1", "config-adadelta-decay-above-1"])
     def test_non_finite_hyperparameter_exit_1(self, corpus, tmp_path, capsys,
                                               argv):
-        cfg = tmp_path / "run.conf"
+        cfg, rho = tmp_path / "run.conf", tmp_path / "rho.conf"
         cfg.write_text("optimizer.lr = nan\n", encoding="utf-8")
+        rho.write_text("optimizer.kind = adadelta\noptimizer.decay = 1.5\n",
+                       encoding="utf-8")
         out = [] if argv[0] == "tune" else ["--out", "{out}"]
         self._run([*argv, "--data", "{corpus}", "--arch", "am", "--epochs",
-                   "1", *out], tmp_path, corpus=corpus, cfg=cfg)
+                   "1", *out], tmp_path, corpus=corpus, cfg=cfg, rho=rho)
         err = capsys.readouterr().err
         assert "error:" in err and "must be" in err   # not a divergence
 
@@ -486,6 +492,24 @@ class TestTypedInputErrors:
         assert run_cli(["wx", "decode"]) == 1
         err = capsys.readouterr().err
         assert "error: standard input:" in err and "utf-8" in err
+
+    @pytest.mark.parametrize("text", ["", "0 32\n"],
+                             ids=["empty", "header-only"])
+    def test_vector_file_without_vectors_exit_1(self, corpus, tmp_path,
+                                                capsys, text):
+        vec = tmp_path / "none.vec"
+        vec.write_text(text, encoding="utf-8")
+        self._run(["train", "--data", "{corpus}", "--arch", "am",
+                   "--embed-vectors", "{vec}", "--out", "{out}"],
+                  tmp_path, corpus=corpus, vec=vec)
+        err = capsys.readouterr().err
+        assert "error:" in err and str(vec) in err
+
+    def test_ftavg_without_vectors_exit_1(self, corpus, tmp_path, capsys):
+        self._run(["pretrain-embed", "ftavg", "--corpus", "{corpus}",
+                   "--out", "{out}"], tmp_path, corpus=corpus)
+        err = capsys.readouterr().err
+        assert "error:" in err and "--vectors" in err
 
     def test_non_numeric_vector_exit_1(self, corpus, tmp_path, capsys):
         vec = tmp_path / "bad.vec"

@@ -127,35 +127,29 @@ def _split_heads(x, heads):
     return T.transpose(T.reshape(x, (B, t, heads, d // heads)), (0, 2, 1, 3))
 
 
-def _composed_attention(Q, K, V, heads, p, causal=False, key_mask=None,
-                        return_weights=False, kv=None):
+def _composed_attention(q, k, v, heads, W_o, mask):
     """``multi_head_attention`` as a chain of small taped ops (head split,
     scaled scores, an additive mask that is all zeros when nothing is
     masked, softmax, weighted sum, head merge): the reference for the one
     fused ``tensor.attention`` node."""
-    d = Q.shape[-1]
-    q = _split_heads(Q @ p["W_q"], heads)
-    k, v = kv if kv is not None else (K @ p["W_k"], V @ p["W_v"])
-    k, v = _split_heads(k, heads), _split_heads(v, heads)
-    B, tq, tk = Q.shape[0], Q.shape[1], k.shape[2]
-    scores = q @ T.transpose(k, (0, 1, 3, 2)) * (1.0 / np.sqrt(d // heads))
-    mask = np.zeros((B, 1, tq, tk))
-    if causal:
-        mask += np.triu(np.full((tq, tk), -1e9), k=1 + tk - tq)[None, None]
-    if key_mask is not None:
-        mask += np.where(key_mask > 0, 0.0, -1e9)[:, None, None, :]
-    weights = T.softmax(scores, axis=-1, mask=mask)
-    out = T.reshape(T.transpose(weights @ v, (0, 2, 1, 3)), (B, tq, d)) @ p["W_o"]
-    if return_weights:
-        return out, weights.data.mean(axis=1)
-    return out
+    B, tq, d = q.shape
+    qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
+    scores = qh @ T.transpose(kh, (0, 1, 3, 2)) * (1.0 / np.sqrt(d // heads))
+    full = np.zeros((B, 1, tq, kh.shape[2]))
+    if mask is not None:
+        full += mask
+    weights = T.softmax(scores, axis=-1, mask=full)
+    out = T.reshape(T.transpose(weights @ vh, (0, 2, 1, 3)), (B, tq, d)) @ W_o
+    return out, weights.data
+
+
+def _causal(t):
+    return np.triu(np.full((t, t), -1e9), k=1)[None, None]
 
 
 class TestMultiHeadAttention:
-    def _identity_params(self, d):
-        eye = np.eye(d)
-        return {name: T.Tensor(eye.copy(), requires_grad=True)
-                for name in ("W_q", "W_k", "W_v", "W_o")}
+    """``multi_head_attention`` over rows that are already projected: the
+    identity output projection leaves softmax(q kᵀ/√dk + mask) v."""
 
     def test_single_head_is_scaled_dot_product(self):
         d = 4
@@ -163,12 +157,13 @@ class TestMultiHeadAttention:
         q = r.normal(size=(1, 3, d))
         k = r.normal(size=(1, 5, d))
         v = r.normal(size=(1, 5, d))
-        out = multi_head_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 1,
-                                   self._identity_params(d))
+        out, w = multi_head_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v),
+                                      1, T.Tensor(np.eye(d)), None)
         scores = q[0] @ k[0].T / math.sqrt(d)
-        w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        w /= w.sum(axis=-1, keepdims=True)
-        assert np.allclose(out.data[0], w @ v[0], atol=1e-12)
+        ref = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        ref /= ref.sum(axis=-1, keepdims=True)
+        assert np.allclose(out.data[0], ref @ v[0], atol=1e-12)
+        assert np.allclose(w[0, 0], ref, atol=1e-12)
 
     def test_constant_keys_average_values(self):
         d = 4
@@ -176,39 +171,27 @@ class TestMultiHeadAttention:
         q = r.normal(size=(1, 2, d))
         k = np.tile(r.normal(size=(1, 1, d)), (1, 6, 1))
         v = r.normal(size=(1, 6, d))
-        out = multi_head_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 1,
-                                   self._identity_params(d))
+        out, _ = multi_head_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v),
+                                      1, T.Tensor(np.eye(d)), None)
         assert np.allclose(out.data[0], np.tile(v[0].mean(axis=0), (2, 1)),
                            atol=1e-12)
 
     def test_causal_mask_blocks_future(self):
         d = 4
         r = np.random.default_rng(2)
-        p = self._identity_params(d)
         x1 = r.normal(size=(1, 5, d))
         x2 = x1.copy()
         x2[0, 3:] += 10.0
-        o1 = multi_head_attention(T.Tensor(x1), T.Tensor(x1), T.Tensor(x1),
-                                  2, p, causal=True)
-        o2 = multi_head_attention(T.Tensor(x2), T.Tensor(x2), T.Tensor(x2),
-                                  2, p, causal=True)
+        o1, _ = multi_head_attention(T.Tensor(x1), T.Tensor(x1), T.Tensor(x1),
+                                     2, T.Tensor(np.eye(d)), _causal(5))
+        o2, _ = multi_head_attention(T.Tensor(x2), T.Tensor(x2), T.Tensor(x2),
+                                     2, T.Tensor(np.eye(d)), _causal(5))
         assert np.array_equal(o1.data[0, :3], o2.data[0, :3])
-
-    @pytest.mark.parametrize("tq", [1, 2])
-    def test_causal_queries_are_the_last_positions(self, tq):
-        d = 4
-        r = np.random.default_rng(3)
-        p = {name: T.Tensor(r.normal(size=(d, d)))
-             for name in ("W_q", "W_k", "W_v", "W_o")}
-        x = T.Tensor(r.normal(size=(1, 5, d)))
-        full = multi_head_attention(x, x, x, 2, p, causal=True)
-        tail = multi_head_attention(T.Tensor(x.data[:, -tq:]), x, x, 2, p,
-                                    causal=True)
-        assert np.allclose(tail.data[0], full.data[0, -tq:], atol=1e-12)
 
     @staticmethod
     def _attention_case(mha, mode, seed):
-        """Output, head-averaged weights and every gradient of one call.
+        """Output, weights and every gradient of one attention block, its
+        queries projected before its keys and values as the model does.
 
         The width is the benchmark model's, 64: at widths of 16 and below
         the matmuls that carry the gradient back to the inputs gave the same
@@ -221,22 +204,21 @@ class TestMultiHeadAttention:
         x = T.Tensor(r.normal(size=(B, t, d)), requires_grad=True)
         mem = T.Tensor(r.normal(size=(B, t + 1, d)), requires_grad=True)
         probe = r.normal(size=(B, t, d))
+        mask = None
         with T.Graph() as g:
-            if mode == "plain":
-                out, w = mha(x, mem, mem, heads, p, return_weights=True)
-            elif mode == "causal":
-                out, w = mha(x, x, x, heads, p, causal=True,
-                             return_weights=True)
-            elif mode == "key_masked":
-                key_mask = np.ones((B, t + 1))
-                key_mask[1, -2:] = 0.0
-                out, w = mha(x, mem, mem, heads, p, key_mask=key_mask,
-                             return_weights=True)
-            else:
-                kv = (mem @ p["W_k"], mem @ p["W_v"])
-                out, w = mha(x[:, -1:], None, None, heads, p, causal=True,
-                             return_weights=True, kv=kv)
+            if mode == "kv":   # one query over cached keys, as a decode step
+                q = x[:, -1:] @ p["W_q"]
                 probe = probe[:, -1:]
+            else:
+                q = x @ p["W_q"]
+            keys = x if mode == "causal" else mem
+            k, v = keys @ p["W_k"], keys @ p["W_v"]
+            if mode == "causal":
+                mask = _causal(t)
+            elif mode == "key_masked":
+                mask = np.zeros((B, 1, 1, t + 1))
+                mask[1, ..., -2:] = -1e9
+            out, w = mha(q, k, v, heads, p["W_o"], mask)
             T.backward(g, T.tsum(T.mul(out, probe)))
         grads = [t.grad for t in (x, mem, *p.values())]
         return out.data, w, grads
@@ -254,11 +236,9 @@ class TestMultiHeadAttention:
             assert got is None or np.array_equal(got, want)
 
     def test_indivisible_heads_rejected(self):
+        x = T.Tensor(np.zeros((1, 2, 6)))
         with pytest.raises(InvalidArgument):
-            multi_head_attention(T.Tensor(np.zeros((1, 2, 6))),
-                                 T.Tensor(np.zeros((1, 2, 6))),
-                                 T.Tensor(np.zeros((1, 2, 6))), 4,
-                                 self._identity_params(6))
+            multi_head_attention(x, x, x, 4, T.Tensor(np.eye(6)), None)
 
 
 class TestDecoding:
@@ -553,8 +533,8 @@ class TestTransformer:
         t2 = t1.copy()
         t2[0, -1] = vocab.index["c"]
         with T.no_grad():
-            p1 = model.forward(src, t1, smask, False, None)
-            p2 = model.forward(src, t2, smask, False, None)
+            p1, _ = model.forward(src, t1, smask, False, None)
+            p2, _ = model.forward(src, t2, smask, False, None)
         assert np.allclose(p1.data[0, :-1], p2.data[0, :-1], atol=1e-12)
 
     @staticmethod
@@ -566,14 +546,14 @@ class TestTransformer:
         truncated = True
         with T.no_grad():
             for _ in range(model.cfg.max_decode_len):
-                probs, cross = model.forward(
-                    src, np.array([out], dtype=np.intp), want_weights=True)
+                probs, weights = model.forward(
+                    src, np.array([out], dtype=np.intp))
                 sym = int(np.argmax(probs.data[0, -1]))
                 if sym == CharVocab.EOS:
                     truncated = False
                     break
                 out.append(sym)
-        return out[1:], cross[0], truncated
+        return out[1:], weights[0].mean(axis=0), truncated
 
     def test_incremental_decoding_matches_full_prefix(self):
         split = split_dataset(generate_pairs(5, 160), seed=5)

@@ -217,6 +217,15 @@ class TestPipelineFile:
             assert a.source == b.source and a.target == b.target
             assert np.array_equal(a.attention, b.attention)
 
+    @pytest.mark.parametrize("att", [[[0.5, 0.5]] * 3, [[0.2, 0.3, 0.5]] * 2],
+                             ids=["extra-row", "extra-column"])
+    def test_matrix_shape_must_match_tokens(self, tmp_path, att):
+        tsv, mat = tmp_path / "p.tsv", tmp_path / "p.att"
+        records = [self._records()[0], _pair(["c", "d"], ["C", "D"], att)]
+        save_pipeline_file(records, tsv, mat)
+        with pytest.raises(InvalidArgument, match="line 2: attention matrix"):
+            load_pipeline_file(tsv, mat)
+
     def test_sidecar_truncated(self, tmp_path):
         tsv, mat = tmp_path / "p.tsv", tmp_path / "p.att"
         save_pipeline_file(self._records(), tsv, mat)

@@ -73,8 +73,6 @@ class TestGeneratePairs:
     def test_invalid_args(self):
         with pytest.raises(InvalidArgument):
             generate_pairs(0, 0)
-        with pytest.raises(InvalidArgument):
-            generate_pairs(0, 10, ruleset=())
 
 
 class TestStats:

@@ -99,6 +99,22 @@ class TestOptimizerFirstSteps:
         with pytest.raises(InvalidArgument):
             OptimizerSpec("adamw").normalized()
 
+    @pytest.mark.parametrize("spec,ok", [
+        (OptimizerSpec("sgd", decay=1.0), True),
+        (OptimizerSpec("adam", decay=0.0), False),
+        (OptimizerSpec("adadelta", decay=0.0), True),
+        (OptimizerSpec("adadelta", decay=1.0), False),
+        (OptimizerSpec("momentum", momentum=0.0), True),
+        (OptimizerSpec("nesterov", momentum=1.0), False),
+    ], ids=["lr-factor-1", "lr-factor-0", "rho-0", "rho-1", "momentum-0",
+            "momentum-1"])
+    def test_rate_ranges(self, spec, ok):
+        if ok:
+            spec.normalized()
+        else:
+            with pytest.raises(InvalidArgument, match="must be in"):
+                spec.normalized()
+
     def test_missing_grad(self):
         p = T.Tensor(np.zeros(2), requires_grad=True)
         with pytest.raises(MissingGrad):
@@ -475,6 +491,14 @@ class TestGridSearch:
                                     OptimizerSpec("adam"), _toy_split(n=24))
         assert len(rows) == 1
         assert len(skipped) == 1 and "reason" in skipped[0]
+
+    def test_out_of_range_rate_skipped_with_reason(self):
+        mc, tc = _small_cfgs(max_epochs=1)
+        rows, skipped = grid_search({"decay": [0.5, 1.5]}, mc, tc,
+                                    OptimizerSpec("sgd"), _toy_split(n=24))
+        assert [row["decay"] for row in rows] == [0.5]
+        assert skipped == [{"decay": 1.5,
+                            "reason": "decay must be in (0, 1], got 1.5"}]
 
     def test_empty_space_rejected(self):
         mc, tc = _small_cfgs()
