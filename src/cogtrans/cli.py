@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from . import data_io, embeddings, metrics, oov, synthetic, training
+from .cells import GATES
 from .devanagari import (
     CharVocab,
     build_vocab,
@@ -19,7 +20,8 @@ from .devanagari import (
     wx_encode,
 )
 from .errors import CogtransError, build_config, require_finite, require_type
-from .models import ModelConfig, transduce_batch, transduce_greedy
+from .models import (ARCHITECTURES, ModelConfig, transduce_batch,
+                     transduce_greedy)
 from .training import (
     OptimizerSpec,
     TrainConfig,
@@ -282,12 +284,15 @@ def _cmd_oov_correct(args):
         shortlist = oov.build_shortlist(corpus, sizes[0])
         flagged = [oov.detect_oov(rec.source, shortlist) for rec in records]
         prefetch(oov.flagged_words(records, flagged))
+        lines = []   # every line before the file opens: an error writes none
+        for rec, positions in zip(records, flagged):
+            corrected, _ = oov.correct_translation(rec, positions,
+                                                   memo.__getitem__)
+            lines.append(" ".join(rec.source) + "\t" + " ".join(corrected)
+                         + "\n")
         out_path = args.out or "corrected.tsv"
         with open(out_path, "w", encoding="utf-8") as fh:
-            for rec, positions in zip(records, flagged):
-                corrected, _ = oov.correct_translation(rec, positions,
-                                                       memo.__getitem__)
-                fh.write(" ".join(rec.source) + "\t" + " ".join(corrected) + "\n")
+            fh.writelines(lines)
         print(f"wrote corrected corpus to {out_path}")
     return 0
 
@@ -340,37 +345,28 @@ def _cmd_error_report(args):
 
 # ---------------------------------------------------------------------------
 
+# flag spellings other than --field-name, and the values a str field takes
+_FLAG_NAMES = {"architecture": "--arch", "max_epochs": "--epochs",
+               "kind": "--optimizer"}
+_CHOICES = {"architecture": ARCHITECTURES, "cell": tuple(GATES),
+            "kind": training.OPTIMIZER_KINDS,
+            "direction": embeddings.DIRECTIONS}
+
+
+def add_config_flags(p, *classes):
+    """One flag per field of each config dataclass in ``classes``, typed as
+    the field; it defaults to ``None``, so ``_config`` leaves the dataclass
+    default in place."""
+    for cls in classes:
+        for f in dataclasses.fields(cls):
+            flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+            p.add_argument(flag, dest=f.name, type=f.type,
+                           choices=_CHOICES.get(f.name))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="cogtrans")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_model_flags(p):
-        p.add_argument("--arch", dest="architecture",
-                       choices=("seq2seq", "am", "han", "tn"), default=None)
-        p.add_argument("--cell", choices=("lstm", "gru"), default=None)
-        p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-        p.add_argument("--embed-dim", dest="embed_dim", type=int)
-        p.add_argument("--dropout", type=float)
-        p.add_argument("--num-layers", dest="num_layers", type=int)
-        p.add_argument("--num-heads", dest="num_heads", type=int)
-        p.add_argument("--d-model", dest="d_model", type=int)
-        p.add_argument("--ffn-dim", dest="ffn_dim", type=int)
-        p.add_argument("--max-decode-len", dest="max_decode_len", type=int)
-
-    def add_train_flags(p):
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--epochs", dest="max_epochs", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--l2", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--val-fraction", dest="val_fraction", type=float)
-        p.add_argument("--metrics-every", dest="metrics_every", type=int)
-        p.add_argument("--optimizer", dest="kind",
-                       choices=training.OPTIMIZER_KINDS)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--decay", type=float)
-        p.add_argument("--momentum", type=float)
-        p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
 
     p = sub.add_parser("train", help="fit a transduction model")
     p.add_argument("--data", required=True)
@@ -380,8 +376,8 @@ def build_parser():
     p.add_argument("--avg-last", dest="avg_last", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--plot")
-    add_model_flags(p)
-    add_train_flags(p)
+    add_config_flags(p, ModelConfig, TrainConfig, OptimizerSpec)
+    p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("transduce", help="transduce one word")
@@ -405,14 +401,7 @@ def build_parser():
     p.add_argument("--corpus", required=True)
     p.add_argument("--vectors", help="word-vector file (ftavg mode)")
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=30)
-    p.add_argument("--hidden", type=int, default=75)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--direction", choices=("forward", "bidirectional"),
-                   default="forward")
-    p.add_argument("--embed-dim", dest="embed_dim", type=int, default=32)
-    p.add_argument("--epochs", dest="max_epochs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    add_config_flags(p, embeddings.CharLMConfig)
     p.set_defaults(func=_cmd_pretrain_embed)
 
     p = sub.add_parser("tune", help="hyperparameter grid search")
@@ -422,8 +411,8 @@ def build_parser():
     p.add_argument("--script", choices=("devanagari", "wx", "raw"),
                    default="raw")
     p.add_argument("--metric", choices=("bleu", "ss", "wa"), default="bleu")
-    add_model_flags(p)
-    add_train_flags(p)
+    add_config_flags(p, ModelConfig, TrainConfig, OptimizerSpec)
+    p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("oov-correct", help="correct OOV words in MT output")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, ParseError, require_seed
+from .errors import EmptyInput, InvalidArgument, ParseError, require_seed
 from .metrics import nfc
 
 
@@ -29,9 +29,10 @@ def naming_decode_errors(name):
 
 
 def read_text(path):
-    """The text of the UTF-8 file at ``path``, newlines as text mode reads
-    them; a file that is not UTF-8 raises ``InvalidArgument`` naming it."""
-    with naming_decode_errors(path), open(path, "r", encoding="utf-8") as fh:
+    """The text of the UTF-8 file at ``path`` without a leading byte-order
+    mark, newlines as text mode reads them; a file that is not UTF-8 raises
+    ``InvalidArgument`` naming it."""
+    with naming_decode_errors(path), open(path, encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -40,7 +41,8 @@ def load_cognate_tsv(path):
 
     Blank lines are skipped; duplicate pairs are kept (a source word may have
     several legitimate cognates).  A malformed line raises ParseError with
-    its 1-based line number.
+    its 1-based line number, and a file with no pair ``EmptyInput`` naming
+    it.
     """
     pairs = []
     for line_no, line in enumerate(read_text(path).split("\n"), 1):
@@ -51,6 +53,8 @@ def load_cognate_tsv(path):
             raise ParseError(line_no,
                              f"expected 'source<TAB>target', got {line!r}")
         pairs.append((nfc(parts[0]), nfc(parts[1])))
+    if not pairs:
+        raise EmptyInput(f"{path}: no cognate pairs")
     return pairs
 
 

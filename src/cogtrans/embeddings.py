@@ -57,10 +57,14 @@ class WordVectorStore:
                              and all(p.isdigit() for p in parts)):
                 continue   # blank, or the optional "count dim" header
             try:
-                vectors[parts[0]] = [float(x) for x in parts[1:]]
+                vec = [float(x) for x in parts[1:]]
             except ValueError:
                 raise ParseError(line_no, f"vector for {parts[0]!r} has a "
                                  "non-numeric component") from None
+            if not all(map(math.isfinite, vec)):
+                raise ParseError(line_no, f"vector for {parts[0]!r} has a "
+                                 "NaN or infinite component")
+            vectors[parts[0]] = vec
         if not vectors:
             raise EmptyInput(f"{path}: no word vectors")
         return cls(vectors)
@@ -117,6 +121,7 @@ def ft_avg_embed(store, corpus, vocab=None):
 # character language model
 
 HOLDOUT_FRACTION = 0.1   # corpus tail held out for perplexity and stopping
+DIRECTIONS = ("forward", "bidirectional")
 
 
 @dataclass
@@ -135,8 +140,10 @@ class CharLMConfig:
     def validate(self):
         if self.window < 2:
             raise InvalidArgument("window must be >= 2")
-        if self.direction not in ("forward", "bidirectional"):
+        if self.direction not in DIRECTIONS:
             raise InvalidArgument(f"unknown direction {self.direction!r}")
+        if self.patience < 0:
+            raise InvalidArgument("patience must be >= 0")
         require_positive(self, ("hidden", "embed_dim", "batch_size",
                                 "max_epochs"))
         require_rate("dropout", self.dropout)

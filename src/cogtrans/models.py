@@ -73,7 +73,7 @@ class ModelConfig:
     def validate(self):
         if self.architecture not in ARCHITECTURES:
             raise InvalidArgument(f"unknown architecture {self.architecture!r}")
-        if self.cell not in ("lstm", "gru"):
+        if self.cell not in cells.GATES:
             raise InvalidArgument(f"unknown cell {self.cell!r}")
         require_positive(self, ("hidden_dim", "embed_dim", "encoder_layers",
                                 "decoder_layers", "num_layers", "num_heads",

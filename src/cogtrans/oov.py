@@ -100,19 +100,23 @@ class AlignedSentencePair:
 def align_from_attention(att):
     """source position -> target positions claimed by each target row's argmax.
 
-    Rows must be stochastic within ROW_SUM_TOL; argmax ties take the lowest
-    source index.  A source word may map to zero or several target words.
+    Entries must be non-negative and rows stochastic within ROW_SUM_TOL;
+    argmax ties take the lowest source index.  A source word may map to zero
+    or several target words.
     """
     att = np.asarray(att, dtype=np.float64)
     if att.ndim != 2:
         raise InvalidAttention(f"attention must be 2-D, got shape {att.shape}")
+    if not (att >= 0).all():   # a NaN compares False as well
+        row, col = np.argwhere(~(att >= 0))[0]
+        raise InvalidAttention(
+            f"entry ({row}, {col}) is {att[row, col]}, not a weight >= 0")
+    sums = att.sum(axis=1)
+    off = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if off.size:
+        raise InvalidAttention(f"row {off[0]} sums to {sums[off[0]]:.6f}, not 1")
     mapping = {}
-    for row_idx in range(att.shape[0]):
-        row = att[row_idx]
-        if abs(row.sum() - 1.0) > ROW_SUM_TOL:
-            raise InvalidAttention(
-                f"row {row_idx} sums to {row.sum():.6f}, not 1"
-            )
+    for row_idx, row in enumerate(att):
         src_idx = int(np.argmax(row))  # argmax takes the lowest index on ties
         mapping.setdefault(src_idx, []).append(row_idx)
     return mapping

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 import sys
 from collections import Counter
 
@@ -12,6 +13,7 @@ from cogtrans import cli
 from cogtrans.cli import _config, build_parser, run_cli
 from cogtrans.data_io import load_cognate_tsv, parse_config
 from cogtrans.devanagari import CharVocab
+from cogtrans.embeddings import CharLMConfig
 from cogtrans.errors import CogtransError
 from cogtrans.models import ModelConfig, transduce_batch, transduce_greedy
 from cogtrans.oov import (
@@ -65,6 +67,114 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run_cli(["train", "--data", "x", "--arch", "cnn"])
         assert exc.value.code == 2
+
+
+# (flag, sample value, config class, field it sets, parsed value) for every
+# config flag spelling of train and tune, and of pretrain-embed
+_RUN_FLAGS = [
+    ("--arch", "han", ModelConfig, "architecture", "han"),
+    ("--cell", "gru", ModelConfig, "cell", "gru"),
+    ("--hidden-dim", "12", ModelConfig, "hidden_dim", 12),
+    ("--embed-dim", "7", ModelConfig, "embed_dim", 7),
+    ("--dropout", "0.25", ModelConfig, "dropout", 0.25),
+    ("--num-layers", "3", ModelConfig, "num_layers", 3),
+    ("--num-heads", "2", ModelConfig, "num_heads", 2),
+    ("--d-model", "16", ModelConfig, "d_model", 16),
+    ("--ffn-dim", "40", ModelConfig, "ffn_dim", 40),
+    ("--max-decode-len", "9", ModelConfig, "max_decode_len", 9),
+    ("--batch-size", "5", TrainConfig, "batch_size", 5),
+    ("--epochs", "3", TrainConfig, "max_epochs", 3),
+    ("--patience", "2", TrainConfig, "patience", 2),
+    ("--l2", "0.125", TrainConfig, "l2", 0.125),
+    ("--seed", "4", TrainConfig, "seed", 4),
+    ("--val-fraction", "0.2", TrainConfig, "val_fraction", 0.2),
+    ("--metrics-every", "0", TrainConfig, "metrics_every", 0),
+    ("--optimizer", "sgd", OptimizerSpec, "kind", "sgd"),
+    ("--lr", "0.5", OptimizerSpec, "lr", 0.5),
+    ("--decay", "0.75", OptimizerSpec, "decay", 0.75),
+    ("--momentum", "0.5", OptimizerSpec, "momentum", 0.5),
+]
+_LM_FLAGS = [
+    ("--window", "5", CharLMConfig, "window", 5),
+    ("--hidden", "9", CharLMConfig, "hidden", 9),
+    ("--dropout", "0.0", CharLMConfig, "dropout", 0.0),
+    ("--direction", "bidirectional", CharLMConfig, "direction",
+     "bidirectional"),
+    ("--embed-dim", "6", CharLMConfig, "embed_dim", 6),
+    ("--epochs", "4", CharLMConfig, "max_epochs", 4),
+    ("--seed", "3", CharLMConfig, "seed", 3),
+]
+# the flags of the fields that had none
+_NEW_FLAGS = [
+    ("train", "--encoder-layers", "2", ModelConfig, "encoder_layers", 2),
+    ("tune", "--decoder-layers", "3", ModelConfig, "decoder_layers", 3),
+    ("train", "--chunk-size", "4", ModelConfig, "chunk_size", 4),
+    ("pretrain-embed", "--lr", "0.01", CharLMConfig, "lr", 0.01),
+    ("pretrain-embed", "--batch-size", "8", CharLMConfig, "batch_size", 8),
+    ("pretrain-embed", "--patience", "2", CharLMConfig, "patience", 2),
+]
+_COMMAND_CLASSES = {"train": (ModelConfig, TrainConfig, OptimizerSpec),
+                    "tune": (ModelConfig, TrainConfig, OptimizerSpec),
+                    "pretrain-embed": (CharLMConfig,)}
+_FLAG_SPELLINGS = {"architecture": "--arch", "max_epochs": "--epochs",
+                   "kind": "--optimizer"}
+
+
+def _parse(command, *flags):
+    """``command``'s parsed arguments with its required flags filled in."""
+    required = {"train": ["--data", "x", "--arch", "am"],
+                "tune": ["--data", "x", "--axis", "lr=0.1", "--arch", "am"],
+                "pretrain-embed": ["lm", "--corpus", "x", "--out", "y"]}
+    return build_parser().parse_args([command, *required[command], *flags])
+
+
+def _expected(cls, **values):
+    """The ``cls`` config with ``values`` set; a ``ModelConfig`` is ``am``
+    unless ``values`` names the architecture."""
+    base = {"architecture": "am"} if cls is ModelConfig else {}
+    return cls(**{**base, **values})
+
+
+class TestConfigFlags:
+    """Every config field is a flag, and each flag spelling sets its field."""
+
+    @pytest.mark.parametrize(
+        "command, flag, text, cls, field, value",
+        [(cmd, *row) for cmd in ("train", "tune") for row in _RUN_FLAGS]
+        + [("pretrain-embed", *row) for row in _LM_FLAGS],
+        ids=[f"{cmd}{row[0]}" for cmd in ("train", "tune") for row in _RUN_FLAGS]
+        + [f"pretrain-embed{row[0]}" for row in _LM_FLAGS])
+    def test_flag_sets_its_field(self, command, flag, text, cls, field, value):
+        args = _parse(command, flag, text)
+        assert _config(cls, args) == _expected(cls, **{field: value})
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_CLASSES))
+    def test_no_flags_give_dataclass_defaults(self, command):
+        args = _parse(command)
+        for cls in _COMMAND_CLASSES[command]:
+            assert _config(cls, args) == _expected(cls)
+        if command != "pretrain-embed":
+            assert args.split_seed == 0
+            assert _parse(command, "--split-seed", "3").split_seed == 3
+
+    @pytest.mark.parametrize("command, flag, text, cls, field, value",
+                             _NEW_FLAGS, ids=[f"{r[0]}{r[1]}" for r in _NEW_FLAGS])
+    def test_fields_without_a_flag_before(self, command, flag, text, cls,
+                                          field, value):
+        args = _parse(command, flag, text)
+        assert _config(cls, args) == _expected(cls, **{field: value})
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_CLASSES))
+    def test_help_lists_every_field(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for cls in _COMMAND_CLASSES[command]:
+            for f in dataclasses.fields(cls):
+                flag = _FLAG_SPELLINGS.get(f.name,
+                                           "--" + f.name.replace("_", "-"))
+                assert re.search(rf"(?<![\w-]){flag}(?![\w-])", text), flag
 
 
 class TestSynthGen:
@@ -289,7 +399,7 @@ class TestPretrainEmbed:
 
     @pytest.mark.parametrize("flags", [
         ["--embed-dim", "0"], ["--hidden", "0"], ["--epochs", "0"],
-        ["--dropout", "1.0"]])
+        ["--dropout", "1.0"], ["--patience", "-1"]])
     def test_lm_bad_size_exit_1(self, tmp_path, capsys, flags):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("ab" * 120, encoding="utf-8")
@@ -510,6 +620,28 @@ class TestTypedInputErrors:
                    "--out", "{out}"], tmp_path, corpus=corpus)
         err = capsys.readouterr().err
         assert "error:" in err and "--vectors" in err
+
+    def test_empty_evaluate_data_exit_1(self, checkpoint, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        self._run(["evaluate", "--model", "{ckpt}", "--data", "{empty}",
+                   "--report", "{out}"], tmp_path, ckpt=checkpoint,
+                  empty=empty)
+        err = capsys.readouterr().err
+        assert "error:" in err and str(empty) in err
+
+    def test_nan_attention_exit_1(self, checkpoint, tmp_path, capsys):
+        tsv, mat = tmp_path / "s.tsv", tmp_path / "s.att"
+        save_pipeline_file([AlignedSentencePair(
+            source=["ya", "na"], target=["ya", "na"],
+            attention=np.array([[1.0, 0.0], [np.nan, 1.0]]))], tsv, mat)
+        mono = tmp_path / "mono.txt"
+        mono.write_text("ya\n", encoding="utf-8")
+        self._run(["oov-correct", "--sentences", "{tsv}", "--matrices", "{mat}",
+                   "--model", "{ckpt}", "--shortlist-corpus", "{mono}",
+                   "--sizes", "1", "--out", "{out}"], tmp_path, tsv=tsv,
+                  mat=mat, ckpt=checkpoint, mono=mono)
+        assert "error: entry (1, 0) is nan" in capsys.readouterr().err
 
     def test_non_numeric_vector_exit_1(self, corpus, tmp_path, capsys):
         vec = tmp_path / "bad.vec"

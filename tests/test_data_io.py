@@ -7,7 +7,7 @@ from cogtrans.data_io import (
     save_cognate_tsv,
     split_dataset,
 )
-from cogtrans.errors import InvalidArgument, ParseError
+from cogtrans.errors import EmptyInput, InvalidArgument, ParseError
 
 
 class TestCognateTsv:
@@ -34,6 +34,19 @@ class TestCognateTsv:
         path.write_text("a\t\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_cognate_tsv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_no_pairs_is_empty_input(self, tmp_path, text):
+        path = tmp_path / "c.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmptyInput) as exc:
+            load_cognate_tsv(path)
+        assert str(path) in str(exc.value)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("\ufeffa\tb\nc\td\n", encoding="utf-8")
+        assert load_cognate_tsv(path) == [("a", "b"), ("c", "d")]
 
     def test_normalization_unifies_qa_forms(self, tmp_path):
         import unicodedata
@@ -105,3 +118,8 @@ optimizer.lr = 1e-3
         path = tmp_path / "run.cfg"
         path.write_text(self.TEXT, encoding="utf-8")
         assert load_config(path).model["architecture"] == "am"
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("\ufeffmodel.hidden_dim = 4\n", encoding="utf-8")
+        assert load_config(path).model == {"hidden_dim": 4}

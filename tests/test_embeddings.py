@@ -40,6 +40,14 @@ class TestWordVectorStore:
             WordVectorStore.load(path)
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_component_is_parse_error(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"ab 1.0 2.0\nfoo 1 {value}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="'foo'.*NaN or infinite") as exc:
+            WordVectorStore.load(path)
+        assert exc.value.line_no == 2
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgument):
             WordVectorStore({"a": [1.0], "b": [1.0, 2.0]})

@@ -94,6 +94,13 @@ class TestAlignment:
         with pytest.raises(InvalidAttention):
             align_from_attention(np.array([[0.5, 0.3]]))
 
+    @pytest.mark.parametrize("att", [[[np.nan, 1.0]], [[-0.5, 1.5]],
+                                     [[0.5, 0.5], [1.0, np.nan]]],
+                             ids=["nan", "negative", "nan-in-row-1"])
+    def test_nan_or_negative_entry_rejected(self, att):
+        with pytest.raises(InvalidAttention, match="not a weight >= 0"):
+            align_from_attention(np.array(att))
+
     def test_non_2d_rejected(self):
         with pytest.raises(InvalidAttention):
             align_from_attention(np.ones(3))
