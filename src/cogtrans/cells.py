@@ -1,4 +1,4 @@
-"""Recurrent cells, the embedding initialiser and dropout.
+"""Recurrent cells and their runners, the embedding initialiser and dropout.
 
 A cell stores its gates side by side, as PyTorch's ``nn.LSTM`` does: one
 (input_dim + hidden_dim, G * hidden_dim) matrix ``W`` and one (G *
@@ -6,11 +6,12 @@ hidden_dim,) bias ``b``, gates i|f|g|o for LSTM and z|r|n for GRU; the
 checkpoint keeps the same two arrays.  A whole recurrence over (B, T, d)
 inputs from a zero state (``run_rnn``: the encoders and the char LM) is one
 taped op (``tensor.rnn_seq``) that projects every step's input in one
-matmul; a step whose input depends on the step before (``cell_step``: the
-decoders) is one taped op too (``tensor.rnn_step``).  Both ops serve both
-cell kinds, carry a cell's state as one (B, S) tensor whose first
-hidden_dim columns are h ([h | c] for LSTM, h for GRU) and keep the state
-of padded rows.
+matmul, and ``run_birnn`` runs one each way for every bidirectional encoder
+(the models' and the char LM's); a step whose input depends on the step
+before (``cell_step``: the decoders) is one taped op too
+(``tensor.rnn_step``).  Both ops serve both cell kinds, carry a cell's state
+as one (B, S) tensor whose first hidden_dim columns are h ([h | c] for LSTM,
+h for GRU) and keep the state of padded rows.
 """
 
 from dataclasses import dataclass
@@ -85,6 +86,20 @@ def run_rnn(X, cell, mask=None, reverse=False):
         raise InvalidShape(f"cell expects input {cell.input_dim}, "
                            f"got {X.shape[-1]}")
     return T.rnn_seq(cell.kind, X, cell.W, cell.b, mask, reverse)
+
+
+def run_birnn(X, fwd_cell, bwd_cell, mask=None):
+    """``run_rnn`` each way over X, the (B, T, 2h) states side by side."""
+    return T.concat([run_rnn(X, fwd_cell, mask),
+                     run_rnn(X, bwd_cell, mask, reverse=True)], axis=-1)
+
+
+def birnn_summary(H):
+    """The (B, 2h) summary of ``run_birnn``'s states H: each direction's
+    state after its last step (the forward half of step T - 1, frozen at a
+    padded row's last char, and the backward half of step 0), one slice."""
+    n = H.shape[-1] // 2
+    return H[:, np.repeat([H.shape[1] - 1, 0], n), np.arange(2 * n)]
 
 
 def dropout(x, rate, rng):

@@ -19,7 +19,8 @@ from .devanagari import (
     wx_decode,
     wx_encode,
 )
-from .errors import CogtransError, build_config, require_finite, require_type
+from .errors import (CogtransError, ParseError, build_config, require_finite,
+                     require_type)
 from .models import (ARCHITECTURES, ModelConfig, transduce_batch,
                      transduce_greedy)
 from .training import (
@@ -129,17 +130,13 @@ def _cmd_train(args):
     embedding = None
     if args.embed_vectors:
         store = embeddings.WordVectorStore.load(args.embed_vectors)
-        vocab = build_vocab(split.train + split.validation)
-        table = np.zeros((len(vocab), store.dim))
-        for i, sym in enumerate(vocab.symbols):
-            if sym in store:
-                table[i] = store[sym]
         if store.dim != model_cfg.embed_dim:
             raise CogtransError(
                 f"embedding vectors have dimension {store.dim}, "
-                f"model expects {model_cfg.embed_dim}"
-            )
-        embedding = table
+                f"model expects {model_cfg.embed_dim}")
+        vocab = build_vocab(split.train + split.validation)
+        embedding = np.array([store[s] if s in store else np.zeros(store.dim)
+                              for s in vocab.symbols])
     result = train(model_cfg, train_cfg, opt, split, embedding=embedding)
     ckpt = result.best
     if args.avg_last and args.avg_last > 1:
@@ -299,7 +296,7 @@ def _cmd_oov_correct(args):
 
 def _cmd_wx(args):
     convert = wx_encode if args.mode == "encode" else wx_decode
-    with data_io.naming_decode_errors("standard input"):
+    with data_io.naming_source("standard input"):
         words = args.word or sys.stdin.read().split()
     for word in words:
         print(convert(word))
@@ -307,26 +304,32 @@ def _cmd_wx(args):
 
 
 def _cmd_synth_gen(args):
-    pairs = synthetic.generate_pairs(args.seed, args.n)
-    data_io.save_cognate_tsv(pairs, args.out)
-    stats = synthetic.dataset_stats(pairs)
-    print(f"wrote {stats['n']} pairs to {args.out} "
-          f"({stats['identity']} identity)")
+    identity = 0
+
+    def counted(pairs):   # each pair is written as it is drawn
+        nonlocal identity
+        for src, tgt in pairs:
+            identity += src == tgt
+            yield src, tgt
+
+    data_io.save_cognate_tsv(
+        counted(synthetic.iter_pairs(args.seed, args.n)), args.out)
+    print(f"wrote {args.n} pairs to {args.out} ({identity} identity)")
     return 0
 
 
 def _cmd_error_report(args):
     triples = []
-    text = data_io.read_text(args.predictions)
-    for line_no, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise CogtransError(
-                f"line {line_no}: expected source<TAB>gold<TAB>prediction"
-            )
-        triples.append(tuple(parts))
+    with data_io.naming_source(args.predictions):
+        text = data_io.read_text(args.predictions)
+        for line_no, line in enumerate(text.split("\n"), 1):
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(line_no,
+                                 "expected source<TAB>gold<TAB>prediction")
+            triples.append(tuple(parts))
 
     def tags_fn(s, g, p):
         return classify_errors(s, g, p, script=args.script)

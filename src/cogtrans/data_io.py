@@ -19,20 +19,25 @@ class DatasetSplit:
 
 
 @contextmanager
-def naming_decode_errors(name):
-    """Re-raise a ``UnicodeDecodeError`` inside the block as
-    ``InvalidArgument`` naming the text's source ``name``."""
+def naming_source(name):
+    """Name the text's source (a path, or "standard input") in the errors of
+    the block that reads it: a ``UnicodeDecodeError`` becomes
+    ``InvalidArgument``, and a ``ParseError`` ("line N: ...") gets the name
+    in front.  Every line-based reader parses inside this block."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise InvalidArgument(f"{name}: {exc}") from None
+    except ParseError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
 
 
 def read_text(path):
     """The text of the UTF-8 file at ``path`` without a leading byte-order
     mark, newlines as text mode reads them; a file that is not UTF-8 raises
     ``InvalidArgument`` naming it."""
-    with naming_decode_errors(path), open(path, encoding="utf-8-sig") as fh:
+    with naming_source(path), open(path, encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -40,19 +45,22 @@ def load_cognate_tsv(path):
     """Read "source<TAB>target" lines into NFC-normalized pairs.
 
     Blank lines are skipped; duplicate pairs are kept (a source word may have
-    several legitimate cognates).  A malformed line raises ParseError with
-    its 1-based line number, and a file with no pair ``EmptyInput`` naming
-    it.
+    several legitimate cognates), and a byte-order mark that starts a line
+    is dropped (files joined end to end carry one at each join).  A
+    malformed line raises ParseError, and a file with no pair
+    ``EmptyInput``, naming the file.
     """
     pairs = []
-    for line_no, line in enumerate(read_text(path).split("\n"), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ParseError(line_no,
-                             f"expected 'source<TAB>target', got {line!r}")
-        pairs.append((nfc(parts[0]), nfc(parts[1])))
+    with naming_source(path):
+        for line_no, line in enumerate(read_text(path).split("\n"), 1):
+            line = line.lstrip("\ufeff")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise ParseError(line_no, "expected 'source<TAB>target', "
+                                 f"got {line!r}")
+            pairs.append((nfc(parts[0]), nfc(parts[1])))
     if not pairs:
         raise EmptyInput(f"{path}: no cognate pairs")
     return pairs
@@ -137,4 +145,5 @@ def parse_config(text):
 
 
 def load_config(path):
-    return parse_config(read_text(path))
+    with naming_source(path):
+        return parse_config(read_text(path))

@@ -10,13 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .cells import (INIT_SCALE, dropout, init_cell_params, init_embedding,
-                    run_rnn)
-from .data_io import read_text
+from .cells import (INIT_SCALE, birnn_summary, dropout, init_cell_params,
+                    init_embedding, run_birnn, run_rnn)
+from .data_io import naming_source, read_text
 from .devanagari import CharVocab
 from .errors import (EmptyInput, InvalidArgument, ParseError,
                      require_positive, require_rate, require_seed)
 from .metrics import nfc
+from .models import ModelBase
+from .training import Optimizer, OptimizerSpec, train_step
 
 
 class WordVectorStore:
@@ -51,20 +53,26 @@ class WordVectorStore:
     @classmethod
     def load(cls, path):
         vectors = {}
-        for line_no, line in enumerate(read_text(path).split("\n"), 1):
-            parts = line.split()
-            if not parts or (line_no == 1 and len(parts) == 2
-                             and all(p.isdigit() for p in parts)):
-                continue   # blank, or the optional "count dim" header
-            try:
-                vec = [float(x) for x in parts[1:]]
-            except ValueError:
-                raise ParseError(line_no, f"vector for {parts[0]!r} has a "
-                                 "non-numeric component") from None
-            if not all(map(math.isfinite, vec)):
-                raise ParseError(line_no, f"vector for {parts[0]!r} has a "
-                                 "NaN or infinite component")
-            vectors[parts[0]] = vec
+        with naming_source(path):
+            for line_no, line in enumerate(read_text(path).split("\n"), 1):
+                parts = line.split()
+                if not parts or (line_no == 1 and len(parts) == 2
+                                 and all(p.isdigit() for p in parts)):
+                    continue   # blank, or the optional "count dim" header
+                try:
+                    vec = [float(x) for x in parts[1:]]
+                except ValueError:
+                    raise ParseError(line_no, f"vector for {parts[0]!r} has "
+                                     "a non-numeric component") from None
+                if not all(map(math.isfinite, vec)):
+                    raise ParseError(line_no, f"vector for {parts[0]!r} has "
+                                     "a NaN or infinite component")
+                dim = len(vec) if not vectors else dim
+                if not dim or len(vec) != dim:
+                    raise ParseError(line_no, f"vector for {parts[0]!r} has "
+                                     f"{len(vec)} components, expected "
+                                     f"{dim or 'at least 1'}")
+                vectors[parts[0]] = vec
         if not vectors:
             raise EmptyInput(f"{path}: no word vectors")
         return cls(vectors)
@@ -151,63 +159,45 @@ class CharLMConfig:
         return self
 
 
-class CharLM:
-    """LSTM next-character predictor over sliding windows."""
+class CharLM(ModelBase):
+    """LSTM next-character predictor over sliding windows: the forward
+    LSTM's last state, or both directions' ``cells.birnn_summary``, feeds a
+    softmax.  Draw order: embedding, forward cell, backward cell, W_out."""
 
-    def __init__(self, cfg, vocab, seed=0):
-        cfg.validate()
-        self.cfg = cfg
-        self.vocab = vocab
-        rng = np.random.default_rng(seed)
-        V = len(vocab)
-        self.embedding = init_embedding(V, cfg.embed_dim, rng)
-        self.fwd = init_cell_params("lstm", cfg.embed_dim, cfg.hidden, rng)
-        self.cells = {"fwd_": self.fwd}
-        out_dim = cfg.hidden
-        if cfg.direction == "bidirectional":
-            self.bwd = init_cell_params("lstm", cfg.embed_dim, cfg.hidden, rng)
-            self.cells["bwd_"] = self.bwd
-            out_dim = 2 * cfg.hidden
-        self.W_out = T.Tensor(
-            rng.uniform(-INIT_SCALE, INIT_SCALE, size=(out_dim, V)),
-            requires_grad=True)
-        self.b_out = T.Tensor(np.zeros(V), requires_grad=True)
+    def _build(self, rng, embedding):
+        cfg = self.cfg
+        V = len(self.vocab)
+        self.params["embedding"] = init_embedding(V, cfg.embed_dim, rng,
+                                                  pretrained=embedding)
+        sides = ("fwd_", "bwd_")[:1 + (cfg.direction == "bidirectional")]
+        self.lstms = [init_cell_params("lstm", cfg.embed_dim, cfg.hidden, rng)
+                      for _ in sides]
+        for side, cell in zip(sides, self.lstms):
+            self.params.update({f"{side}W": cell.W, f"{side}b": cell.b})
+        self._add("W_out", rng.uniform(-INIT_SCALE, INIT_SCALE,
+                                       size=(len(sides) * cfg.hidden, V)))
+        self._add("b_out", np.zeros(V))
 
-    @property
-    def params(self):
-        out = {"embedding": self.embedding, "W_out": self.W_out,
-               "b_out": self.b_out}
-        for prefix, cell in self.cells.items():
-            out.update({f"{prefix}W": cell.W, f"{prefix}b": cell.b})
-        return out
-
-    def zero_grads(self):
-        for t in self.params.values():
-            t.zero_grad()
-
-    def _final_state(self, ids, train, rng):
-        emb = T.embedding(self.embedding, ids)
-        if train and self.cfg.dropout > 0:
-            emb = dropout(emb, self.cfg.dropout, rng)
-        h = run_rnn(emb, self.fwd)[:, -1]
-        if self.cfg.direction == "bidirectional":
-            hb = run_rnn(emb, self.bwd, reverse=True)[:, 0]
-            h = T.concat([h, hb], axis=-1)
+    def _probs(self, ids, train, rng):
+        """Next-char distributions (n, V) of the (n, window - 1) contexts
+        ``ids``, with dropout when ``train``."""
+        x = self._embed(ids, train, rng)
+        h = (birnn_summary(run_birnn(x, *self.lstms)) if len(self.lstms) == 2
+             else run_rnn(x, *self.lstms)[:, -1])
         if train and self.cfg.dropout > 0:
             h = dropout(h, self.cfg.dropout, rng)
-        return h
+        return T.softmax(h @ self.params["W_out"] + self.params["b_out"],
+                         axis=-1)
 
-    def loss_batch(self, ids, targets, train=True, rng=None):
-        h = self._final_state(ids, train, rng)
-        probs = T.softmax(h @ self.W_out + self.b_out, axis=-1)
+    def loss_batch(self, ids, targets, rng):
         weights = np.full(len(targets), 1.0 / len(targets))
-        return T.cross_entropy_rows(probs, targets, weights)
+        return T.cross_entropy_rows(self._probs(ids, True, rng), targets,
+                                    weights)
 
     def nll(self, ids, targets):
         """Total negative log-likelihood of the targets, in nats."""
         with T.no_grad():
-            h = self._final_state(ids, False, None)
-            probs = T.softmax(h @ self.W_out + self.b_out, axis=-1)
+            probs = self._probs(ids, False, None)
         p = probs.data[np.arange(len(targets)), targets]
         return float(-np.log(np.maximum(p, 1e-12)).sum())
 
@@ -241,8 +231,6 @@ def train_char_lm(corpus, cfg):
     if len(held_y) == 0:
         held_x, held_y = train_x, train_y
     lm = CharLM(cfg, vocab, seed=cfg.seed)
-    from .training import Optimizer, OptimizerSpec, train_step  # avoids a cycle
-
     opt = Optimizer(OptimizerSpec("adam", lr=cfg.lr))
     rng = np.random.default_rng(cfg.seed)
     best = math.inf
@@ -253,21 +241,20 @@ def train_char_lm(corpus, cfg):
         for i in range(0, len(order), cfg.batch_size):
             sel = order[i : i + cfg.batch_size]
             train_step(lm, opt, lambda: lm.loss_batch(
-                train_x[sel], train_y[sel], train=True, rng=rng), epoch)
+                train_x[sel], train_y[sel], rng), epoch)
         nll = lm.nll(held_x, held_y)
         if nll < best - 1e-9:
             best = nll
-            best_params = {k: t.data.copy() for k, t in lm.params.items()}
+            best_params = lm.export_params()
             stale = 0
         else:
             stale += 1
             if stale > cfg.patience:
                 break
     if best_params is not None:
-        for k, t in lm.params.items():
-            t.data[...] = best_params[k]
+        lm.load_params(best_params)
     ppl = math.exp(best / max(len(held_y), 1))
-    return lm, lm.embedding, ppl
+    return lm, lm.params["embedding"], ppl
 
 
 def perplexity(lm, held_out):

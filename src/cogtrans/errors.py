@@ -30,7 +30,7 @@ class DivergedError(CogtransError, RuntimeError):
         self.epoch = epoch
 
 
-class ParseError(CogtransError, ValueError):
+class ParseError(InvalidArgument):
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no

@@ -15,9 +15,10 @@ next-step hooks; each row stops at its own EOS, and its attention is cut to
 its own steps and source length.  ``transduce_batch`` decodes a list of
 words this way, and ``transduce_greedy`` is a batch of one.  Each
 recurrent cell is one ``cells.CellParams`` whose gates are stored side by
-side, registered in ``params`` as ``{prefix}W`` and ``{prefix}b``.  The
-recurrent models run each encoder recurrence through ``cells.run_rnn`` as
-one taped op over the whole (B, T, d) sequence (every step's input projected
+side, registered in ``params`` (``ModelBase``, shared with the char LM) as
+``{prefix}W`` and ``{prefix}b``.  The recurrent models run
+each bidirectional encoder layer through ``cells.run_birnn``, one taped op
+each way over the whole (B, T, d) sequence (every step's input projected
 in one matmul, ``tensor.rnn_seq``), and each decoder layer's step as one
 taped op (``tensor.rnn_step``) on the layer's state, [h | c] for LSTM and h
 for GRU; both ops take the cell's ``W`` and ``b`` as stored.  Each layer
@@ -41,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cells, tensor as T
-from .cells import cell_step, init_cell_params, init_embedding, run_rnn
+from .cells import (birnn_summary, cell_step, init_cell_params,
+                    init_embedding, run_birnn)
 from .devanagari import CharVocab, strip_trailing_repeats
 from .errors import (EmptyInput, InvalidArgument, InvalidShape,
                      require_positive, require_rate)
@@ -181,31 +183,14 @@ def _key_mask(src_mask):
             else np.where(src_mask > 0, 0.0, NEG_INF)[:, None, None, :])
 
 
-def _birnn_summary(H):
-    """The (B, 2h) summary of bidirectional states H (B, T, 2h): the forward
-    half of the last step and the backward half of the first, each the
-    state after its direction's last step (a padded row's forward state is
-    frozen at its last char).  One taped slice."""
-    n = H.shape[-1] // 2
-    return H[:, np.repeat([H.shape[1] - 1, 0], n), np.arange(2 * n)]
-
-
 def _uniform(rng, *shape):
     return rng.uniform(-cells.INIT_SCALE, cells.INIT_SCALE, size=shape)
 
 
-class TransductionModel:
-    """Common parameter registry, batching and the greedy-decode loop.
-
-    Subclasses build their parameters in ``_build`` and provide
-    ``loss_batch`` (teacher-forced loss of a padded batch) and the two
-    decoding hooks that ``transduce_ids`` calls over (B, ...) batches:
-    ``_decode_start(src, src_mask)`` encodes the (B, T) source ids, padded
-    where the 0/1 mask is 0, and returns the decoding state;
-    ``_decode_next(state, prefix)`` takes the (B, t) ids decoded so far, BOS
-    first, and returns the next-char distributions (B, V) and the
-    decoder-over-source attention rows (B, T), zero over each row's padding.
-    """
+class ModelBase:
+    """The parameter registry of the transducers and the char LM: the
+    subclass's ``_build(rng, embedding)`` fills ``params`` in the order it
+    draws from the seeded ``rng``; ``_embed`` reads ``params["embedding"]``."""
 
     def __init__(self, cfg, vocab, seed=0, embedding=None):
         cfg.validate()
@@ -215,16 +200,10 @@ class TransductionModel:
         self.params = {}
         self._build(rng, embedding)
 
-    # -- parameter registry ------------------------------------------------
     def _add(self, name, array):
         t = Tensor(array, requires_grad=True)
         self.params[name] = t
         return t
-
-    def _add_cell(self, in_dim, prefix, rng):
-        p = init_cell_params(self.cfg.cell, in_dim, self.cfg.hidden_dim, rng)
-        self.params.update({f"{prefix}W": p.W, f"{prefix}b": p.b})
-        return p
 
     def zero_grads(self):
         for t in self.params.values():
@@ -239,19 +218,30 @@ class TransductionModel:
                 raise InvalidShape(f"parameter {k} missing or mis-shaped")
             t.data[...] = arrays[k]
 
-    # -- shared pieces -----------------------------------------------------
-    def _embed(self, table, ids, train, rng):
-        x = T.embedding(table, ids)
+    def _embed(self, ids, train, rng):
+        x = T.embedding(self.params["embedding"], ids)
         if train and self.cfg.dropout > 0:
             x = cells.dropout(x, self.cfg.dropout, rng)
         return x
 
-    def _run_birnn(self, X, mask, fwd_cell, bwd_cell):
-        """X: (B, T, d) inputs -> (B, T, 2h) forward and backward states
-        side by side; where the (B, T) mask is 0 (padding) a direction's
-        state stays put."""
-        return T.concat([run_rnn(X, fwd_cell, mask),
-                         run_rnn(X, bwd_cell, mask, reverse=True)], axis=-1)
+
+class TransductionModel(ModelBase):
+    """Batching, cells, the output layer and the greedy-decode loop.
+
+    Subclasses build their parameters in ``_build`` and provide
+    ``loss_batch`` (teacher-forced loss of a padded batch) and the two
+    decoding hooks that ``transduce_ids`` calls over (B, ...) batches:
+    ``_decode_start(src, src_mask)`` encodes the (B, T) source ids, padded
+    where the 0/1 mask is 0, and returns the decoding state;
+    ``_decode_next(state, prefix)`` takes the (B, t) ids decoded so far, BOS
+    first, and returns the next-char distributions (B, V) and the
+    decoder-over-source attention rows (B, T), zero over each row's padding.
+    """
+
+    def _add_cell(self, in_dim, prefix, rng):
+        p = init_cell_params(self.cfg.cell, in_dim, self.cfg.hidden_dim, rng)
+        self.params.update({f"{prefix}W": p.W, f"{prefix}b": p.b})
+        return p
 
     def _output_dist(self, h_top, context):
         """Next-char distributions (N, V) from (N, h) top decoder states and
@@ -326,9 +316,8 @@ class _RecurrentModel(TransductionModel):
 
     def _build(self, rng, embedding):
         cfg = self.cfg
-        V = len(self.vocab)
-        self.params["embedding"] = init_embedding(V, cfg.embed_dim, rng,
-                                                  pretrained=embedding)
+        self.params["embedding"] = init_embedding(
+            len(self.vocab), cfg.embed_dim, rng, pretrained=embedding)
         self.enc_cells = []
         if self.builds_encoder:
             in_dim = cfg.embed_dim
@@ -354,10 +343,10 @@ class _RecurrentModel(TransductionModel):
             self._add("v", _uniform(rng, cfg.hidden_dim, 1))
 
     def _encode(self, src, src_mask, train, rng):
-        H = self._embed(self.params["embedding"], src, train, rng)
+        H = self._embed(src, train, rng)
         for fwd_cell, bwd_cell in self.enc_cells:
-            H = self._run_birnn(H, src_mask, fwd_cell, bwd_cell)   # (B, T, 2h)
-        return EncoderOutput(H, _birnn_summary(H), src_mask)
+            H = run_birnn(H, fwd_cell, bwd_cell, src_mask)   # (B, T, 2h)
+        return EncoderOutput(H, birnn_summary(H), src_mask)
 
     def _start(self, src, src_mask, train, rng):
         """Encode a batch and set up its decoder: the attention keys, once
@@ -410,7 +399,7 @@ class _RecurrentModel(TransductionModel):
                    rng=None):
         rng = rng or np.random.default_rng(0)
         enc, layers = self._start(src, src_mask, train, rng)
-        emb_in = self._embed(self.params["embedding"], tgt[:, :-1], train, rng)
+        emb_in = self._embed(tgt[:, :-1], train, rng)
         tops, ctxs = [], []
         for t in range(tgt.shape[1] - 1):
             h, ctx, layers, _ = self.decode_step(emb_in[:, t], layers, enc,
@@ -429,7 +418,7 @@ class _RecurrentModel(TransductionModel):
         return RecurrentDecodeState(enc, layers, src.shape[1])
 
     def _decode_next(self, state, prefix):
-        x = T.embedding(self.params["embedding"], prefix[:, -1])
+        x = self._embed(prefix[:, -1], False, None)
         h, ctx, state.layers, alpha = self.decode_step(x, state.layers,
                                                        state.enc, False, None)
         return (self._output_dist(h, ctx).data,
@@ -495,15 +484,15 @@ class HierarchicalAttentionModel(_RecurrentModel):
         # the last chunk are masked either way
         real = np.ones((B, tmax)) if src_mask is None else src_mask
         mask_p = np.pad(real, ((0, 0), (0, pad)))
-        emb = self._embed(self.params["embedding"], src_p, train, rng)
+        emb = self._embed(src_p, train, rng)
         flat = T.reshape(emb, (B * K, cs, cfg.embed_dim))
         char_mask = mask_p.reshape(B * K, cs)
-        S = self._run_birnn(flat, char_mask, *self.char_cells)
+        S = run_birnn(flat, *self.char_cells, char_mask)
         pooled, char_alpha = self._char_attention(S, char_mask)
         chunk_in = T.reshape(pooled, (B, K, 2 * cfg.hidden_dim))
         chunk_mask = (mask_p.reshape(B, K, cs).sum(axis=2) > 0).astype(np.float64)
-        H = self._run_birnn(chunk_in, chunk_mask, *self.chunk_cells)  # (B, K, 2h)
-        return EncoderOutput(H, _birnn_summary(H), chunk_mask,
+        H = run_birnn(chunk_in, *self.chunk_cells, chunk_mask)   # (B, K, 2h)
+        return EncoderOutput(H, birnn_summary(H), chunk_mask,
                              char_alpha.reshape(B, K, cs))
 
     def _attention_rows(self, alpha, state):

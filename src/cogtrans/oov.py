@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import read_text
-from .errors import EmptyInput, InvalidArgument, InvalidAttention
+from .data_io import naming_source, read_text
+from .errors import EmptyInput, InvalidArgument, InvalidAttention, ParseError
 from .metrics import corpus_bleu, nfc
 
 ROW_SUM_TOL = 1e-3
@@ -211,38 +211,43 @@ def save_pipeline_file(records, tsv_path, matrix_path):
 
 
 def load_pipeline_file(tsv_path, matrix_path):
-    """The records ``save_pipeline_file`` wrote.  Each record's matrix must
-    have one row per target token and one column per source token."""
+    """The records ``save_pipeline_file`` wrote, each aligned as it is read.
+    A record's matrix must be an attention matrix with one row per target
+    token and one column per source token."""
     records = []
     lines = read_text(tsv_path).split("\n")
     with open(matrix_path, "rb") as fh:
         blob = fh.read()
     off = 0
-    for line_no, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise InvalidArgument(f"malformed pipeline line {line!r}")
-        if off + 8 > len(blob):
-            raise InvalidArgument("matrix sidecar shorter than the TSV")
-        rows, cols = struct.unpack_from("<II", blob, off)
-        off += 8
-        count = rows * cols
-        if off + count * 8 > len(blob):
-            raise InvalidArgument("matrix sidecar shorter than the TSV")
-        att = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        off += count * 8
-        source, target = parts[0].split(), parts[1].split()
-        if (rows, cols) != (len(target), len(source)):
-            raise InvalidArgument(
-                f"line {line_no}: attention matrix is {rows}x{cols}, but the "
-                f"pair has {len(target)} target and {len(source)} source "
-                "tokens")
-        records.append(AlignedSentencePair(
-            source=source, target=target,
-            attention=att.reshape(rows, cols).copy(),
-        ))
+    with naming_source(tsv_path):
+        for line_no, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(line_no, "expected 'source tokens<TAB>target "
+                                 f"tokens', got {line!r}")
+            if off + 8 > len(blob):
+                raise InvalidArgument(f"{matrix_path}: shorter than the TSV")
+            rows, cols = struct.unpack_from("<II", blob, off)
+            off += 8
+            count = rows * cols
+            if off + count * 8 > len(blob):
+                raise InvalidArgument(f"{matrix_path}: shorter than the TSV")
+            att = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+            off += count * 8
+            source, target = parts[0].split(), parts[1].split()
+            if (rows, cols) != (len(target), len(source)):
+                raise ParseError(
+                    line_no, f"attention matrix is {rows}x{cols}, but the "
+                    f"pair has {len(target)} target and {len(source)} source "
+                    "tokens")
+            att = att.reshape(rows, cols).copy()
+            try:
+                alignment = align_from_attention(att)
+            except InvalidAttention as exc:
+                raise ParseError(line_no, f"attention matrix: {exc}") from None
+            records.append(AlignedSentencePair(source, target, att, alignment))
     if off != len(blob):
-        raise InvalidArgument("matrix sidecar longer than the TSV")
+        raise InvalidArgument(f"{matrix_path}: longer than the TSV")
     return records

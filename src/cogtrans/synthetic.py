@@ -58,8 +58,29 @@ def _random_word(rng, alphabet, length):
     return "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=length))
 
 
-def generate_pairs(seed, n):
-    """n seeded (source, target) pairs with target == oracle_transduce(source).
+def _draw_pair(rng):
+    length = int(rng.integers(MIN_LEN, MAX_LEN + 1))
+    word = _random_word(rng, ALPHABET, length)
+    if rng.random() < IDENTITY_FRACTION:
+        # resample until no rule fires, so source == target exactly
+        while oracle_transduce(word) != word:
+            word = _random_word(rng, ALPHABET, length)
+    else:
+        # plant the pattern of a random rule so transductions dominate
+        rule = DEFAULT_RULESET[int(rng.integers(0, len(DEFAULT_RULESET)))]
+        if rule.anchor == "initial":
+            word = rule.src + word[len(rule.src):]
+        elif rule.anchor == "final":
+            word = word[: max(0, len(word) - len(rule.src))] + rule.src
+        else:
+            pos = int(rng.integers(0, max(1, len(word) - len(rule.src) + 1)))
+            word = word[:pos] + rule.src + word[pos + len(rule.src):]
+    return word, oracle_transduce(word)
+
+
+def iter_pairs(seed, n):
+    """n seeded (source, target) pairs with target == oracle_transduce(source),
+    drawn one at a time as they are read; the arguments are checked at once.
 
     Roughly IDENTITY_FRACTION of the pairs use rule-clean sources (target
     equals source); the rest are boosted so each rule's pattern appears with
@@ -69,45 +90,9 @@ def generate_pairs(seed, n):
         raise InvalidArgument("n must be >= 1")
     require_seed("seed", seed)
     rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < n:
-        length = int(rng.integers(MIN_LEN, MAX_LEN + 1))
-        word = _random_word(rng, ALPHABET, length)
-        want_identity = rng.random() < IDENTITY_FRACTION
-        if want_identity:
-            # resample until no rule fires, so source == target exactly
-            while oracle_transduce(word) != word:
-                word = _random_word(rng, ALPHABET, length)
-        else:
-            # plant the pattern of a random rule so transductions dominate
-            pick = int(rng.integers(0, len(DEFAULT_RULESET)))
-            rule = DEFAULT_RULESET[pick]
-            if rule.anchor == "initial":
-                word = rule.src + word[len(rule.src):]
-            elif rule.anchor == "final":
-                word = word[: max(0, len(word) - len(rule.src))] + rule.src
-            else:
-                pos = int(rng.integers(0, max(1, len(word) - len(rule.src) + 1)))
-                word = word[:pos] + rule.src + word[pos + len(rule.src):]
-        pairs.append((word, oracle_transduce(word)))
-    return pairs
+    return (_draw_pair(rng) for _ in range(n))
 
 
-def dataset_stats(pairs):
-    """Reproducible summary: length histogram, identity and per-rule counts."""
-    lengths = {}
-    identity = 0
-    rule_hits = {i: 0 for i in range(len(DEFAULT_RULESET))}
-    for src, tgt in pairs:
-        lengths[len(src)] = lengths.get(len(src), 0) + 1
-        if src == tgt:
-            identity += 1
-        for i, rule in enumerate(DEFAULT_RULESET):
-            if rule.apply(src) != src:
-                rule_hits[i] += 1
-    return {
-        "n": len(pairs),
-        "lengths": dict(sorted(lengths.items())),
-        "identity": identity,
-        "rule_hits": rule_hits,
-    }
+def generate_pairs(seed, n):
+    """``iter_pairs``'s n pairs as a list."""
+    return list(iter_pairs(seed, n))

@@ -450,9 +450,12 @@ _CELLS = {"lstm": (2, _lstm_step, _lstm_step_bwd, _lstm_dW_h),
 
 
 def _input_projection(X, W, b):
-    """Every step's x W_x + b for (B, T, d) inputs, as one (B*T, d) matmul."""
+    """Every step's x W_x + b for (B, T, d) inputs, as one (B*T, d) matmul
+    and b added in place (one (B*T, G*n) array, not two)."""
     B, steps, d = X.shape
-    return (X.data.reshape(-1, d) @ W.data[:d] + b.data).reshape(B, steps, -1)
+    XA = X.data.reshape(-1, d) @ W.data[:d]
+    XA += b.data
+    return XA.reshape(B, steps, -1)
 
 
 def _grads(X, W, da, dW_h):

@@ -3,10 +3,12 @@ import pytest
 
 from cogtrans import cells, tensor as T
 from cogtrans.cells import (
+    birnn_summary,
     cell_step,
     dropout,
     init_cell_params,
     init_embedding,
+    run_birnn,
     run_rnn,
 )
 from cogtrans.devanagari import build_vocab
@@ -378,13 +380,6 @@ def test_model_losses_match_composed_steps(arch, seed, monkeypatch):
         assert np.allclose(grads_f[k], grads_c[k], rtol=0, atol=1e-12), k
 
 
-def _birnn(X, pf, pb):
-    """The models' bidirectional runner over a (1, T, d) sequence."""
-    model = build_model(ModelConfig(architecture="am"),
-                        build_vocab([("ab", "ab")]))
-    return model._run_birnn(X, None, pf, pb)
-
-
 def _sequence(n):
     return T.Tensor(np.stack([np.random.default_rng(i).normal(size=3)
                               for i in range(n)])[None])
@@ -393,14 +388,14 @@ def _sequence(n):
 class TestBidirectional:
     def test_length_and_dim(self):
         pf, pb = _rand("lstm", 3, 80, 0), _rand("lstm", 3, 80, 1)
-        out = _birnn(_sequence(4), pf, pb)
+        out = run_birnn(_sequence(4), pf, pb)
         assert out.shape[1] == 4
         assert out.shape[-1] == 160
 
     def test_single_step_is_concat_of_both_directions(self):
         pf, pb = _rand("gru", 3, 2, 0), _rand("gru", 3, 2, 1)
         x = T.Tensor(np.array([[0.1, 0.2, 0.3]]))
-        out = _birnn(T.reshape(x, (1, 1, 3)), pf, pb)
+        out = run_birnn(T.reshape(x, (1, 1, 3)), pf, pb)
         hf = gru_step(x, T.Tensor(np.zeros((1, 2))), pf)
         hb = gru_step(x, T.Tensor(np.zeros((1, 2))), pb)
         assert np.allclose(out.data[:, 0],
@@ -409,13 +404,25 @@ class TestBidirectional:
     def test_reversal_symmetry(self):
         pf, pb = _rand("lstm", 3, 2, 0), _rand("lstm", 3, 2, 1)
         seq = _sequence(5)
-        ab = _birnn(seq, pf, pb)
-        ba = _birnn(T.Tensor(seq.data[:, ::-1]), pb, pf)
+        ab = run_birnn(seq, pf, pb)
+        ba = run_birnn(T.Tensor(seq.data[:, ::-1]), pb, pf)
         h = 2
         for t in range(5):
             fwd, bwd = ab.data[0, t, :h], ab.data[0, t, h:]
             rb, rf = ba.data[0, 4 - t, :h], ba.data[0, 4 - t, h:]
             assert np.allclose(fwd, rf) and np.allclose(bwd, rb)
+
+    def test_summary_is_each_direction_after_its_last_step(self):
+        pf, pb = _rand("lstm", 3, 2, 0), _rand("lstm", 3, 2, 1)
+        X = T.Tensor(np.random.default_rng(2).normal(size=(2, 4, 3)))
+        mask = np.array([[1.0, 1, 1, 1], [1, 1, 0, 0]])
+        out = birnn_summary(run_birnn(X, pf, pb, mask))
+        fwd = run_rnn(X, pf, mask).data
+        bwd = run_rnn(X, pb, mask, reverse=True).data
+        # a padded row's forward state is frozen at its last real char
+        assert np.array_equal(out.data[:, :2], fwd[:, -1])
+        assert np.array_equal(fwd[1, -1], fwd[1, 1])
+        assert np.array_equal(out.data[:, 2:], bwd[:, 0])
 
 
 class TestDropout:

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import re
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -180,6 +181,29 @@ class TestConfigFlags:
 class TestSynthGen:
     def test_writes_expected_pairs(self, corpus):
         assert load_cognate_tsv(corpus) == generate_pairs(1, 120)
+
+    def test_prints_count_and_identity_pairs(self, tmp_path, capsys):
+        out = tmp_path / "s.tsv"
+        assert run_cli(["synth-gen", "--seed", "3", "--n", "200",
+                        "--out", str(out)]) == 0
+        pairs = generate_pairs(3, 200)
+        identity = sum(s == t for s, t in pairs)
+        assert capsys.readouterr().out == (
+            f"wrote 200 pairs to {out} ({identity} identity)\n")
+        assert load_cognate_tsv(out) == pairs
+
+    def test_peak_memory_does_not_grow_with_n(self, tmp_path):
+        """Each pair is written as it is drawn: ten times the pairs, no
+        more memory (the whole list of 5000 pairs is about 700 KB)."""
+        out = str(tmp_path / "s.tsv")
+        run_cli(["synth-gen", "--n", "10", "--out", out])   # warm caches
+        peaks = []
+        for n in (500, 5000):
+            tracemalloc.start()
+            assert run_cli(["synth-gen", "--n", str(n), "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 32 * 1024
 
 
 class TestWx:
@@ -641,7 +665,8 @@ class TestTypedInputErrors:
                    "--model", "{ckpt}", "--shortlist-corpus", "{mono}",
                    "--sizes", "1", "--out", "{out}"], tmp_path, tsv=tsv,
                   mat=mat, ckpt=checkpoint, mono=mono)
-        assert "error: entry (1, 0) is nan" in capsys.readouterr().err
+        assert (f"error: {tsv}: line 1: attention matrix: entry (1, 0) is nan"
+                in capsys.readouterr().err)
 
     def test_non_numeric_vector_exit_1(self, corpus, tmp_path, capsys):
         vec = tmp_path / "bad.vec"
@@ -649,7 +674,32 @@ class TestTypedInputErrors:
         self._run(["pretrain-embed", "ftavg", "--corpus", "{corpus}",
                    "--vectors", "{vec}", "--out", "{out}"],
                   tmp_path, corpus=corpus, vec=vec)
-        assert "error: line 2:" in capsys.readouterr().err
+        assert f"error: {vec}: line 2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["train", "--data", "{corpus}", "--arch", "am", "--embed-vectors",
+          "{bad}", "--out", "{out}"], "ab 1.0 2.0\nba 3.0 four\n"),
+        (["evaluate", "--data", "{bad}", "--model", "{ckpt}",
+          "--report", "{out}"], "ab\tab\nnotab\n"),
+        (["train", "--data", "{corpus}", "--config", "{bad}", "--arch", "am",
+          "--out", "{out}"], "model.hidden_dim = 8\nno key here\n"),
+        (["error-report", "--predictions", "{bad}", "--out", "{out}"],
+         "a\tb\tc\nnotab\n"),
+        (["oov-correct", "--sentences", "{bad}", "--matrices", "{mat}",
+          "--model", "{ckpt}", "--shortlist-corpus", "{corpus}",
+          "--sizes", "1", "--out", "{out}"], "a\tb\nnotab\n"),
+    ], ids=["embed-vectors", "evaluate-data", "config", "error-report",
+            "oov-sentences"])
+    def test_bad_line_names_file_and_line(self, corpus, checkpoint, tmp_path,
+                                          capsys, argv, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        mat = tmp_path / "one.att"   # the matrix of line 1's pair only
+        save_pipeline_file([AlignedSentencePair(["a"], ["b"], np.ones((1, 1)))],
+                           tmp_path / "unused.tsv", mat)
+        self._run(argv, tmp_path, bad=bad, corpus=corpus, ckpt=checkpoint,
+                  mat=mat)
+        assert f"error: {bad}: line 2: " in capsys.readouterr().err
 
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig,

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cogtrans.data_io import (
     load_cognate_tsv,
@@ -7,7 +11,8 @@ from cogtrans.data_io import (
     save_cognate_tsv,
     split_dataset,
 )
-from cogtrans.errors import EmptyInput, InvalidArgument, ParseError
+from cogtrans.errors import (CogtransError, EmptyInput, InvalidArgument,
+                             ParseError)
 
 
 class TestCognateTsv:
@@ -28,6 +33,7 @@ class TestCognateTsv:
         with pytest.raises(ParseError) as exc:
             load_cognate_tsv(path)
         assert exc.value.line_no == 2
+        assert str(exc.value).startswith(f"{path}: line 2: ")
 
     def test_empty_field_rejected(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -119,7 +125,45 @@ optimizer.lr = 1e-3
         path.write_text(self.TEXT, encoding="utf-8")
         assert load_config(path).model["architecture"] == "am"
 
+    def test_load_config_bad_line_names_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("model.hidden_dim = 4\nno key here\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"{path}: line 2: expected key=value")):
+            load_config(path)
+
     def test_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("\ufeffmodel.hidden_dim = 4\n", encoding="utf-8")
         assert load_config(path).model == {"hidden_dim": 4}
+
+
+# text that is mostly tab-separated lines, with the characters a reader must
+# get right: tabs, blank and space-only fields, carriage returns, byte-order
+# marks, combining marks and other whitespace
+_CHAR = st.characters(codec="utf-8")   # what a UTF-8 file can hold
+_FIELD = st.text(st.sampled_from("ab \u0301\u0915\u093c\u0958\r\ufeff\x1c\u2028")
+                 | _CHAR, max_size=4)
+_TSV_LINE = st.lists(_FIELD, min_size=1, max_size=3).map("\t".join)
+_TSV_TEXT = (st.lists(_TSV_LINE, max_size=5).map("\n".join)
+             | st.text(_CHAR, max_size=20))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(text="\n\ufeffa\tb")   # a source word that starts with a BOM
+@given(text=_TSV_TEXT)
+def test_any_tsv_text_round_trips_or_names_the_file(tmp_path, text):
+    """Any text is either pairs that ``save_cognate_tsv`` writes back to
+    the same pairs, or a ``CogtransError`` naming the file."""
+    path = tmp_path / "c.tsv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        pairs = load_cognate_tsv(path)
+    except CogtransError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    again = tmp_path / "again.tsv"
+    save_cognate_tsv(pairs, again)
+    assert load_cognate_tsv(again) == pairs

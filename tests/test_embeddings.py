@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cogtrans.devanagari import CharVocab
 from cogtrans.embeddings import (
@@ -14,7 +17,9 @@ from cogtrans.embeddings import (
     train_char_lm,
 )
 from cogtrans import tensor as T
-from cogtrans.errors import DivergedError, EmptyInput, InvalidArgument, ParseError
+from cogtrans.cells import CellParams, dropout, run_rnn
+from cogtrans.errors import (CogtransError, DivergedError, EmptyInput,
+                             InvalidArgument, ParseError)
 
 
 class TestWordVectorStore:
@@ -39,6 +44,7 @@ class TestWordVectorStore:
         with pytest.raises(ParseError, match="'cd'") as exc:
             WordVectorStore.load(path)
         assert exc.value.line_no == 3
+        assert str(exc.value).startswith(f"{path}: line 3: ")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_component_is_parse_error(self, tmp_path, value):
@@ -48,6 +54,19 @@ class TestWordVectorStore:
             WordVectorStore.load(path)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("ab 1.0 2.0\ncd 3.0\n", "line 2: vector for 'cd' has 1 components, "
+         "expected 2"),
+        ("ab\ncd 3.0\n", "line 1: vector for 'ab' has 0 components, "
+         "expected at least 1"),
+    ], ids=["dimension-mismatch", "no-components"])
+    def test_bad_dimension_is_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "vec.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                           f"{message}$"):
+            WordVectorStore.load(path)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgument):
             WordVectorStore({"a": [1.0], "b": [1.0, 2.0]})
@@ -55,6 +74,44 @@ class TestWordVectorStore:
     def test_contains_normalizes(self):
         store = WordVectorStore({"क़": [1.0]})  # qa with combining nukta
         assert "क़" in store               # precomposed qa
+
+
+# vector-file text: mostly "word v1 v2 ..." lines of numbers, with the tokens
+# a reader must get right (NaN, infinities, underscores, a "count dim"
+# header, non-ASCII digits, missing components) and free text
+_NUMBER = (st.floats().map(repr) | st.integers(-5, 5).map(str)
+           | st.sampled_from(["nan", "-inf", "1e400", "1_0", "\u0661", "x",
+                              "0x1", ""]))
+_CHAR = st.characters(codec="utf-8")   # what a UTF-8 file can hold
+_WORD = st.text(_CHAR, min_size=1, max_size=3)
+_VECTOR_LINE = st.tuples(_WORD, st.lists(_NUMBER, max_size=3)).map(
+    lambda t: " ".join([t[0], *t[1]]))
+_VECTOR_TEXT = (st.lists(_VECTOR_LINE | st.sampled_from(["2 2", ""]),
+                         max_size=4).map("\n".join)
+                | st.text(_CHAR, max_size=20))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_VECTOR_TEXT)
+def test_any_vector_text_round_trips_or_names_the_file(tmp_path, text):
+    """Any text is either finite vectors of one dimension that
+    ``WordVectorStore.save`` writes back to the same vectors, or a
+    ``CogtransError`` naming the file."""
+    path = tmp_path / "v.vec"
+    path.write_text(text, encoding="utf-8")
+    try:
+        store = WordVectorStore.load(path)
+    except CogtransError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert all(np.isfinite(v).all() for v in store.vectors.values())
+    again = tmp_path / "again.vec"
+    store.save(again)
+    back = WordVectorStore.load(again)
+    assert back.dim == store.dim and back.vectors.keys() == store.vectors.keys()
+    for word, vec in store.vectors.items():
+        assert np.array_equal(back.vectors[word], vec)
 
 
 class TestFtAvg:
@@ -141,7 +198,49 @@ class TestCharLM:
     def test_bidirectional_direction(self):
         cfg = self._cfg(direction="bidirectional", max_epochs=1)
         lm, table, _ = train_char_lm(self.CORPUS, cfg)
-        assert lm.W_out.data.shape[0] == 2 * cfg.hidden
+        assert lm.params["W_out"].data.shape[0] == 2 * cfg.hidden
+
+    @pytest.mark.parametrize("direction", ["forward", "bidirectional"])
+    def test_loss_and_gradients_match_composed_reference(self, direction):
+        """The LM on the shared runner (``cells.run_birnn`` and
+        ``birnn_summary``) against its own composition of two ``run_rnn``
+        calls: the last forward state and the first backward one, side by
+        side.  Loss and every gradient are bit-equal."""
+        cfg = self._cfg(direction=direction, dropout=0.3)
+        vocab = CharVocab(set("abcd"))
+        ids = np.random.default_rng(1).integers(0, len(vocab), size=(7, 3))
+        targets = np.random.default_rng(2).integers(0, len(vocab), size=7)
+        lm = CharLM(cfg, vocab, seed=4)
+
+        def reference(rng):
+            p = lm.params
+            cell = {side: CellParams("lstm", cfg.embed_dim, cfg.hidden,
+                                     p[f"{side}_W"], p[f"{side}_b"])
+                    for side in ("fwd", "bwd") if f"{side}_W" in p}
+            emb = dropout(T.embedding(p["embedding"], ids), cfg.dropout, rng)
+            h = run_rnn(emb, cell["fwd"])[:, -1]
+            if direction == "bidirectional":
+                hb = run_rnn(emb, cell["bwd"], reverse=True)[:, 0]
+                h = T.concat([h, hb], axis=-1)
+            h = dropout(h, cfg.dropout, rng)
+            probs = T.softmax(h @ p["W_out"] + p["b_out"], axis=-1)
+            return T.cross_entropy_rows(probs, targets,
+                                        np.full(len(targets), 1 / 7))
+
+        runs = []
+        for loss_fn in (lambda rng: lm.loss_batch(ids, targets, rng),
+                        reference):
+            lm.zero_grads()
+            with T.Graph() as g:
+                loss = loss_fn(np.random.default_rng(3))
+                T.backward(g, loss)
+            runs.append((loss.item(), {k: t.grad.copy()
+                                       for k, t in lm.params.items()}))
+        (got, got_grads), (want, want_grads) = runs
+        assert got == want
+        assert got_grads.keys() == want_grads.keys()
+        for k in want_grads:
+            assert np.array_equal(got_grads[k], want_grads[k]), k
 
     def test_corpus_too_short(self):
         with pytest.raises(InvalidArgument):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from cogtrans import oov
-from cogtrans.errors import EmptyInput, InvalidArgument, InvalidAttention
+from cogtrans.errors import (EmptyInput, InvalidArgument, InvalidAttention,
+                             ParseError)
 from cogtrans.metrics import corpus_bleu
 from cogtrans.oov import (
     AlignedSentencePair,
@@ -232,6 +235,36 @@ class TestPipelineFile:
         save_pipeline_file(records, tsv, mat)
         with pytest.raises(InvalidArgument, match="line 2: attention matrix"):
             load_pipeline_file(tsv, mat)
+
+    def test_malformed_line_names_file_and_line(self, tmp_path):
+        tsv, mat = tmp_path / "p.tsv", tmp_path / "p.att"
+        save_pipeline_file(self._records(), tsv, mat)
+        tsv.write_text("a b\tA\nnotab\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"{tsv}: line 2: expected 'source tokens<TAB>target tokens'")):
+            load_pipeline_file(tsv, mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5])
+    def test_bad_matrix_names_its_line(self, tmp_path, bad):
+        tsv, mat = tmp_path / "p.tsv", tmp_path / "p.att"
+        records = self._records()
+        records[1].attention = np.array([[1.0], [bad]])
+        save_pipeline_file(records, tsv, mat)
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"{tsv}: line 2: attention matrix: entry (1, 0) is {bad}")):
+            load_pipeline_file(tsv, mat)
+
+    def test_records_aligned_once_as_read(self, tmp_path, monkeypatch):
+        tsv, mat = tmp_path / "p.tsv", tmp_path / "p.att"
+        save_pipeline_file(self._records(), tsv, mat)
+        calls = []
+        monkeypatch.setattr(oov, "align_from_attention", lambda att: (
+            calls.append(att) or align_from_attention(att)))
+        records = load_pipeline_file(tsv, mat)
+        assert [r.alignment for r in records] == [{0: [0]}, {0: [0, 1]}]
+        for rec in records:   # correction reuses the alignment
+            correct_translation(rec, {0}, str.upper)
+        assert len(calls) == 2
 
     def test_sidecar_truncated(self, tmp_path):
         tsv, mat = tmp_path / "p.tsv", tmp_path / "p.att"

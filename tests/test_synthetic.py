@@ -8,7 +8,6 @@ from cogtrans.synthetic import (
     MAX_LEN,
     MIN_LEN,
     RewriteRule,
-    dataset_stats,
     generate_pairs,
     oracle_transduce,
 )
@@ -67,20 +66,10 @@ class TestGeneratePairs:
         assert 0.05 <= identity / len(pairs) <= 0.15
 
     def test_every_rule_exercised(self):
-        stats = dataset_stats(generate_pairs(6, 600))
-        assert all(v > 0 for v in stats["rule_hits"].values())
+        pairs = generate_pairs(6, 600)
+        for rule in DEFAULT_RULESET:
+            assert any(rule.apply(src) != src for src, _ in pairs)
 
     def test_invalid_args(self):
         with pytest.raises(InvalidArgument):
             generate_pairs(0, 0)
-
-
-class TestStats:
-    def test_counts(self):
-        pairs = [("ya", "ja"), ("bc", "bc"), ("aMa", "anaa")]
-        stats = dataset_stats(pairs)
-        assert stats["n"] == 3
-        assert stats["identity"] == 1
-        assert stats["lengths"] == {2: 2, 3: 1}
-        assert stats["rule_hits"][0] == 1   # initial y
-        assert stats["rule_hits"][2] == 1   # anywhere M
