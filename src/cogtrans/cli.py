@@ -219,10 +219,14 @@ def _cmd_pretrain_embed(args):
         real = [m for m in missing if m not in CharVocab.SPECIALS]
         if real:
             print(f"uncovered characters: {' '.join(real)}", file=sys.stderr)
+    symbols = [s for s in vocab.symbols if s not in CharVocab.SPECIALS]
+    blank = [s for s in symbols if not embeddings.writable(s)]
+    if blank:
+        print(f"left out whitespace characters: {' '.join(map(repr, blank))}",
+              file=sys.stderr)
     out_store = embeddings.WordVectorStore({
-        sym: table.data[i]
-        for i, sym in enumerate(vocab.symbols)
-        if sym not in CharVocab.SPECIALS
+        sym: table.data[vocab.index[sym]]
+        for sym in symbols if embeddings.writable(sym)
     })
     out_store.save(args.out)
     print(f"wrote {len(out_store)} character vectors to {args.out}")

@@ -21,6 +21,11 @@ from .models import ModelBase
 from .training import Optimizer, OptimizerSpec, train_step
 
 
+def writable(word):
+    """Whether ``word`` survives the vector file's whitespace split."""
+    return word.split() == [word]
+
+
 class WordVectorStore:
     """word -> fixed-dimension vector map, loadable from the common text
     release format ("word v1 v2 ... vD", optional "count dim" first line)."""
@@ -78,6 +83,12 @@ class WordVectorStore:
         return cls(vectors)
 
     def save(self, path):
+        """Write the text format ``load`` reads; a word must be non-empty
+        and hold no whitespace, which ``load`` splits on."""
+        for word in self.vectors:
+            if not writable(word):
+                raise InvalidArgument(f"cannot write a vector for {word!r}: "
+                                      "a word is non-empty, without whitespace")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{len(self.vectors)} {self.dim or 0}\n")
             for word in sorted(self.vectors):

@@ -29,15 +29,18 @@ one taped op (``tensor.additive_attention``), and under teacher forcing the
 output layer runs once per batch over the stacked top states and contexts
 of all steps.
 ``tn`` decodes incrementally: it encodes the word and
-projects each decoder layer's cross-attention keys/values once, and caches
-each layer's self-attention keys/values so every step runs the decoder on
-the new position only.  The model projects each ``tn`` attention block's
+projects each decoder layer's cross-attention keys/values once, and writes
+each layer's self-attention keys/values into a cache preallocated for
+``max_decode_len`` positions (``DecodeState``), so every step runs the
+decoder on the new position only and copies no earlier one.  Every product
+with a weight is one GEMM over the flattened rows (``tensor.matmul``).
+The model projects each ``tn`` attention block's
 queries, keys and values and builds its masks once per pass, and
 ``multi_head_attention`` runs the scores, mask, softmax and weighted sum of
 all heads as one taped op (``tensor.attention``) and the output projection.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -639,11 +642,16 @@ class TransformerModel(TransductionModel):
         return self._loss_from_probs(flat, tgt, tgt_len, tgt_mask)
 
     def _decode_start(self, src, src_mask):
-        """Encode the source and project each decoder layer's
-        cross-attention keys/values, once per decoded batch."""
+        """Encode the source, project each decoder layer's cross-attention
+        keys/values and allocate its self-attention cache, once per decoded
+        batch."""
         enc = self._encode(src, src_mask, False, None)
-        return DecodeState(_key_mask(src_mask), [
-            self._kv(enc, f"dec{l}_cross_") for l in range(self.cfg.num_layers)])
+        layers = range(self.cfg.num_layers)
+        shape = (src.shape[0], self.cfg.max_decode_len, self.cfg.d_model)
+        return DecodeState(
+            _key_mask(src_mask),
+            [self._kv(enc, f"dec{l}_cross_") for l in layers],
+            [(np.empty(shape), np.empty(shape)) for _ in layers])
 
     def _decode_next(self, state, prefix):
         probs, weights = self.forward(None, prefix, state=state)
@@ -658,26 +666,32 @@ class DecodeState:
     ``key_mask`` is the additive mask over the cross-attention keys
     (``_key_mask``), ``cross`` each decoder layer's projected
     cross-attention (keys, values), ``self_kv`` each decoder layer's
-    self-attention (keys, values) of the ``length`` target positions decoded
-    so far; keys and values are projected (B, t, d) rows.
+    self-attention (keys, values) as preallocated (B, max_decode_len, d)
+    arrays whose first ``length`` positions hold the target positions
+    decoded so far.
     """
 
     key_mask: np.ndarray | None
     cross: list
-    self_kv: list = field(default_factory=list)
+    self_kv: list
     length: int = 0
 
     def extend(self, layer, k, v):
-        """Append the new positions' keys k and values v to ``layer``'s
-        cache and return the cached (keys, values) of every position so
-        far."""
-        if layer < len(self.self_kv):
-            k_old, v_old = self.self_kv[layer]
-            k, v = T.concat([k_old, k], axis=1), T.concat([v_old, v], axis=1)
-            self.self_kv[layer] = (k, v)
-        else:
-            self.self_kv.append((k, v))
-        return k, v
+        """Write the new positions' keys k and values v into ``layer``'s
+        cache after the ``length`` cached ones, and return views of the
+        (keys, values) of every position so far.  Decoding is untaped, so
+        k and v must not require a gradient."""
+        if k.requires_grad or v.requires_grad:
+            raise InvalidArgument("the decode cache holds untaped keys and "
+                                  "values only")
+        K, V = self.self_kv[layer]
+        end = self.length + k.shape[1]
+        if end > K.shape[1]:
+            raise InvalidShape(f"decode cache holds {K.shape[1]} positions, "
+                               f"asked for {end}")
+        K[:, self.length:end] = k.data
+        V[:, self.length:end] = v.data
+        return Tensor(K[:, :end]), Tensor(V[:, :end])
 
 
 # ---------------------------------------------------------------------------

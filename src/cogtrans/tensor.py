@@ -188,7 +188,13 @@ def tanh(a):
 
 
 def _sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
+    """1 / (1 + exp(-v)) of an array, v floored at -500 so exp cannot
+    overflow, computed in place on one temporary."""
+    y = np.maximum(v, -500.0, out=np.empty(np.shape(v)))
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    y += 1.0
+    return np.reciprocal(y, out=y)
 
 
 def sigmoid(a):
@@ -224,17 +230,32 @@ def sqrt(a):
 # linear algebra / structural ops
 
 def matmul(a, b):
+    """a @ b.  With a 2-D right operand (a weight), the left operand's
+    leading axes are flattened so forward and backward are each one
+    (N, k) @ (k, m) GEMM; only a batched right operand runs NumPy's stacked
+    matmul.  No gradient is computed for a parent that needs none."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise InvalidShape("matmul requires tensors of rank >= 2")
-    y = np.matmul(a.data, b.data)
+    if b.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        y = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+        def bwd(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad
+                    else None,
+                    a2.T @ g2 if b.requires_grad else None)
+
+        return _make(y, (a, b), bwd)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return (_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                             a.shape) if a.requires_grad else None,
+                _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                             b.shape) if b.requires_grad else None)
 
-    return _make(y, (a, b), bwd)
+    return _make(np.matmul(a.data, b.data), (a, b), bwd)
 
 
 def concat(tensors, axis=-1):
@@ -632,22 +653,30 @@ def _row_mean(a):
 
 
 def layer_norm(x, gain, bias):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+    Forward and backward reuse their temporaries in place."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.shape[-1] != gain.shape[-1] or x.shape[-1] != bias.shape[-1]:
         raise InvalidShape("layer_norm dims mismatch")
-    xc = x.data - _row_mean(x.data)
-    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + LN_EPS)
-    xhat = xc * inv
-    y = xhat * gain.data + bias.data
+    xhat = x.data - _row_mean(x.data)
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(_row_mean(y) + LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
 
     def bwd(g):
-        dxhat = g * gain.data
-        dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
+        dx = g * gain.data
+        tmp = np.multiply(dx, xhat)
+        m_dx, m_dxx = _row_mean(dx), _row_mean(tmp)
+        dx -= m_dx
+        dx -= np.multiply(xhat, m_dxx, out=tmp)
+        dx *= inv
         axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=axes) if axes else g * xhat
-        dbias = g.sum(axis=axes) if axes else g.copy()
-        return dx, dgain, dbias
+        if not axes:
+            return dx, np.multiply(g, xhat, out=tmp), g.copy()
+        return (dx, np.multiply(g, xhat, out=tmp).sum(axis=axes),
+                g.sum(axis=axes))
 
     return _make(y, (x, gain, bias), bwd)
 

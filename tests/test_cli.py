@@ -421,6 +421,26 @@ class TestPretrainEmbed:
         assert "perplexity" in capsys.readouterr().out
         assert out.exists()
 
+    def test_lm_vectors_of_spaced_corpus_load_in_train(self, corpus,
+                                                       tmp_path, capsys):
+        """Whitespace gets no vector, so the vector file of an LM trained
+        on space-separated words is read back by ``train``."""
+        words = tmp_path / "words.txt"
+        words.write_text(" ".join(s for s, _ in generate_pairs(3, 60)) + "\n",
+                         encoding="utf-8")
+        vec = tmp_path / "lm.vec"
+        assert run_cli(["pretrain-embed", "lm", "--corpus", str(words),
+                        "--out", str(vec), "--window", "4", "--hidden", "8",
+                        "--embed-dim", "6", "--epochs", "1"]) == 0
+        err = capsys.readouterr().err
+        assert "left out whitespace characters: '\\n' ' '" in err
+        assert run_cli(["train", "--data", str(corpus), "--arch", "am",
+                        "--embed-dim", "6", "--hidden-dim", "8",
+                        "--epochs", "1", "--batch-size", "16",
+                        "--metrics-every", "0", "--embed-vectors", str(vec),
+                        "--out", str(tmp_path / "am.ckpt")]) == 0, \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ["--embed-dim", "0"], ["--hidden", "0"], ["--epochs", "0"],
         ["--dropout", "1.0"], ["--patience", "-1"]])

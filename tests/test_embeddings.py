@@ -32,6 +32,13 @@ class TestWordVectorStore:
         assert np.array_equal(loaded["ab"], [1.0, 2.0])
         assert np.array_equal(loaded["cd"], [0.25, -3.5])
 
+    @pytest.mark.parametrize("word", ["", " ", "a b", "\t", "ab\n"])
+    def test_save_rejects_empty_or_blank_words(self, tmp_path, word):
+        path = tmp_path / "vec.txt"
+        with pytest.raises(InvalidArgument, match="cannot write"):
+            WordVectorStore({"ab": [1.0], word: [2.0]}).save(path)
+        assert not path.exists()
+
     def test_load_without_header(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("ab 1.0 2.0\ncd 3.0 4.0\n", encoding="utf-8")

@@ -6,7 +6,7 @@ import pytest
 from cogtrans import models, tensor as T
 from cogtrans.data_io import split_dataset
 from cogtrans.devanagari import CharVocab, build_vocab, strip_trailing_repeats
-from cogtrans.errors import EmptyInput, InvalidArgument
+from cogtrans.errors import EmptyInput, InvalidArgument, InvalidShape
 from cogtrans.models import (
     ModelConfig,
     attend_bahdanau,
@@ -141,6 +141,77 @@ def _composed_attention(q, k, v, heads, W_o, mask):
     weights = T.softmax(scores, axis=-1, mask=full)
     out = T.reshape(T.transpose(weights @ vh, (0, 2, 1, 3)), (B, tq, d)) @ W_o
     return out, weights.data
+
+
+def _stacked_matmul(a, b):
+    """``tensor.matmul`` as NumPy's stacked matmul for every operand shape,
+    a broadcast weight's gradient summed over the batch afterwards: the
+    reference for the one GEMM that a 2-D right operand runs."""
+    a, b = T._as_tensor(a), T._as_tensor(b)
+
+    def bwd(g):
+        return (T._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                               a.shape),
+                T._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                               b.shape))
+
+    return T._make(np.matmul(a.data, b.data), (a, b), bwd)
+
+
+class TestOneGemmMatmul:
+    @pytest.mark.parametrize("t", [2, 5, 13])
+    def test_flat_gemm_matches_stacked(self, t):
+        """Forward bit-equal for more than one row per item; the
+        gradients group their sums differently, so they differ in the last
+        bits."""
+        r = np.random.default_rng(t)
+        a = T.Tensor(r.normal(size=(20, t, 64)), requires_grad=True)
+        w = T.Tensor(r.normal(size=(64, 48)), requires_grad=True)
+        g = r.normal(size=(20, t, 48))
+        with T.Graph():
+            y, ref = T.matmul(a, w), _stacked_matmul(a, w)
+            grads, ref_grads = y._backward(g), ref._backward(g)
+        assert np.array_equal(y.data, ref.data)
+        for got, want in zip(grads, ref_grads):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_constant_operand_gets_no_gradient(self):
+        r = np.random.default_rng(0)
+        a, w = r.normal(size=(3, 4, 5)), r.normal(size=(5, 2))
+        g = r.normal(size=(3, 4, 2))
+        with T.Graph():
+            ga, gw = T.matmul(T.Tensor(a), T.Tensor(w, requires_grad=True)
+                              )._backward(g)
+            ga2, gw2 = T.matmul(T.Tensor(a, requires_grad=True), T.Tensor(w)
+                                )._backward(g)
+        assert ga is None and gw2 is None
+        assert gw.shape == w.shape and ga2.shape == a.shape
+
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    @pytest.mark.parametrize("seed,dropout", [(0, 0.0), (1, 0.1), (2, 0.0)])
+    def test_losses_and_gradients_match_stacked_path(self, arch, seed,
+                                                     dropout, monkeypatch):
+        pairs = generate_pairs(seed, 12)   # words of mixed length: padded
+        vocab = build_vocab(pairs)
+        cfg = _cfg(arch, d_model=64, num_heads=4, ffn_dim=24, num_layers=2,
+                   decoder_layers=2, dropout=dropout)
+
+        def run():
+            model = build_model(cfg, vocab, seed=seed)
+            with T.Graph() as g:
+                loss = model.loss_words(pairs, train=True,
+                                        rng=np.random.default_rng(seed))
+                T.backward(g, loss)
+            return loss.data, {k: t.grad for k, t in model.params.items()}
+
+        loss, grads = run()
+        monkeypatch.setattr(T, "matmul", _stacked_matmul)
+        ref_loss, ref_grads = run()
+        assert abs(loss - ref_loss) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for k in grads:
+            assert np.abs(grads[k] - ref_grads[k]).max() <= 1e-12, k
 
 
 def _causal(t):
@@ -555,10 +626,21 @@ class TestTransformer:
                 out.append(sym)
         return out[1:], weights[0].mean(axis=0), truncated
 
-    def test_incremental_decoding_matches_full_prefix(self):
+    def test_incremental_decoding_matches_full_prefix(self, monkeypatch):
+        """Also for words truncated at ``max_decode_len``, whose last step
+        fills the preallocated key/value cache exactly."""
         split = split_dataset(generate_pairs(5, 160), seed=5)
         words = [src for src, _ in split.test]
         flags = set()
+        full = []
+        extend = models.DecodeState.extend
+
+        def spy(state, layer, k, v):
+            keys, values = extend(state, layer, k, v)
+            full.append(keys.shape[1] == state.self_kv[layer][0].shape[1])
+            return keys, values
+
+        monkeypatch.setattr(models.DecodeState, "extend", spy)
         for seed, max_len in ((0, 12), (1, 12), (2, 12), (3, 2)):
             cfg = _cfg("tn", d_model=16, ffn_dim=24, num_layers=2,
                        max_decode_len=max_len)
@@ -575,6 +657,7 @@ class TestTransformer:
                 assert np.allclose(att, ref_att, rtol=0, atol=1e-12)
                 flags.add(cut)
         assert flags == {False, True}
+        assert any(full)
 
     @pytest.mark.parametrize("seed,dropout", [(0, 0.0), (1, 0.1), (2, 0.0)])
     def test_losses_and_gradients_match_composed_attention(self, seed,
@@ -618,3 +701,18 @@ class TestTransformer:
         model = build_model(_cfg("tn"), _vocab(), seed=0)
         with pytest.raises(EmptyInput):
             transduce_greedy(model, "")
+
+    def test_decode_cache_rejects_overflow_and_taped_keys(self):
+        model = build_model(_cfg("tn", max_decode_len=3), _vocab(), seed=0)
+        src, _, mask = encode_batch(model.vocab, ["abc", "ba"])
+        prefix = np.full((2, 4), CharVocab.BOS, dtype=np.intp)
+        with T.no_grad():
+            state = model._decode_start(src, mask)
+            for t in range(1, 4):
+                model._decode_next(state, prefix[:, :t])
+            with pytest.raises(InvalidShape, match="holds 3 positions"):
+                model._decode_next(state, prefix)
+        state = model._decode_start(src, mask)
+        k = T.Tensor(np.zeros((2, 1, 8)))
+        with pytest.raises(InvalidArgument, match="untaped"):
+            state.extend(0, T.Tensor(k.data, requires_grad=True), k)

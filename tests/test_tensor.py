@@ -206,6 +206,10 @@ def _op_cases():
         ("matmul", [m23, m34], lambda a, b: T.tsum(a @ b)),
         ("matmul_batched", [batch, m34.T[:4, :3].copy()],
          lambda a, b: T.tsum(a @ b)),
+        ("matmul_stacked", [batch, batch.transpose(0, 2, 1).copy()],
+         lambda a, b: T.tsum(T.mul(y := a @ b, y))),
+        ("matmul_weight_only", [m34],
+         lambda w: T.tsum(T.mul(y := T.Tensor(batch[:, :, :3]) @ w, y))),
         ("concat", [a32, b32], lambda a, b: T.tsum(T.mul(c := T.concat([a, b], axis=1), c))),
         ("stack", [a32, b32], lambda a, b: T.tsum(T.mul(s := T.stack([a, b], axis=0), s))),
         ("getitem", [batch], lambda a: T.tsum(T.mul(g := a[:, 1], g))),
@@ -318,3 +322,48 @@ def test_layer_norm_oracles():
     biased = T.layer_norm(leaf([3.0, 7.0]), T.Tensor(np.zeros(2)),
                           T.Tensor(np.array([4.0, 5.0])))
     assert np.allclose(biased.data, [4.0, 5.0])
+
+
+def _clipped_sigmoid(v):
+    """The sigmoid formula with NumPy's clip: the reference for the
+    in-place ``_sigmoid``."""
+    return 1.0 / (1.0 + np.exp(-np.clip(v, -500, 500)))
+
+
+def test_sigmoid_bitwise_equals_clipped_formula():
+    special = [np.inf, -np.inf, np.nan, 500.0, -500.0, 800.0, -800.0, 0.0,
+               -0.0, 499.9, -499.9, 36.0, -36.0, 745.2, -745.2]
+    v = np.concatenate([special, np.random.default_rng(0).normal(
+        scale=20.0, size=20 * 192 - len(special))]).reshape(20, 192)
+    got = T._sigmoid(v)
+    assert got.view(np.int64).tolist() == _clipped_sigmoid(v).view(
+        np.int64).tolist()
+    assert got[0, 0] == 1.0 and got[0, 5] == 1.0   # inf, 800
+    for x in (0.3, -800.0):   # a 0-d array stays an array
+        assert T._sigmoid(np.array(x)).tobytes() == _clipped_sigmoid(
+            np.array(x)).tobytes()
+
+
+def test_layer_norm_bit_identical_to_formula():
+    """Forward and backward with reused temporaries give exactly the bits
+    of the formula written with a new array per step."""
+    r = np.random.default_rng(5)
+    mean = T._row_mean
+    for shape in ((7,), (5, 7), (3, 4, 64)):
+        x, g = r.normal(size=shape), r.normal(size=shape)
+        gain, bias = r.normal(size=shape[-1]), r.normal(size=shape[-1])
+        with T.Graph():
+            y = T.layer_norm(leaf(x), leaf(gain), leaf(bias))
+            grads = y._backward(g)
+        xc = x - mean(x)
+        inv = 1.0 / np.sqrt(mean(xc * xc) + T.LN_EPS)
+        xhat = xc * inv
+        dxhat = g * gain
+        axes = tuple(range(g.ndim - 1))
+        want = [xhat * gain + bias,
+                inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+                (g * xhat).sum(axis=axes) if axes else g * xhat,
+                g.sum(axis=axes) if axes else g]
+        for got, ref in zip([y.data, *grads], want):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
