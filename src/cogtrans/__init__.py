@@ -42,6 +42,7 @@ from .oov import (
     AlignedSentencePair,
     align_from_attention,
     build_shortlist,
+    correct_records,
     correct_translation,
     detect_oov,
     evaluate_pipeline,

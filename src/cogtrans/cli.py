@@ -118,6 +118,8 @@ def _loss_curve_svg(history, path):
 # subcommands
 
 def _cmd_train(args):
+    if args.avg_last < 0:
+        raise CogtransError(f"--avg-last must be >= 0, got {args.avg_last}")
     run_cfg = (data_io.load_config(args.config) if args.config
                else data_io.RunConfig())
     pairs = data_io.load_cognate_tsv(args.data)
@@ -127,6 +129,7 @@ def _cmd_train(args):
     model_cfg = _config(ModelConfig, args, run_cfg.model).validate()
     train_cfg = _config(TrainConfig, args, run_cfg.train).validate()
     opt = _config(OptimizerSpec, args, run_cfg.optimizer).normalized()
+    vocab = build_vocab(split.train + split.validation)
     embedding = None
     if args.embed_vectors:
         store = embeddings.WordVectorStore.load(args.embed_vectors)
@@ -134,12 +137,11 @@ def _cmd_train(args):
             raise CogtransError(
                 f"embedding vectors have dimension {store.dim}, "
                 f"model expects {model_cfg.embed_dim}")
-        vocab = build_vocab(split.train + split.validation)
         embedding = np.array([store[s] if s in store else np.zeros(store.dim)
                               for s in vocab.symbols])
-    result = train(model_cfg, train_cfg, opt, split, embedding=embedding)
+    result = train(model_cfg, train_cfg, opt, split, embedding, vocab)
     ckpt = result.best
-    if args.avg_last and args.avg_last > 1:
+    if args.avg_last > 1:
         avg = average_checkpoints(result.history, args.avg_last)
         ckpt = dataclasses.replace(result.best, params=avg)
     out = args.out or _default_ckpt_path(f"{model_cfg.architecture}.ckpt")
@@ -193,6 +195,10 @@ def _cmd_evaluate(args):
         report = metrics.score_items(triples, tags_fn=tags_fn)
         report.truncated = sum(out.truncated for out in decoded)
         name = arch if arch not in reports else os.path.basename(path)
+        k = 1
+        while name in reports:   # the same file name in another directory
+            k += 1
+            name = f"{os.path.basename(path)}-{k}"
         reports[name] = report
         if args.report:
             base, ext = os.path.splitext(args.report)
@@ -263,34 +269,27 @@ def _cmd_oov_correct(args):
         )
     records = oov.load_pipeline_file(args.sentences, args.matrices)
     model = restore_model(load_checkpoint(args.model))
-    memo = {}
 
-    def prefetch(words):
-        # rare words recur across sentences and shortlist sizes: decode every
-        # flagged word once, all in one batch, and look each one up after
-        memo.update(zip(words, (t.word for t in transduce_batch(model, words))))
+    def transduce(words):
+        # rare words recur across sentences and shortlist sizes: every
+        # flagged word is decoded once, all in one batch
+        return [t.word for t in transduce_batch(model, words)]
 
     corpus = data_io.read_text(args.shortlist_corpus).splitlines()
     if args.references:
         refs = [line.split()
                 for line in data_io.read_text(args.references).splitlines()
                 if line.strip()]
-        rows = oov.evaluate_pipeline(records, refs, corpus, sizes,
-                                     memo.__getitem__, prefetch=prefetch)
+        rows = oov.evaluate_pipeline(records, refs, corpus, sizes, transduce)
         print("K\tbaseline\tcorrected\tdelta")
         for row in rows:
             print(f"{row['K']}\t{row['baseline']:.2f}\t"
                   f"{row['corrected']:.2f}\t{row['delta']:+.2f}")
     else:
-        shortlist = oov.build_shortlist(corpus, sizes[0])
-        flagged = [oov.detect_oov(rec.source, shortlist) for rec in records]
-        prefetch(oov.flagged_words(records, flagged))
-        lines = []   # every line before the file opens: an error writes none
-        for rec, positions in zip(records, flagged):
-            corrected, _ = oov.correct_translation(rec, positions,
-                                                   memo.__getitem__)
-            lines.append(" ".join(rec.source) + "\t" + " ".join(corrected)
-                         + "\n")
+        [corrected] = oov.correct_records(records, corpus, sizes, transduce)
+        # every line before the file opens: an error writes none
+        lines = [" ".join(rec.source) + "\t" + " ".join(tokens) + "\n"
+                 for rec, tokens in zip(records, corrected)]
         out_path = args.out or "corrected.tsv"
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
@@ -467,3 +466,7 @@ def run_cli(argv=None):
 
 def main():
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

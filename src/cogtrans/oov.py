@@ -1,5 +1,6 @@
 """OOV correction for MT output: frequency shortlist, attention-based word
 alignment, transduction splice-in, and before/after corpus BLEU.
+``correct_records`` is the one path that flags, transduces and splices.
 """
 
 import struct
@@ -148,49 +149,49 @@ def correct_translation(pair, oov_positions, transducer):
     return corrected, log
 
 
-def flagged_words(records, *position_lists):
-    """The distinct source words at flagged positions, in order of first
-    appearance; each of ``position_lists`` holds one position set per
-    record, as ``detect_oov`` gives them."""
-    return list(dict.fromkeys(rec.source[i] for positions in position_lists
-                              for rec, oov in zip(records, positions)
-                              for i in sorted(oov)))
+def correct_records(records, shortlist_corpus, shortlist_sizes, transduce):
+    """Each record's corrected target tokens, one list per shortlist size.
+
+    The corpus is ranked once, at the largest size, and the ranking is cut
+    for each size.  ``transduce`` is called once, with the distinct words
+    flagged at any size in order of first appearance, and must return one
+    string per word; each record is then spliced by ``correct_translation``
+    through a lookup of those strings.
+    """
+    ranked = build_shortlist(shortlist_corpus, max(shortlist_sizes, default=1))
+    flagged = [[detect_oov(rec.source, shortlist) for rec in records]
+               for shortlist in map(ranked.top, shortlist_sizes)]
+    words = list(dict.fromkeys(rec.source[i] for per_size in flagged
+                               for rec, oov in zip(records, per_size)
+                               for i in sorted(oov)))
+    out = list(transduce(words))
+    if len(out) != len(words) or not all(isinstance(w, str) for w in out):
+        raise InvalidArgument(
+            f"transduce returned {len(out)} items for {len(words)} words; "
+            "it must return one string per word")
+    lookup = dict(zip(words, out)).__getitem__
+    return [[correct_translation(rec, oov, lookup)[0]
+             for rec, oov in zip(records, per_size)] for per_size in flagged]
 
 
 def evaluate_pipeline(records, references, shortlist_corpus, shortlist_sizes,
-                      transducer, prefetch=None):
+                      transduce):
     """One (K, baseline BLEU, corrected BLEU, delta) row per shortlist size.
 
     records are AlignedSentencePairs; references are token lists aligned with
-    them.  ``prefetch``, when given, is called once before any correction
-    with the distinct words flagged at any size (``flagged_words``), so that
-    ``transducer`` can look up transductions made in one batch.
+    them.  ``transduce`` maps a list of words to their transductions, as
+    ``correct_records`` takes it.
     """
     if len(records) != len(references):
         raise InvalidArgument("record/reference counts differ")
     if not references:
         raise InvalidArgument("missing references")
     baseline = corpus_bleu([r.target for r in records], references)
-    rows = []
-    # rank the corpus once, at the largest size, and cut it for each size
-    ranked = build_shortlist(shortlist_corpus, max(shortlist_sizes, default=1))
-    flagged = []
-    for K in shortlist_sizes:
-        shortlist = ranked.top(K)
-        flagged.append([detect_oov(rec.source, shortlist) for rec in records])
-    if prefetch is not None:
-        prefetch(flagged_words(records, *flagged))
-    for K, per_size in zip(shortlist_sizes, flagged):
-        corrected_all = [correct_translation(rec, oov, transducer)[0]
-                         for rec, oov in zip(records, per_size)]
-        corrected_bleu = corpus_bleu(corrected_all, references)
-        rows.append({
-            "K": K,
-            "baseline": baseline,
-            "corrected": corrected_bleu,
-            "delta": corrected_bleu - baseline,
-        })
-    return rows
+    corrected = [corpus_bleu(tokens, references) for tokens in correct_records(
+        records, shortlist_corpus, shortlist_sizes, transduce)]
+    return [{"K": K, "baseline": baseline, "corrected": bleu,
+             "delta": bleu - baseline}
+            for K, bleu in zip(shortlist_sizes, corrected)]
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,8 @@ def test_criterion_09_oov_pipeline(capsys, benchmark_runs):
 
         shortlist_corpus = [" ".join(invocab)]
         rows = evaluate_pipeline(records, references, shortlist_corpus,
-                                 [len(invocab)], transducer)
+                                 [len(invocab)],
+                                 lambda words: list(map(transducer, words)))
         assert rows[0]["delta"] >= 3.0, rows
 
         # non-OOV-aligned tokens must never change

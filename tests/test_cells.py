@@ -226,7 +226,7 @@ def _composed_gru(x, h, W, b, mask=None):
     z = T.sigmoid(zc @ W[:, :n] + b[:n])
     r = T.sigmoid(zc @ W[:, n:2 * n] + b[n:2 * n])
     cand = T.tanh(T.concat([x, r * h], axis=-1) @ W[:, 2 * n:] + b[2 * n:])
-    h2 = z * h + (1.0 - z) * cand
+    h2 = z * h + T.sub(1.0, z) * cand
     return h2 if mask is None else _freeze_composed(mask, h2, h)
 
 

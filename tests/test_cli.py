@@ -1,6 +1,9 @@
 import dataclasses
 import io
+import os
 import re
+import shutil
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -68,6 +71,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run_cli(["train", "--data", "x", "--arch", "cnn"])
         assert exc.value.code == 2
+
+    def test_module_runs_main(self):
+        """``python -m cogtrans.cli`` is the command line itself."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "cogtrans.cli", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        for command in ("train", "transduce", "evaluate", "pretrain-embed",
+                        "tune", "oov-correct", "wx", "synth-gen",
+                        "error-report"):
+            assert command in done.stdout
 
 
 # (flag, sample value, config class, field it sets, parsed value) for every
@@ -271,6 +288,33 @@ class TestTrainAndFriends:
         out = capsys.readouterr().out
         assert "bleu" in out.lower()
         assert report.exists()
+
+    def test_evaluate_checkpoints_of_one_file_name(self, checkpoint, corpus,
+                                                   tmp_path, capsys):
+        """Three ``am.ckpt`` files in three directories: three columns and
+        three reports."""
+        paths = []
+        for d in "abc":
+            (tmp_path / d).mkdir()
+            paths += ["--model", str(shutil.copy(checkpoint, tmp_path / d))]
+        report = tmp_path / "report.tsv"
+        assert run_cli(["evaluate", *paths, "--data", str(corpus),
+                        "--report", str(report)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        names = ["am", "am.ckpt", "am.ckpt-2"]
+        assert header.split("\t") == ["Metric", *names]
+        for name in names:
+            assert (tmp_path / f"report-{name}.tsv").exists()
+
+    def test_negative_avg_last_exit_1(self, corpus, tmp_path, capsys,
+                                      monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail(
+            "trained with a negative --avg-last"))
+        out = tmp_path / "m.ckpt"
+        assert run_cli(["train", "--data", str(corpus), "--arch", "am",
+                        "--avg-last", "-3", "--out", str(out)]) == 1
+        assert "--avg-last" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_evaluate_report_counts_truncated_decodes(self, checkpoint, corpus,
                                                       tmp_path):

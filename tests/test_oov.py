@@ -11,6 +11,7 @@ from cogtrans.oov import (
     AlignedSentencePair,
     align_from_attention,
     build_shortlist,
+    correct_records,
     correct_translation,
     detect_oov,
     evaluate_pipeline,
@@ -147,6 +148,11 @@ class TestCorrection:
         assert log[0][0] == "transducer-error" and log[0][1] == 0
 
 
+def _each(transducer):
+    """A list transducer that applies ``transducer`` to each word."""
+    return lambda words: list(map(transducer, words))
+
+
 class TestEvaluatePipeline:
     def test_perfect_transducer_improves(self):
         # the reference replaces "xx" with "yy"; alignment is diagonal
@@ -157,8 +163,8 @@ class TestEvaluatePipeline:
             refs.append(["w%d" % i, "yy", "u%d" % i, "v%d" % i])
             records.append(_pair(src, tgt, np.eye(4)))
         corpus = [" ".join(r.source[0:1] + r.source[2:]) for r in records]
-        rows = evaluate_pipeline(records, refs, corpus, [100],
-                                 lambda w: "yy" if w == "xx" else w)
+        rows = evaluate_pipeline(records, refs, corpus, [100], _each(
+            lambda w: "yy" if w == "xx" else w))
         assert rows[0]["delta"] > 0
         assert rows[0]["corrected"] == pytest.approx(100.0)
 
@@ -178,7 +184,8 @@ class TestEvaluatePipeline:
     def test_sweep_rows_equal_one_shortlist_per_size(self):
         records, refs, corpus = self._sweep()
         sizes = [3, 1, 8, 2, 5]
-        rows = evaluate_pipeline(records, refs, corpus, sizes, str.upper)
+        rows = evaluate_pipeline(records, refs, corpus, sizes,
+                                 _each(str.upper))
         baseline = corpus_bleu([r.target for r in records], refs)
         expected = []
         for K in sizes:
@@ -191,6 +198,34 @@ class TestEvaluatePipeline:
         assert rows == expected
         assert len({row["corrected"] for row in rows}) > 1
 
+    def test_correct_records_transduces_once_per_sweep(self):
+        records, _, corpus = self._sweep()
+        sizes = [3, 1, 8, 2, 5]
+        calls = []
+
+        def transduce(words):
+            calls.append(words)
+            return [w.upper() for w in words]
+
+        out = correct_records(records, corpus, sizes, transduce)
+        # K=3 flags d, e, f, g, h as the records go; K=1 adds b, c
+        assert calls == [["d", "e", "f", "g", "h", "b", "c"]]
+        assert out == [
+            [correct_translation(r, detect_oov(r.source,
+                                               build_shortlist(corpus, K)),
+                                 str.upper)[0] for r in records]
+            for K in sizes]
+
+    @pytest.mark.parametrize("transduce", [
+        lambda words: [w.upper() for w in words[1:]],
+        lambda words: [w.upper() for w in words] + ["X"],
+        lambda words: [None for w in words],
+    ], ids=["short", "long", "not-strings"])
+    def test_correct_records_wants_one_string_per_word(self, transduce):
+        records, _, corpus = self._sweep()
+        with pytest.raises(InvalidArgument, match="one string per word"):
+            correct_records(records, corpus, [3], transduce)
+
     def test_corpus_tokenized_once_for_all_sizes(self, monkeypatch):
         records, refs, corpus = self._sweep()
         calls = []
@@ -200,14 +235,15 @@ class TestEvaluatePipeline:
             return tokenize(sentence)
 
         monkeypatch.setattr(oov, "tokenize", counting)
-        evaluate_pipeline(records, refs, corpus, [1, 2, 3, 4, 6], str.upper)
+        evaluate_pipeline(records, refs, corpus, [1, 2, 3, 4, 6],
+                          _each(str.upper))
         assert calls == corpus
 
     def test_mismatched_lengths(self):
         with pytest.raises(InvalidArgument):
-            evaluate_pipeline([], [["a"]], ["a"], [1], str)
+            evaluate_pipeline([], [["a"]], ["a"], [1], _each(str))
         with pytest.raises(InvalidArgument):
-            evaluate_pipeline([], [], ["a"], [1], str)
+            evaluate_pipeline([], [], ["a"], [1], _each(str))
 
 
 class TestPipelineFile:
