@@ -123,8 +123,8 @@ def _cmd_train(args):
     run_cfg = (data_io.load_config(args.config) if args.config
                else data_io.RunConfig())
     pairs = data_io.load_cognate_tsv(args.data)
-    script = args.script or run_cfg.script
-    pairs = _maybe_wx(pairs, script)
+    # a file key wins over its flag, as in ``_config``
+    pairs = _maybe_wx(pairs, run_cfg.script or args.script)
     split = data_io.split_dataset(pairs, seed=args.split_seed)
     model_cfg = _config(ModelConfig, args, run_cfg.model).validate()
     train_cfg = _config(TrainConfig, args, run_cfg.train).validate()
@@ -219,9 +219,10 @@ def _cmd_pretrain_embed(args):
         if args.vectors is None:
             raise CogtransError("pretrain-embed ftavg needs --vectors")
         store = embeddings.WordVectorStore.load(args.vectors)
-        tokens = data_io.read_text(args.corpus).split()
+        tokens = [metrics.nfc(token)
+                  for token in data_io.read_text(args.corpus).split()]
         vocab = CharVocab({c for t in tokens for c in t})
-        table, missing = embeddings.ft_avg_embed(store, tokens, vocab=vocab)
+        table, missing = embeddings.ft_avg_embed(store, tokens, vocab)
         real = [m for m in missing if m not in CharVocab.SPECIALS]
         if real:
             print(f"uncovered characters: {' '.join(real)}", file=sys.stderr)
@@ -266,6 +267,10 @@ def _cmd_oov_correct(args):
     if len(sizes) > 1 and not args.references:
         raise CogtransError(
             "several --sizes need --references; a corrected corpus uses one size"
+        )
+    if args.references and args.out:
+        raise CogtransError(
+            "--out takes no --references; a sweep writes no corrected corpus"
         )
     records = oov.load_pipeline_file(args.sentences, args.matrices)
     model = restore_model(load_checkpoint(args.model))
@@ -377,7 +382,7 @@ def build_parser():
     p = sub.add_parser("train", help="fit a transduction model")
     p.add_argument("--data", required=True)
     p.add_argument("--config")
-    p.add_argument("--script", choices=("devanagari", "wx", "raw"))
+    p.add_argument("--script", choices=data_io.SCRIPTS, default="raw")
     p.add_argument("--embed-vectors", dest="embed_vectors")
     p.add_argument("--avg-last", dest="avg_last", type=int, default=0)
     p.add_argument("--out")
@@ -389,16 +394,14 @@ def build_parser():
     p = sub.add_parser("transduce", help="transduce one word")
     p.add_argument("--model", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--script", choices=("devanagari", "wx", "raw"),
-                   default="raw")
+    p.add_argument("--script", choices=data_io.SCRIPTS, default="raw")
     p.add_argument("--attention", action="store_true")
     p.set_defaults(func=_cmd_transduce)
 
     p = sub.add_parser("evaluate", help="score checkpoints on a cognate file")
     p.add_argument("--model", action="append", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--script", choices=("devanagari", "wx", "raw"),
-                   default="raw")
+    p.add_argument("--script", choices=data_io.SCRIPTS, default="raw")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -414,8 +417,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--axis", action="append", required=True,
                    help="name=v1,v2,... (repeatable)")
-    p.add_argument("--script", choices=("devanagari", "wx", "raw"),
-                   default="raw")
+    p.add_argument("--script", choices=data_io.SCRIPTS, default="raw")
     p.add_argument("--metric", choices=("bleu", "ss", "wa"), default="bleu")
     add_config_flags(p, ModelConfig, TrainConfig, OptimizerSpec)
     p.add_argument("--split-seed", dest="split_seed", type=int, default=0)

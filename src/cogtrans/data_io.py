@@ -97,17 +97,22 @@ def split_dataset(pairs, seed=0):
 # ---------------------------------------------------------------------------
 # run configuration
 
+# the scripts a cognate corpus may arrive in (``--script``)
+SCRIPTS = ("devanagari", "wx", "raw")
+
+
 @dataclass
 class RunConfig:
-    """Sectioned hyperparameters parsed from key=value lines."""
+    """Sectioned hyperparameters parsed from key=value lines; ``script`` is
+    None when no line sets it."""
 
-    script: str = "raw"
+    script: str | None = None
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
     optimizer: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.script not in ("devanagari", "wx", "raw"):
+        if self.script is not None and self.script not in SCRIPTS:
             raise InvalidArgument(f"unknown script mode {self.script!r}")
 
 

@@ -1,10 +1,8 @@
 """Character-embedding pretraining: averaging word vectors per character
-(ft-Avg) and next-character language-model training (LM-LSTM), plus
-perplexity evaluation.
+(ft-Avg) and next-character language-model training (LM-LSTM).
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,20 +94,17 @@ class WordVectorStore:
                 fh.write(f"{word} {nums}\n")
 
 
-def ft_avg_embed(store, corpus, vocab=None):
+def ft_avg_embed(store, corpus, vocab):
     """Character embeddings as count-weighted means of word vectors.
 
     e_c = sum_w count(c, w) * v_w / sum_w count(c, w), where count(c, w) is
     the number of occurrences of c in w and each word type of the corpus
-    counts once.  Characters never seen in any stored word get zero vectors
-    and are reported in the returned missing list.  Returns the trainable
-    (vocab, dim) table and that list.
+    counts once.  Returns the trainable (len(vocab), dim) table and the
+    symbols of ``vocab`` that no stored word holds, whose rows are zero.
     """
     if len(store) == 0:
         raise EmptyInput("empty word-vector store")
     words = dict.fromkeys(nfc(token) for token in corpus)   # first-seen order
-    if vocab is None:
-        vocab = CharVocab({c for w in words for c in w})
     dim = store.dim
     table = np.zeros((len(vocab), dim))
     totals = np.zeros(len(vocab))
@@ -127,12 +122,6 @@ def ft_avg_embed(store, corpus, vocab=None):
     covered = totals > 0
     table[covered] /= totals[covered, None]
     missing = [vocab.symbols[i] for i in range(len(vocab)) if not covered[i]]
-    real_missing = [s for s in missing if s not in CharVocab.SPECIALS]
-    if real_missing:
-        warnings.warn(
-            f"{len(real_missing)} characters absent from every stored word: "
-            f"{real_missing[:10]}"
-        )
     return T.Tensor(table, requires_grad=True), missing
 
 
@@ -216,10 +205,7 @@ class CharLM(ModelBase):
 def _windows(ids, window):
     """Sliding (window-1)-char contexts and their next-char targets."""
     ctx = window - 1
-    n = len(ids) - ctx
-    if n <= 0:
-        return np.zeros((0, ctx), dtype=np.intp), np.zeros(0, dtype=np.intp)
-    idx = np.arange(ctx)[None, :] + np.arange(n)[:, None]
+    idx = np.arange(ctx)[None, :] + np.arange(len(ids) - ctx)[:, None]
     return np.asarray(ids, dtype=np.intp)[idx], np.asarray(ids[ctx:], dtype=np.intp)
 
 
@@ -239,8 +225,6 @@ def train_char_lm(corpus, cfg):
     cut = max(cfg.window, int(len(ids) * (1.0 - HOLDOUT_FRACTION)))
     train_x, train_y = _windows(ids[:cut], cfg.window)
     held_x, held_y = _windows(ids[cut - cfg.window + 1:], cfg.window)
-    if len(held_y) == 0:
-        held_x, held_y = train_x, train_y
     lm = CharLM(cfg, vocab, seed=cfg.seed)
     opt = Optimizer(OptimizerSpec("adam", lr=cfg.lr))
     rng = np.random.default_rng(cfg.seed)
@@ -264,15 +248,5 @@ def train_char_lm(corpus, cfg):
                 break
     if best_params is not None:
         lm.load_params(best_params)
-    ppl = math.exp(best / max(len(held_y), 1))
+    ppl = math.exp(best / len(held_y))
     return lm, lm.params["embedding"], ppl
-
-
-def perplexity(lm, held_out):
-    """exp(mean negative log-likelihood per predicted character)."""
-    text = nfc(held_out)
-    ids = [lm.vocab.index.get(c, CharVocab.UNK) for c in text]
-    x, y = _windows(ids, lm.cfg.window)
-    if len(y) == 0:
-        raise EmptyInput("held-out text shorter than the LM window")
-    return math.exp(lm.nll(x, y) / len(y))

@@ -25,8 +25,8 @@ class MissingGrad(CogtransError, RuntimeError):
 
 
 class DivergedError(CogtransError, RuntimeError):
-    def __init__(self, epoch, message=None):
-        super().__init__(message or f"training diverged at epoch {epoch}")
+    def __init__(self, epoch):
+        super().__init__(f"training diverged at epoch {epoch}")
         self.epoch = epoch
 
 

@@ -80,11 +80,14 @@ def word_accuracy(pred, gold):
     return 1 if nfc(pred) == nfc(gold) else 0
 
 
+BLEU_ORDER = 4   # the longest n-gram every BLEU here counts
+
+
 def _ngrams(units, n):
     return Counter(tuple(units[i : i + n]) for i in range(len(units) - n + 1))
 
 
-def char_bleu(pred, ref, max_n=4):
+def char_bleu(pred, ref, max_n=BLEU_ORDER):
     """BLEU over character n-grams with clipping and a brevity penalty on
     character counts.  Orders longer than both strings are dropped from the
     geometric mean so short words are not zeroed out.
@@ -115,21 +118,21 @@ def char_bleu(pred, ref, max_n=4):
     return 100.0 * bp * math.exp(sum(logs) / len(logs))
 
 
-def corpus_bleu(pred_sentences, ref_sentences, max_n=4):
+def corpus_bleu(pred_sentences, ref_sentences):
     """Papineni-style corpus BLEU over token n-grams: clipped counts are
     summed over the whole corpus before precisions are formed; the brevity
     penalty uses total lengths.  Sentences are token lists.
     """
     if len(pred_sentences) != len(ref_sentences):
         raise InvalidArgument("prediction/reference counts differ")
-    clipped = [0] * max_n
-    totals = [0] * max_n
+    clipped = [0] * BLEU_ORDER
+    totals = [0] * BLEU_ORDER
     pred_len = 0
     ref_len = 0
     for ptoks, rtoks in zip(pred_sentences, ref_sentences):
         pred_len += len(ptoks)
         ref_len += len(rtoks)
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_ORDER + 1):
             pc = _ngrams(ptoks, n)
             rc = _ngrams(rtoks, n)
             totals[n - 1] += sum(pc.values())
@@ -179,7 +182,7 @@ class EvalReport:
         )
 
 
-def score_items(triples, tags_fn=None, max_n=4):
+def score_items(triples, tags_fn=None):
     """Build an EvalReport from (source, gold, prediction) triples."""
     items = []
     for src, gold, pred in triples:
@@ -197,7 +200,7 @@ def score_items(triples, tags_fn=None, max_n=4):
                 prediction=pred,
                 ss=string_similarity(pred, gold),
                 wa=word_accuracy(pred, gold),
-                bleu=char_bleu(pred, gold, max_n=max_n) if gold else 0.0,
+                bleu=char_bleu(pred, gold) if gold else 0.0,
                 tags=tags,
             )
         )

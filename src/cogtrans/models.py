@@ -181,9 +181,8 @@ def multi_head_attention(q, k, v, heads, W_o, mask):
 
 def _key_mask(src_mask):
     """The additive (B, 1, 1, T) mask over the source keys from the (B, T)
-    0/1 source mask; None (no mask) when there is none."""
-    return (None if src_mask is None
-            else np.where(src_mask > 0, 0.0, NEG_INF)[:, None, None, :])
+    0/1 source mask."""
+    return np.where(src_mask > 0, 0.0, NEG_INF)[:, None, None, :]
 
 
 def _uniform(rng, *shape):
@@ -483,10 +482,8 @@ class HierarchicalAttentionModel(_RecurrentModel):
         K = -(-tmax // cs)
         pad = K * cs - tmax
         src_p = np.pad(src, ((0, 0), (0, pad)), constant_values=CharVocab.PAD)
-        # no mask means every char of src is real; the PAD symbols that fill
-        # the last chunk are masked either way
-        real = np.ones((B, tmax)) if src_mask is None else src_mask
-        mask_p = np.pad(real, ((0, 0), (0, pad)))
+        # the PAD symbols that fill the last chunk are masked
+        mask_p = np.pad(src_mask, ((0, 0), (0, pad)))
         emb = self._embed(src_p, train, rng)
         flat = T.reshape(emb, (B * K, cs, cfg.embed_dim))
         char_mask = mask_p.reshape(B * K, cs)
@@ -615,7 +612,7 @@ class TransformerModel(TransductionModel):
                 state=None):
         """Next-char distributions (B, T_tgt, V) under teacher forcing, and
         the last decoder layer's cross-attention weights (B, heads, T_tgt,
-        T_src).
+        T_src), from the ``encode_batch`` ids ``src`` and 0/1 ``src_mask``.
 
         With a ``DecodeState`` from ``_decode_start`` (greedy decoding),
         ``src`` and ``src_mask`` are not read: the state holds the source's
@@ -671,7 +668,7 @@ class DecodeState:
     decoded so far.
     """
 
-    key_mask: np.ndarray | None
+    key_mask: np.ndarray
     cross: list
     self_kv: list
     length: int = 0

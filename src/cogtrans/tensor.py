@@ -85,14 +85,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -664,8 +658,6 @@ def layer_norm(x, gain, bias):
         dx -= np.multiply(xhat, m_dxx, out=tmp)
         dx *= inv
         axes = tuple(range(g.ndim - 1))
-        if not axes:
-            return dx, np.multiply(g, xhat, out=tmp), g.copy()
         return (dx, np.multiply(g, xhat, out=tmp).sum(axis=axes),
                 g.sum(axis=axes))
 

@@ -203,8 +203,6 @@ class TrainResult:
     history: list
     best: Checkpoint
     model: object
-    vocab: CharVocab
-    stopped_epoch: int
 
 
 def _batches(pairs, batch_size):
@@ -267,7 +265,6 @@ def train(model_cfg, train_cfg, opt_spec, data, embedding=None, vocab=None):
     history = []
     best = None
     stale = 0
-    stopped = -1
     for epoch in range(train_cfg.max_epochs):
         tr, va = _epoch_split(pool, rng, train_cfg)
         epoch_loss = 0.0
@@ -305,10 +302,8 @@ def train(model_cfg, train_cfg, opt_spec, data, embedding=None, vocab=None):
         else:
             stale += 1
             if stale > train_cfg.patience:
-                stopped = epoch
                 break
-    return TrainResult(history=history, best=best, model=model, vocab=vocab,
-                       stopped_epoch=stopped)
+    return TrainResult(history=history, best=best, model=model)
 
 
 def average_checkpoints(history, k):

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from cogtrans import cli
 from cogtrans.cli import _config, build_parser, run_cli
 from cogtrans.data_io import load_cognate_tsv, parse_config
-from cogtrans.devanagari import CharVocab
+from cogtrans.devanagari import CharVocab, wx_encode
 from cogtrans.embeddings import CharLMConfig
 from cogtrans.errors import CogtransError
+from cogtrans.metrics import nfc
 from cogtrans.models import ModelConfig, transduce_batch, transduce_greedy
 from cogtrans.oov import (
     AlignedSentencePair,
@@ -404,6 +405,28 @@ class TestTrainAndFriends:
         cfg = load_checkpoint(out).model_config
         assert (cfg.architecture, cfg.hidden_dim, cfg.embed_dim) == ("am", 4, 6)
 
+    def test_config_script_wins_over_flag(self, tmp_path):
+        """``script`` keeps the rule of every other key: the file's
+        ``script = devanagari`` wins over ``--script raw``, so the model
+        is trained on WX."""
+        words = ["कमल", "नमक", "कलम", "मकान", "नाम", "काम", "राम", "दाम"]
+        data = tmp_path / "hi.tsv"
+        data.write_text("".join(f"{w}\t{w}\n" for w in words),
+                        encoding="utf-8")
+        conf = tmp_path / "run.conf"
+        conf.write_text("script = devanagari\n", encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        assert run_cli([
+            "train", "--data", str(data), "--config", str(conf),
+            "--script", "raw", "--arch", "am", "--hidden-dim", "4",
+            "--embed-dim", "4", "--epochs", "1", "--metrics-every", "0",
+            "--out", str(out),
+        ]) == 0
+        symbols = (set(load_checkpoint(out).vocab_symbols)
+                   - set(CharVocab.SPECIALS))
+        # the vocabulary holds the train and validation words' symbols
+        assert symbols and symbols <= set("".join(map(wx_encode, words)))
+
     @pytest.mark.parametrize("line, key", [
         ("model.hiden_dim = 4", "hiden_dim"),
         ("model.hidden_dim = 4.5", "hidden_dim"),
@@ -453,6 +476,22 @@ class TestPretrainEmbed:
         text = out.read_text()
         assert text.splitlines()[0].split()[1] == "2"  # dim header
         assert any(line.startswith("a ") for line in text.splitlines())
+
+    def test_ftavg_vocabulary_of_nfc_tokens(self, tmp_path, capsys):
+        """A token is averaged in its NFC form, so its characters are the
+        NFC form's: U+0958 decomposes to U+0915 U+093C."""
+        word = "\u0958\u093e"
+        vec = tmp_path / "vectors.txt"
+        vec.write_text(f"{nfc(word)} 1.0 0.5\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(word + "\n", encoding="utf-8")
+        out = tmp_path / "chars.vec"
+        assert run_cli(["pretrain-embed", "ftavg", "--corpus", str(corpus),
+                        "--vectors", str(vec), "--out", str(out)]) == 0
+        rows = [line.split() for line in out.read_text().splitlines()[1:]]
+        assert sorted(row[0] for row in rows) == sorted(nfc(word))
+        assert all(row[1:] == ["1.0", "0.5"] for row in rows)
+        assert "uncovered" not in capsys.readouterr().err
 
     def test_lm(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
@@ -555,6 +594,20 @@ class TestOovCorrect:
         assert run_cli(["oov-correct", *args, "--model", str(checkpoint),
                         "--sizes", "20,40", "--out", str(out)]) == 1
         assert "--references" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_with_references_exit_1(self, tmp_path, capsys):
+        """A sweep writes no corrected corpus, so ``--out`` with
+        ``--references`` is an error before any input is read: here none
+        of the inputs exists."""
+        out = tmp_path / "corrected.tsv"
+        missing = str(tmp_path / "missing")
+        assert run_cli(["oov-correct", "--sentences", missing,
+                        "--matrices", missing, "--model", missing,
+                        "--shortlist-corpus", missing, "--sizes", "1",
+                        "--references", missing, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--out" in err and "--references" in err
         assert not out.exists()
 
     def test_each_flagged_word_decoded_once_per_command(

@@ -618,7 +618,7 @@ class TestTransformer:
         with T.no_grad():
             for _ in range(model.cfg.max_decode_len):
                 probs, weights = model.forward(
-                    src, np.array([out], dtype=np.intp))
+                    src, np.array([out], dtype=np.intp), np.ones(src.shape))
                 sym = int(np.argmax(probs.data[0, -1]))
                 if sym == CharVocab.EOS:
                     truncated = False

@@ -524,7 +524,7 @@ class TestGridSearch:
             seeds.append(tc.seed)
             best = Checkpoint(params={}, epoch=0, train_loss=0.0,
                               val_loss=0.0)
-            return TrainResult([best], best, None, None, -1)
+            return TrainResult([best], best, None)
 
         monkeypatch.setattr(training, "train", fake_train)
         mc, tc = _small_cfgs()
