@@ -19,8 +19,8 @@ from .devanagari import (
     wx_decode,
     wx_encode,
 )
-from .errors import (CogtransError, ParseError, build_config, require_finite,
-                     require_type)
+from .errors import (CogtransError, EmptyInput, ParseError, build_config,
+                     require_finite, require_type)
 from .models import (ARCHITECTURES, ModelConfig, transduce_batch,
                      transduce_greedy)
 from .training import (
@@ -221,6 +221,8 @@ def _cmd_pretrain_embed(args):
         store = embeddings.WordVectorStore.load(args.vectors)
         tokens = [metrics.nfc(token)
                   for token in data_io.read_text(args.corpus).split()]
+        if not tokens:
+            raise EmptyInput(f"{args.corpus}: no tokens")
         vocab = CharVocab({c for t in tokens for c in t})
         table, missing = embeddings.ft_avg_embed(store, tokens, vocab)
         real = [m for m in missing if m not in CharVocab.SPECIALS]

@@ -2,7 +2,10 @@
 character n-gram BLEU and corpus-level token BLEU.
 
 All functions treat a string as a sequence of NFC code points, which keeps
-length well-defined for Devanagari combining marks.
+length well-defined for Devanagari combining marks.  ``score_items``
+normalizes each prediction and gold once and scores the normal forms; an
+exact match gets ``ss=100.0``, ``wa=1`` and ``bleu=100.0`` (``0.0`` for an
+empty gold), the values the general formulas give for equal strings.
 """
 
 import math
@@ -19,7 +22,10 @@ def nfc(s):
 
 def levenshtein(s1, s2):
     """Unit-cost edit distance over code points."""
-    a, b = nfc(s1), nfc(s2)
+    return _distance(nfc(s1), nfc(s2))
+
+
+def _distance(a, b):
     if len(a) < len(b):
         a, b = b, a
     prev = list(range(len(b) + 1))
@@ -69,11 +75,14 @@ def edit_script(s1, s2):
 
 def string_similarity(s1, s2):
     """(1 - edit_distance / (len(s1) + len(s2))) * 100; both-empty is 100."""
-    a, b = nfc(s1), nfc(s2)
+    return _similarity(nfc(s1), nfc(s2))
+
+
+def _similarity(a, b):
     total = len(a) + len(b)
     if total == 0:
         return 100.0
-    return (1.0 - levenshtein(a, b) / total) * 100.0
+    return (1.0 - _distance(a, b) / total) * 100.0
 
 
 def word_accuracy(pred, gold):
@@ -84,7 +93,8 @@ BLEU_ORDER = 4   # the longest n-gram every BLEU here counts
 
 
 def _ngrams(units, n):
-    return Counter(tuple(units[i : i + n]) for i in range(len(units) - n + 1))
+    """Counts of the length-n slices of a string or a tuple."""
+    return Counter(units[i : i + n] for i in range(len(units) - n + 1))
 
 
 def char_bleu(pred, ref, max_n=BLEU_ORDER):
@@ -94,10 +104,15 @@ def char_bleu(pred, ref, max_n=BLEU_ORDER):
     """
     if max_n < 1:
         raise InvalidArgument("max_n must be >= 1")
-    p, r = list(nfc(pred)), list(nfc(ref))
-    if len(r) == 0:
+    p, r = nfc(pred), nfc(ref)
+    if not r:
         raise InvalidArgument("empty reference")
-    if len(p) == 0:
+    return _bleu(p, r, max_n)
+
+
+def _bleu(p, r, max_n):
+    """``char_bleu`` of a normalized prediction and non-empty reference."""
+    if not p:
         return 0.0
     logs = []
     for n in range(1, max_n + 1):
@@ -130,6 +145,7 @@ def corpus_bleu(pred_sentences, ref_sentences):
     pred_len = 0
     ref_len = 0
     for ptoks, rtoks in zip(pred_sentences, ref_sentences):
+        ptoks, rtoks = tuple(ptoks), tuple(rtoks)
         pred_len += len(ptoks)
         ref_len += len(rtoks)
         for n in range(1, BLEU_ORDER + 1):
@@ -186,6 +202,7 @@ def score_items(triples, tags_fn=None):
     """Build an EvalReport from (source, gold, prediction) triples."""
     items = []
     for src, gold, pred in triples:
+        p, g = nfc(pred), nfc(gold)
         if tags_fn:
             tags = tuple(sorted(
                 t.value if hasattr(t, "value") else str(t)
@@ -193,17 +210,13 @@ def score_items(triples, tags_fn=None):
             ))
         else:
             tags = ()
-        items.append(
-            ItemRecord(
-                source=src,
-                gold=gold,
-                prediction=pred,
-                ss=string_similarity(pred, gold),
-                wa=word_accuracy(pred, gold),
-                bleu=char_bleu(pred, gold) if gold else 0.0,
-                tags=tags,
-            )
-        )
+        if p == g:
+            ss, wa, bleu = 100.0, 1, (100.0 if g else 0.0)
+        else:
+            ss, wa = _similarity(p, g), 0
+            bleu = _bleu(p, g, BLEU_ORDER) if g else 0.0
+        items.append(ItemRecord(source=src, gold=gold, prediction=pred,
+                                ss=ss, wa=wa, bleu=bleu, tags=tags))
     return EvalReport.from_items(items)
 
 

@@ -51,6 +51,9 @@ def tokenize(sentence):
     """Whitespace split with punctuation detached into separate tokens."""
     tokens = []
     for chunk in sentence.split():
+        if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
+            tokens.append(chunk)
+            continue
         head = 0
         while head < len(chunk) and chunk[head] in _PUNCT:
             tokens.append(chunk[head])
@@ -67,13 +70,17 @@ def tokenize(sentence):
 
 
 def build_shortlist(corpus, K):
-    """Top-K by token frequency; ties at equal count break lexicographically."""
+    """Top-K by token frequency; ties at equal count break lexicographically.
+    Tokens are counted as written, then the counts of spellings that share
+    an NFC form are summed under that form."""
     if K < 1:
         raise InvalidArgument("K must be >= 1")
-    counts = Counter()
+    raw = Counter()
     for sentence in corpus:
-        tokens = tokenize(sentence) if isinstance(sentence, str) else sentence
-        counts.update(nfc(t) for t in tokens)
+        raw.update(tokenize(sentence) if isinstance(sentence, str) else sentence)
+    counts = Counter()
+    for token, c in raw.items():
+        counts[nfc(token)] += c
     if not counts:
         raise EmptyInput("empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:K]

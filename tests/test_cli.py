@@ -493,6 +493,17 @@ class TestPretrainEmbed:
         assert all(row[1:] == ["1.0", "0.5"] for row in rows)
         assert "uncovered" not in capsys.readouterr().err
 
+    def test_ftavg_corpus_without_tokens_exit_1(self, tmp_path, capsys):
+        vec = tmp_path / "vectors.txt"
+        vec.write_text("ab 1.0 2.0\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("   ", encoding="utf-8")
+        out = tmp_path / "chars.vec"
+        assert run_cli(["pretrain-embed", "ftavg", "--corpus", str(corpus),
+                        "--vectors", str(vec), "--out", str(out)]) == 1
+        assert "no tokens" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lm(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("ab" * 120, encoding="utf-8")

@@ -1,9 +1,12 @@
 import math
+import unicodedata
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cogtrans import metrics
 from cogtrans.errors import InvalidArgument
@@ -44,10 +47,16 @@ class TestLevenshtein:
     def test_against_recursive_oracle(self):
         r = np.random.default_rng(0)
         alphabet = "abcd"
-        for _ in range(300):
-            a = "".join(r.choice(list(alphabet), size=r.integers(0, 9)))
-            b = "".join(r.choice(list(alphabet), size=r.integers(0, 9)))
-            assert levenshtein(a, b) == recursive_distance(a, b)
+        pairs = [("".join(r.choice(list(alphabet), size=r.integers(0, 9))),
+                  "".join(r.choice(list(alphabet), size=r.integers(0, 9))))
+                 for _ in range(300)]
+        # composed against decomposed Devanagari, equal once NFC-normalized
+        pairs += [("\u0929", "\u0928\u093c"),
+                  ("\u0958\u093e", "\u0915\u093c\u093e"),
+                  ("\u0915\u0929", "\u0928\u093c\u0916")]
+        for a, b in pairs:
+            assert levenshtein(a, b) == recursive_distance(metrics.nfc(a),
+                                                           metrics.nfc(b))
 
     def test_metric_properties(self):
         r = np.random.default_rng(1)
@@ -229,3 +238,54 @@ class TestReports:
         lines = table.splitlines()
         assert lines[0] == "Metric\tm1\tm2"
         assert [ln.split("\t")[0] for ln in lines[1:]] == ["BLEU", "SS", "WA"]
+
+
+# words over units that NFC merges or splits: U+0929 against U+0928 U+093C,
+# and U+0958, which NFC decomposes to U+0915 U+093C
+_UNITS = st.sampled_from(["a", "b", "\u0915", "\u093f", "\u0929",
+                          "\u0928\u093c", "\u0958", "\u0915\u093c"])
+_WORD = st.lists(_UNITS, max_size=6).map("".join)
+
+
+@st.composite
+def _triples(draw):
+    gold = draw(_WORD)
+    spellings = [gold] + [unicodedata.normalize(f, gold) for f in ("NFC", "NFD")]
+    pred = draw(st.sampled_from(spellings) | _WORD)
+    return draw(_WORD), gold, pred
+
+
+def _tag(src, gold, pred):
+    return ("z", pred[:1], "a")
+
+
+@settings(max_examples=150, deadline=None)
+@example(triples=[("s", "", ""), ("s", "", "a"), ("s", "a", ""),
+                  ("s", "\u0929", "\u0928\u093c")])
+@given(triples=st.lists(_triples(), max_size=8))
+def test_score_items_equals_public_measures(triples):
+    """Each item and aggregate of ``score_items`` equals the public
+    measures composed on the raw strings, and ``tags_fn`` is called once
+    per item in input order."""
+    calls = []
+
+    def recording(*triple):
+        calls.append(triple)
+        return _tag(*triple)
+
+    rep = score_items(triples, tags_fn=recording)
+    assert calls == triples
+    ref = [
+        ItemRecord(src, gold, pred, string_similarity(pred, gold),
+                   word_accuracy(pred, gold),
+                   char_bleu(pred, gold) if gold else 0.0,
+                   tuple(sorted(_tag(src, gold, pred))))
+        for src, gold, pred in triples
+    ]
+    assert rep.items == ref
+    n = len(ref)
+    assert rep.n_items == n
+    if n:
+        assert rep.bleu == sum(i.bleu for i in ref) / n
+        assert rep.ss == sum(i.ss for i in ref) / n
+        assert rep.wa == 100.0 * sum(i.wa for i in ref) / n

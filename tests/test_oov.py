@@ -1,12 +1,15 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cogtrans import oov
 from cogtrans.errors import (EmptyInput, InvalidArgument, InvalidAttention,
                              ParseError)
-from cogtrans.metrics import corpus_bleu
+from cogtrans.metrics import corpus_bleu, nfc
 from cogtrans.oov import (
     AlignedSentencePair,
     align_from_attention,
@@ -71,6 +74,62 @@ class TestShortlist:
         for K in (0, 5):
             with pytest.raises(InvalidArgument):
                 full.top(K)
+
+
+def _reference_tokenize(sentence):
+    """The splitting loops ``tokenize`` runs on a chunk with edge punctuation,
+    run here on every chunk."""
+    tokens = []
+    for chunk in sentence.split():
+        head = 0
+        while head < len(chunk) and chunk[head] in oov._PUNCT:
+            tokens.append(chunk[head])
+            head += 1
+        tail = len(chunk)
+        trailing = []
+        while tail > head and chunk[tail - 1] in oov._PUNCT:
+            trailing.append(chunk[tail - 1])
+            tail -= 1
+        if tail > head:
+            tokens.append(chunk[head:tail])
+        tokens.extend(reversed(trailing))
+    return tokens
+
+
+def _reference_shortlist(corpus, K):
+    counts = Counter()
+    for sentence in corpus:
+        tokens = (_reference_tokenize(sentence) if isinstance(sentence, str)
+                  else sentence)
+        counts.update(nfc(t) for t in tokens)
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:K]
+    return [w for w, _ in ranked], [c for _, c in ranked], K
+
+
+# text over punctuation, spaces and spellings that NFC merges: U+0929
+# against U+0928 U+093C, and U+0958 against U+0915 U+093C
+_UNIT = st.sampled_from(["a", "b", ".", ",", "\u0964", "(", '"', " ",
+                         "\u0929", "\u0928\u093c", "\u0958",
+                         "\u0915\u093c"])
+_TEXT = st.lists(_UNIT, max_size=12).map("".join)
+_SENTENCE = _TEXT | st.lists(_TEXT.filter(bool), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@example(corpus=["(a.) \u0964\u0964 \"\u0929, \u0928\u093c"], K=3)
+@given(corpus=st.lists(_SENTENCE, min_size=1, max_size=5),
+       K=st.integers(1, 8))
+def test_shortlist_equals_counting_each_normal_form(corpus, K):
+    for sentence in corpus:
+        if isinstance(sentence, str):
+            assert tokenize(sentence) == _reference_tokenize(sentence)
+    words, counts, K = _reference_shortlist(corpus, K)
+    if not words:
+        with pytest.raises(EmptyInput):
+            build_shortlist(corpus, K)
+        return
+    sl = build_shortlist(corpus, K)
+    assert (sl.words, sl.counts, sl.K) == (words, counts, K)
 
 
 class TestDetectOov:
