@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .devanagari import (
 )
 from .errors import (CogtransError, EmptyInput, ParseError, build_config,
                      require_finite, require_type)
-from .models import (ARCHITECTURES, ModelConfig, transduce_batch,
+from .models import (ARCHITECTURES, SCRIPTS, ModelConfig, transduce_batch,
                      transduce_greedy)
 from .training import (
     OptimizerSpec,
@@ -61,15 +62,10 @@ def _axis(text):
 
 
 def _maybe_wx(pairs, script):
-    """Corpus arrives in the declared script; modelling always runs on WX."""
+    """The pairs as a model of ``script`` reads them: WX for devanagari."""
     if script == "devanagari":
         return [(wx_encode(s), wx_encode(t)) for s, t in pairs]
     return pairs
-
-
-def _default_ckpt_path(name):
-    directory = os.environ.get(CHECKPOINT_DIR_ENV, ".")
-    return os.path.join(directory, name)
 
 
 def _loss_curve_svg(history, path):
@@ -122,13 +118,11 @@ def _cmd_train(args):
         raise CogtransError(f"--avg-last must be >= 0, got {args.avg_last}")
     run_cfg = (data_io.load_config(args.config) if args.config
                else data_io.RunConfig())
-    pairs = data_io.load_cognate_tsv(args.data)
-    # a file key wins over its flag, as in ``_config``
-    pairs = _maybe_wx(pairs, run_cfg.script or args.script)
-    split = data_io.split_dataset(pairs, seed=args.split_seed)
     model_cfg = _config(ModelConfig, args, run_cfg.model).validate()
     train_cfg = _config(TrainConfig, args, run_cfg.train).validate()
     opt = _config(OptimizerSpec, args, run_cfg.optimizer).normalized()
+    pairs = _maybe_wx(data_io.load_cognate_tsv(args.data), model_cfg.script)
+    split = data_io.split_dataset(pairs, seed=args.split_seed)
     vocab = build_vocab(split.train + split.validation)
     embedding = None
     if args.embed_vectors:
@@ -137,6 +131,17 @@ def _cmd_train(args):
             raise CogtransError(
                 f"embedding vectors have dimension {store.dim}, "
                 f"model expects {model_cfg.embed_dim}")
+        # a symbol with no vector starts from a zero row
+        symbols = vocab.symbols[len(CharVocab.SPECIALS):]
+        missing = [s for s in symbols if s not in store]
+        if len(missing) == len(symbols):
+            raise EmptyInput(
+                f"{args.embed_vectors}: no vector for any of the "
+                f"{len(symbols)} vocabulary symbols; the vectors may be in "
+                f"another script than the model's ({model_cfg.script})")
+        if missing:
+            print(f"uncovered characters: {' '.join(missing)}",
+                  file=sys.stderr)
         embedding = np.array([store[s] if s in store else np.zeros(store.dim)
                               for s in vocab.symbols])
     result = train(model_cfg, train_cfg, opt, split, embedding, vocab)
@@ -144,14 +149,13 @@ def _cmd_train(args):
     if args.avg_last > 1:
         avg = average_checkpoints(result.history, args.avg_last)
         ckpt = dataclasses.replace(result.best, params=avg)
-    out = args.out or _default_ckpt_path(f"{model_cfg.architecture}.ckpt")
+    out = args.out or os.path.join(os.environ.get(CHECKPOINT_DIR_ENV, "."),
+                                   f"{model_cfg.architecture}.ckpt")
     save_checkpoint(ckpt, out)
     if args.plot:
         _loss_curve_svg(result.history, args.plot)
-    test_metrics = {}
-    if split.test:
-        model = restore_model(ckpt)
-        test_metrics = training.evaluate_model(model, split.test)
+    # a split of at least 4 pairs holds at least one test pair
+    test_metrics = training.evaluate_model(restore_model(ckpt), split.test)
     print(f"checkpoint: {out}")
     print(f"epochs run: {len(result.history)}  best epoch: {result.best.epoch}")
     print(f"best validation loss: {result.best.val_loss:.6f}")
@@ -162,14 +166,11 @@ def _cmd_train(args):
 
 def _cmd_transduce(args):
     model = restore_model(load_checkpoint(args.model))
-    word = args.word
-    if args.script == "devanagari":
-        word = wx_encode(word)
-    result = transduce_greedy(model, word)
-    out = result.word
-    if args.script == "devanagari":
-        out = wx_decode(out)
-    print(out)
+    # a devanagari model reads and writes WX
+    devanagari = model.cfg.script == "devanagari"
+    result = transduce_greedy(model,
+                              wx_encode(args.word) if devanagari else args.word)
+    print(wx_decode(result.word) if devanagari else result.word)
     if args.attention:
         for row in result.attention:
             print("\t".join(f"{x:.4f}" for x in row))
@@ -179,19 +180,17 @@ def _cmd_transduce(args):
 
 
 def _cmd_evaluate(args):
-    pairs = _maybe_wx(data_io.load_cognate_tsv(args.data), args.script)
+    data = data_io.load_cognate_tsv(args.data)
     reports = {}
     for path in args.model:
-        ckpt = load_checkpoint(path)
-        model = restore_model(ckpt)
-        arch = ckpt.model_config.architecture
+        model = restore_model(load_checkpoint(path))
+        arch, script = model.cfg.architecture, model.cfg.script
+        pairs = _maybe_wx(data, script)
         decoded = transduce_batch(model, [src for src, _ in pairs])
         triples = [(src, gold, out.word)
                    for (src, gold), out in zip(pairs, decoded)]
-        tags_fn = None
-        if args.script in ("devanagari", "wx"):
-            def tags_fn(s, g, p):
-                return classify_errors(s, g, p, script="wx")
+        tags_fn = (None if script == "raw"
+                   else partial(classify_errors, script="wx"))
         report = metrics.score_items(triples, tags_fn=tags_fn)
         report.truncated = sum(out.truncated for out in decoded)
         name = arch if arch not in reports else os.path.basename(path)
@@ -243,12 +242,12 @@ def _cmd_pretrain_embed(args):
 
 
 def _cmd_tune(args):
-    pairs = _maybe_wx(data_io.load_cognate_tsv(args.data), args.script)
+    model_cfg = _config(ModelConfig, args).validate()
+    pairs = _maybe_wx(data_io.load_cognate_tsv(args.data), model_cfg.script)
     split = data_io.split_dataset(pairs, seed=args.split_seed)
     space = dict(_axis(axis) for axis in args.axis)
     rows, skipped = training.grid_search(
-        space, _config(ModelConfig, args).validate(),
-        _config(TrainConfig, args).validate(),
+        space, model_cfg, _config(TrainConfig, args).validate(),
         _config(OptimizerSpec, args).normalized(),
         split, base_seed=args.seed or 0,
     )
@@ -341,10 +340,8 @@ def _cmd_error_report(args):
                                  "expected source<TAB>gold<TAB>prediction")
             triples.append(tuple(parts))
 
-    def tags_fn(s, g, p):
-        return classify_errors(s, g, p, script=args.script)
-
-    report = metrics.score_items(triples, tags_fn=tags_fn)
+    report = metrics.score_items(
+        triples, tags_fn=partial(classify_errors, script=args.script))
     metrics.write_report_tsv(report, args.out)
     counts = {}
     for item in report.items:
@@ -362,7 +359,7 @@ def _cmd_error_report(args):
 _FLAG_NAMES = {"architecture": "--arch", "max_epochs": "--epochs",
                "kind": "--optimizer"}
 _CHOICES = {"architecture": ARCHITECTURES, "cell": tuple(GATES),
-            "kind": training.OPTIMIZER_KINDS,
+            "script": SCRIPTS, "kind": training.OPTIMIZER_KINDS,
             "direction": embeddings.DIRECTIONS}
 
 
@@ -384,7 +381,6 @@ def build_parser():
     p = sub.add_parser("train", help="fit a transduction model")
     p.add_argument("--data", required=True)
     p.add_argument("--config")
-    p.add_argument("--script", choices=data_io.SCRIPTS, default="raw")
     p.add_argument("--embed-vectors", dest="embed_vectors")
     p.add_argument("--avg-last", dest="avg_last", type=int, default=0)
     p.add_argument("--out")
@@ -396,14 +392,12 @@ def build_parser():
     p = sub.add_parser("transduce", help="transduce one word")
     p.add_argument("--model", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--script", choices=data_io.SCRIPTS, default="raw")
     p.add_argument("--attention", action="store_true")
     p.set_defaults(func=_cmd_transduce)
 
     p = sub.add_parser("evaluate", help="score checkpoints on a cognate file")
     p.add_argument("--model", action="append", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--script", choices=data_io.SCRIPTS, default="raw")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -419,7 +413,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--axis", action="append", required=True,
                    help="name=v1,v2,... (repeatable)")
-    p.add_argument("--script", choices=data_io.SCRIPTS, default="raw")
     p.add_argument("--metric", choices=("bleu", "ss", "wa"), default="bleu")
     add_config_flags(p, ModelConfig, TrainConfig, OptimizerSpec)
     p.add_argument("--split-seed", dest="split_seed", type=int, default=0)

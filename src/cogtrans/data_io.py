@@ -97,23 +97,13 @@ def split_dataset(pairs, seed=0):
 # ---------------------------------------------------------------------------
 # run configuration
 
-# the scripts a cognate corpus may arrive in (``--script``)
-SCRIPTS = ("devanagari", "wx", "raw")
-
-
 @dataclass
 class RunConfig:
-    """Sectioned hyperparameters parsed from key=value lines; ``script`` is
-    None when no line sets it."""
+    """Sectioned hyperparameters parsed from key=value lines."""
 
-    script: str | None = None
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
     optimizer: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.script is not None and self.script not in SCRIPTS:
-            raise InvalidArgument(f"unknown script mode {self.script!r}")
 
 
 def _coerce(value):
@@ -128,8 +118,8 @@ def _coerce(value):
 def parse_config(text):
     """Parse "section.key = value" lines into a RunConfig.
 
-    Sections: model.*, train.*, optimizer.*, and the bare key "script".
-    Comments (#) and blank lines are ignored.
+    Sections: model.*, train.*, optimizer.*.  Comments (#) and blank lines
+    are ignored.
     """
     kwargs = {"model": {}, "train": {}, "optimizer": {}}
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -139,9 +129,7 @@ def parse_config(text):
         if "=" not in line:
             raise ParseError(line_no, f"expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key == "script":
-            kwargs["script"] = value
-        elif key.startswith(("model.", "train.", "optimizer.")):
+        if key.startswith(("model.", "train.", "optimizer.")):
             section, sub = key.split(".", 1)
             kwargs[section][sub] = _coerce(value)
         else:

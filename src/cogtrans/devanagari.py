@@ -4,7 +4,10 @@ the orthographic error-tag classifier.
 The codec is table-driven and orthographic: a consonant without a following
 vowel sign carries the inherent "a" in WX, a consonant followed by the virama
 carries nothing.  The symbol table ships as a data file and is classified by
-Unicode range, so round trips are exact on NFC input.
+Unicode range, so round trips are exact on NFC input: ``wx_decode`` inverts
+what ``wx_encode`` accepts, and its own output always re-encodes.  WX spells
+a consonant + virama + vowel letter as it spells a consonant + vowel sign,
+so ``wx_encode`` rejects that sequence, which Hindi orthography does not use.
 """
 
 import enum
@@ -80,6 +83,9 @@ _VOWEL_WX = {wx: ch for (ch, kind), wx in _ENC.items() if kind == "vowel"}
 _MATRA_WX = {wx: ch for (ch, kind), wx in _ENC.items() if kind == "matra"}
 _SIGN_WX = {wx: ch for (ch, kind), wx in _ENC.items() if kind == "sign"}
 _DIGIT_WX = {wx: ch for (ch, kind), wx in _ENC.items() if kind == "digit"}
+# the consonant + nukta pairs that NFC joins into one letter, which the
+# table does not list: each is read as its consonant and "Z"
+_NUKTA_LETTERS = {"\u0929": NA, "\u0931": RA}   # ऩ ऱ
 
 
 def wx_encode(dev):
@@ -93,11 +99,13 @@ def wx_encode(dev):
         kind = _classify(ord(ch))
         if kind == "consonant":
             try:
-                out.append(_ENC[(ch, "consonant")])
+                out.append(_ENC[(_NUKTA_LETTERS.get(ch, ch), "consonant")])
             except KeyError:
                 raise UnmappedSymbol(ch, i) from None
             i += 1
-            if i < n and s[i] == NUKTA:
+            if ch in _NUKTA_LETTERS:
+                out.append("Z")
+            elif i < n and s[i] == NUKTA:
                 out.append("Z")
                 i += 1
             if i < n and _classify(ord(s[i])) == "matra":
@@ -108,6 +116,10 @@ def wx_encode(dev):
                 i += 1
             elif i < n and s[i] == VIRAMA:
                 i += 1  # bare consonant: no vowel letter
+                if i < n and _classify(ord(s[i])) == "vowel":
+                    raise InvalidArgument(
+                        f"vowel letter {s[i]!r} after a virama at offset {i}: "
+                        "WX would spell it as a vowel sign")
             else:
                 out.append("a")  # inherent vowel
         elif kind in ("vowel", "sign", "digit"):
@@ -263,13 +275,15 @@ def _cluster_spans(s, cluster):
 
 
 def classify_errors(source, gold, prediction, script="devanagari"):
-    """Deterministic error tags for a (source, gold, prediction) triple."""
+    """Deterministic error tags for a (source, gold, prediction) triple.  A
+    WX prediction the codec cannot read, as a model may write, is tagged
+    ``InvalidSequence`` only."""
     if script == "wx":
-        source, gold, prediction = (
-            wx_decode(source),
-            wx_decode(gold),
-            wx_decode(prediction),
-        )
+        source, gold = wx_decode(source), wx_decode(gold)
+        try:
+            prediction = wx_decode(prediction)
+        except UnmappedSymbol:
+            return {ErrorTag.InvalidSequence}
     elif script != "devanagari":
         raise InvalidArgument(f"unknown script {script!r}")
     src, g, p = nfc(source), nfc(gold), nfc(prediction)

@@ -49,12 +49,15 @@ from .cells import (birnn_summary, cell_step, init_cell_params,
                     init_embedding, run_birnn)
 from .devanagari import CharVocab, strip_trailing_repeats
 from .errors import (EmptyInput, InvalidArgument, InvalidShape,
-                     require_positive, require_rate)
+                     UnmappedSymbol, require_positive, require_rate)
 from .tensor import Tensor
 
 NEG_INF = -1e9
 
 ARCHITECTURES = ("seq2seq", "am", "han", "tn")
+# the scripts a model's corpus arrives in: a devanagari corpus is converted
+# to WX before training, and a devanagari or wx model reads and writes WX
+SCRIPTS = ("devanagari", "wx", "raw")
 
 
 @dataclass
@@ -66,6 +69,7 @@ class ModelConfig:
     decoder_layers: int = 1
     embed_dim: int = 32
     dropout: float = 0.0
+    script: str = "raw"
     # transformer-only
     num_layers: int = 2
     num_heads: int = 4
@@ -78,6 +82,8 @@ class ModelConfig:
     def validate(self):
         if self.architecture not in ARCHITECTURES:
             raise InvalidArgument(f"unknown architecture {self.architecture!r}")
+        if self.script not in SCRIPTS:
+            raise InvalidArgument(f"unknown script {self.script!r}")
         if self.cell not in cells.GATES:
             raise InvalidArgument(f"unknown cell {self.cell!r}")
         require_positive(self, ("hidden_dim", "embed_dim", "encoder_layers",
@@ -714,11 +720,14 @@ def transduce_batch(model, words):
     length (``transduce_ids``).
 
     ``han`` output is cleaned of repeated trailing graphemes, as the paper
-    does before scoring; the attention matrix keeps one row per decoder step.
+    does before scoring: of the Devanagari a WX word spells when the model's
+    script is not ``raw``, and a word the WX codec cannot read is left as it
+    is.  The attention matrix keeps one row per decoder step.
     """
     if not all(words):
         raise EmptyInput("empty word")
     out = [None] * len(words)
+    script = None if model.cfg.script == "raw" else "wx"
     order = sorted(range(len(words)), key=lambda i: len(words[i]))
     for start in range(0, len(order), DECODE_BATCH):
         rows = order[start:start + DECODE_BATCH]
@@ -727,7 +736,10 @@ def transduce_batch(model, words):
         for i, (ids, att, truncated) in zip(rows, decoded):
             word = model.vocab.decode(ids)
             if model.cfg.architecture == "han":
-                word = strip_trailing_repeats(word)
+                try:
+                    word = strip_trailing_repeats(word, script)
+                except UnmappedSymbol:   # WX the codec cannot read
+                    pass
             out[i] = Transduction(word, att, truncated)
     return out
 

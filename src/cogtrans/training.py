@@ -344,6 +344,8 @@ def grid_search(space, model_cfg, train_cfg, opt_spec, data, base_seed=0):
     for axis in axes:
         if axis not in CONFIG_FIELDS:
             raise InvalidArgument(f"unknown hyperparameter {axis!r}")
+        if axis == "script":   # the corpus is converted once, before the grid
+            raise InvalidArgument("script cannot be a grid axis")
         if not space[axis]:
             raise InvalidArgument(f"empty axis {axis!r}")
     rows = []

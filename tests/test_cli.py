@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cogtrans import cli
 from cogtrans.cli import _config, build_parser, run_cli
 from cogtrans.data_io import load_cognate_tsv, parse_config
-from cogtrans.devanagari import CharVocab, wx_encode
+from cogtrans.devanagari import CharVocab, wx_decode, wx_encode
 from cogtrans.embeddings import CharLMConfig
 from cogtrans.errors import CogtransError
 from cogtrans.metrics import nfc
@@ -32,6 +32,7 @@ from cogtrans.training import (
     OptimizerSpec,
     TrainConfig,
     load_checkpoint,
+    restore_model,
     save_checkpoint,
 )
 
@@ -55,6 +56,15 @@ def checkpoint(tmp_path_factory, corpus):
     ])
     assert code == 0 and out.exists()
     return out
+
+
+HINDI = ["कमल", "नमक", "कलम", "मकान", "नाम", "काम", "राम", "दाम"]
+
+
+def _train_tiny(data, out, *flags):
+    assert run_cli(["train", "--data", str(data), "--arch", "am",
+                    "--hidden-dim", "8", "--embed-dim", "6", "--epochs", "2",
+                    "--metrics-every", "0", "--out", str(out), *flags]) == 0
 
 
 class TestParser:
@@ -92,6 +102,7 @@ class TestParser:
 # config flag spelling of train and tune, and of pretrain-embed
 _RUN_FLAGS = [
     ("--arch", "han", ModelConfig, "architecture", "han"),
+    ("--script", "wx", ModelConfig, "script", "wx"),
     ("--cell", "gru", ModelConfig, "cell", "gru"),
     ("--hidden-dim", "12", ModelConfig, "hidden_dim", 12),
     ("--embed-dim", "7", ModelConfig, "embed_dim", 7),
@@ -406,15 +417,14 @@ class TestTrainAndFriends:
         assert (cfg.architecture, cfg.hidden_dim, cfg.embed_dim) == ("am", 4, 6)
 
     def test_config_script_wins_over_flag(self, tmp_path):
-        """``script`` keeps the rule of every other key: the file's
-        ``script = devanagari`` wins over ``--script raw``, so the model
-        is trained on WX."""
-        words = ["कमल", "नमक", "कलम", "मकान", "नाम", "काम", "राम", "दाम"]
+        """``model.script`` keeps the rule of every other key: the file's
+        ``model.script = devanagari`` wins over ``--script raw``, so the
+        model is trained on WX and its checkpoint records the script."""
         data = tmp_path / "hi.tsv"
-        data.write_text("".join(f"{w}\t{w}\n" for w in words),
+        data.write_text("".join(f"{w}\t{w}\n" for w in HINDI),
                         encoding="utf-8")
         conf = tmp_path / "run.conf"
-        conf.write_text("script = devanagari\n", encoding="utf-8")
+        conf.write_text("model.script = devanagari\n", encoding="utf-8")
         out = tmp_path / "m.ckpt"
         assert run_cli([
             "train", "--data", str(data), "--config", str(conf),
@@ -422,10 +432,11 @@ class TestTrainAndFriends:
             "--embed-dim", "4", "--epochs", "1", "--metrics-every", "0",
             "--out", str(out),
         ]) == 0
-        symbols = (set(load_checkpoint(out).vocab_symbols)
-                   - set(CharVocab.SPECIALS))
+        ckpt = load_checkpoint(out)
+        assert ckpt.model_config.script == "devanagari"
+        symbols = set(ckpt.vocab_symbols) - set(CharVocab.SPECIALS)
         # the vocabulary holds the train and validation words' symbols
-        assert symbols and symbols <= set("".join(map(wx_encode, words)))
+        assert symbols and symbols <= set("".join(map(wx_encode, HINDI)))
 
     @pytest.mark.parametrize("line, key", [
         ("model.hiden_dim = 4", "hiden_dim"),
@@ -650,6 +661,95 @@ class TestOovCorrect:
         assert batches == [len(flagged)] * 3   # one batch per command
 
 
+class TestModelScript:
+    """The script is a model setting: ``train --script`` records it in the
+    checkpoint, and ``transduce`` and ``evaluate`` read it from there."""
+
+    def test_transduce_devanagari_model_in_and_out(self, tmp_path, capsys):
+        data = tmp_path / "hi.tsv"
+        data.write_text("".join(f"{w}\t{w}\n" for w in HINDI),
+                        encoding="utf-8")
+        ckpt = tmp_path / "dev.ckpt"
+        # enough training that the model writes more than EOS
+        _train_tiny(data, ckpt, "--script", "devanagari", "--epochs", "20",
+                    "--lr", "0.01")
+        model = restore_model(load_checkpoint(ckpt))
+        capsys.readouterr()
+        for word in HINDI[:3]:
+            assert run_cli(["transduce", "--model", str(ckpt),
+                            "--word", word]) == 0
+            out = capsys.readouterr().out.splitlines()[0]
+            assert out == wx_decode(
+                transduce_greedy(model, wx_encode(word)).word)
+            assert out and all(0x0900 <= ord(c) <= 0x097F for c in out)
+
+    def test_evaluate_raw_and_wx_checkpoints_in_one_call(self, tmp_path,
+                                                         capsys):
+        """Both models read the WX file as it is; only the ``wx`` model's
+        report has error tags."""
+        data = tmp_path / "wx.tsv"
+        data.write_text("".join(f"{wx_encode(w)}\t{wx_encode(w)}\n"
+                                for w in HINDI), encoding="utf-8")
+        raw, wx = tmp_path / "raw.ckpt", tmp_path / "wx.ckpt"
+        _train_tiny(data, raw)
+        _train_tiny(data, wx, "--script", "wx")
+        report = tmp_path / "r.tsv"
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--model", str(raw), "--model", str(wx),
+                        "--data", str(data), "--report", str(report)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "Metric\tam\twx.ckpt"
+        rows = {}
+        for name in ("am", "wx.ckpt"):
+            lines = (tmp_path / f"r-{name}.tsv").read_text(
+                encoding="utf-8").splitlines()[1:-1]
+            rows[name] = [line.split("\t") for line in lines]
+            assert len(rows[name]) == len(HINDI)
+        assert not any(row[6] for row in rows["am"])
+        # a wrong prediction of a word its gold spells again is tagged
+        assert any(row[6] for row in rows["wx.ckpt"])
+        for _, gold, pred, *_, tags in rows["wx.ckpt"]:
+            assert bool(tags) == (pred != gold)
+
+    def test_tune_script_axis_exit_1(self, corpus, capsys):
+        assert run_cli(["tune", "--data", str(corpus), "--arch", "am",
+                        "--axis", "script=wx"]) == 1
+        assert "script" in capsys.readouterr().err
+
+    def test_embed_vectors_name_uncovered_symbols(self, tmp_path, capsys):
+        data = tmp_path / "wx.tsv"
+        data.write_text("kamala\tkamala\nnAma\tnAma\nrAma\trAma\n"
+                        "xAma\txAma\n", encoding="utf-8")
+        vec = tmp_path / "part.vec"
+        vec.write_text("k 1 0 0 0 0 0\na 0 1 0 0 0 0\n", encoding="utf-8")
+        _train_tiny(data, tmp_path / "m.ckpt", "--embed-vectors", str(vec))
+        err = capsys.readouterr().err
+        line = next(l for l in err.splitlines() if "uncovered" in l)
+        vocab = set(load_checkpoint(tmp_path / "m.ckpt").vocab_symbols)
+        assert set(line.split(": ", 1)[1].split()) == (
+            vocab - set(CharVocab.SPECIALS) - {"k", "a"})
+
+    def test_embed_vectors_in_another_script_exit_1(self, tmp_path, capsys):
+        """A Devanagari LM's vectors cover none of the WX symbols a
+        devanagari model is trained on."""
+        text = tmp_path / "hi.txt"
+        text.write_text(" ".join(HINDI * 20) + "\n", encoding="utf-8")
+        vec = tmp_path / "lm.vec"
+        assert run_cli(["pretrain-embed", "lm", "--corpus", str(text),
+                        "--out", str(vec), "--window", "4", "--hidden", "8",
+                        "--embed-dim", "6", "--epochs", "1"]) == 0
+        data = tmp_path / "hi.tsv"
+        data.write_text("".join(f"{w}\t{w}\n" for w in HINDI),
+                        encoding="utf-8")
+        out = tmp_path / "never.ckpt"
+        assert run_cli(["train", "--data", str(data), "--arch", "am",
+                        "--script", "devanagari", "--embed-dim", "6",
+                        "--embed-vectors", str(vec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {vec}: no vector for any" in err
+        assert "another script" in err
+        assert not out.exists()
+
+
 class TestErrorReport:
     def test_wx_report(self, tmp_path, capsys):
         preds = tmp_path / "preds.tsv"
@@ -833,7 +933,7 @@ class TestTypedInputErrors:
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig,
              "optimizer": OptimizerSpec}
 _CONFIG_KEYS = st.sampled_from(
-    ["script", "paths.data", "paths.checkpoints", "model.", "train",
+    ["model.script", "paths.data", "paths.checkpoints", "model.", "train",
      "optimizer.kind.x", "model.hidden_dim.", " train.seed"]
     + [f"{section}.{f.name}" for section, cls in _SECTIONS.items()
        for f in dataclasses.fields(cls)])
@@ -864,11 +964,11 @@ def test_config_file_gives_typed_configs_or_typed_errors(lines, arch_flag):
         run_cfg = parse_config(text)
     except CogtransError:
         return
-    for line in text.splitlines():   # each key is "script" or in a section
+    for line in text.splitlines():   # each key is in a section
         line = line.split("#", 1)[0].strip()
         if line:
             key = line.split("=", 1)[0].strip()
-            assert key == "script" or key.split(".", 1)[0] in _SECTIONS
+            assert key.split(".", 1)[0] in _SECTIONS
     for section, cls in _SECTIONS.items():
         try:
             cfg = _config(cls, args, getattr(run_cfg, section))

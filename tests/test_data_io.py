@@ -13,6 +13,7 @@ from cogtrans.data_io import (
 )
 from cogtrans.errors import (CogtransError, EmptyInput, InvalidArgument,
                              ParseError)
+from cogtrans.models import ModelConfig
 
 
 class TestCognateTsv:
@@ -88,7 +89,7 @@ class TestSplit:
 class TestConfig:
     TEXT = """
 # run setup
-script = wx
+model.script = wx
 model.architecture = am
 model.hidden_dim = 64
 train.batch_size = 20
@@ -99,8 +100,8 @@ optimizer.lr = 1e-3
 
     def test_sections_and_coercion(self):
         cfg = parse_config(self.TEXT)
-        assert cfg.script == "wx"
-        assert cfg.model == {"architecture": "am", "hidden_dim": 64}
+        assert cfg.model == {"script": "wx", "architecture": "am",
+                             "hidden_dim": 64}
         assert cfg.train["batch_size"] == 20
         assert cfg.train["val_fraction"] == 0.1
         assert cfg.optimizer == {"kind": "adam", "lr": 1e-3}
@@ -110,6 +111,8 @@ optimizer.lr = 1e-3
             parse_config("decoder.size = 4")
         with pytest.raises(ParseError):
             parse_config("paths.data = corpus.tsv")
+        with pytest.raises(ParseError):   # now ``model.script``
+            parse_config("script = wx")
 
     def test_missing_equals(self):
         with pytest.raises(ParseError) as exc:
@@ -117,8 +120,9 @@ optimizer.lr = 1e-3
         assert exc.value.line_no == 1
 
     def test_bad_script(self):
-        with pytest.raises(InvalidArgument):
-            parse_config("script = latin")
+        model = parse_config("model.script = latin").model
+        with pytest.raises(InvalidArgument, match="script"):
+            ModelConfig(architecture="am", **model).validate()
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cogtrans.devanagari import (
     CharVocab,
@@ -11,7 +13,8 @@ from cogtrans.devanagari import (
     wx_decode,
     wx_encode,
 )
-from cogtrans.errors import InvalidArgument, UnmappedSymbol
+from cogtrans.errors import CogtransError, InvalidArgument, UnmappedSymbol
+from cogtrans.metrics import nfc
 
 WORDS = [
     "भेट", "भेंट", "प्रथा", "वृक्षा", "ज्ञान", "दर्शन", "यजमान", "जज़्बा",
@@ -51,6 +54,62 @@ class TestCodec:
         assert exc.value.offset == 1
         with pytest.raises(UnmappedSymbol):
             wx_decode("k#")
+
+    @pytest.mark.parametrize("wx, letter", [("nZa", "\u0929"),
+                                            ("rZa", "\u0931")])
+    def test_letter_nfc_joins_with_its_nukta(self, wx, letter):
+        """NFC joins न and र with the nukta into one code point, which
+        encodes as the consonant and "Z"."""
+        assert wx_decode(wx) == letter
+        assert wx_encode(letter) == wx
+        assert wx_encode(letter + "ा") == wx[:-1] + "A"
+        assert wx_encode("क" + letter + "्") == "ka" + wx[:-1]
+
+    def test_vowel_letter_after_virama_is_an_error(self):
+        """WX spells ट्औ as it spells टौ, so the encoder refuses it."""
+        assert wx_decode("DatO") == "ढटौ"
+        with pytest.raises(InvalidArgument, match="offset 3"):
+            wx_encode("ढट्औ")
+        with pytest.raises(InvalidArgument, match="offset 2"):
+            wx_encode("क्अ")
+
+
+# every letter of the WX table, and the Devanagari the codec reads plus the
+# virama, the nukta, the letters NFC joins with it and a few it does not read
+_WX_ALPHABET = "zMHZaAiIuUqQLeEoOkKgGfcCjJFtTdDNwWxXnpPbBmyrlvSRsh0123456789"
+_DEVANAGARI = sorted(set("".join(wx_decode(c) for c in _WX_ALPHABET
+                                 if c != "Z")
+                         + "़ािीुूृॄेैोौ\u0929\u0931\u0933\u0934।ॐx"))
+
+
+def _try(convert, text):
+    """``convert(text)``, checked to be a string, or None when it raises a
+    ``CogtransError``."""
+    try:
+        out = convert(text)
+    except CogtransError:
+        return None
+    assert isinstance(out, str)
+    return out
+
+
+@settings(max_examples=600, deadline=None)
+@example(text="ढट्औ")
+@example(text="nZa")
+@example(text="rZA")
+@given(text=st.text(max_size=10)
+       | st.text(st.sampled_from(_DEVANAGARI), max_size=10)
+       | st.text(st.sampled_from(_WX_ALPHABET), max_size=10))
+def test_wx_codec_returns_strings_or_typed_errors_and_inverts(text):
+    """On any text, ``wx_encode`` and ``wx_decode`` each return a string or
+    raise a ``CogtransError``; what the encoder accepts decodes back to its
+    NFC form, and what the decoder writes encodes again."""
+    wx = _try(wx_encode, text)
+    if wx is not None:
+        assert wx_decode(wx) == nfc(text)
+    dev = _try(wx_decode, text)
+    if dev is not None:
+        assert wx_decode(wx_encode(dev)) == dev
 
 
 class TestVocab:
@@ -146,6 +205,12 @@ class TestClassifyErrors:
         assert is_valid_sequence("कं")
         tags = classify_errors("कल", "कल", "ंल", script="devanagari")
         assert ErrorTag.InvalidSequence in tags
+
+    def test_unreadable_wx_prediction_is_an_invalid_sequence(self):
+        assert classify_errors("mela", "mela", "meZZ", script="wx") == {
+            ErrorTag.InvalidSequence}
+        with pytest.raises(UnmappedSymbol):   # the data must be WX
+            classify_errors("meZZ", "mela", "mela", script="wx")
 
     def test_script_mismatch(self):
         with pytest.raises(InvalidArgument):

@@ -6,7 +6,8 @@ import pytest
 from cogtrans import models, tensor as T
 from cogtrans.data_io import split_dataset
 from cogtrans.devanagari import CharVocab, build_vocab, strip_trailing_repeats
-from cogtrans.errors import EmptyInput, InvalidArgument, InvalidShape
+from cogtrans.errors import (EmptyInput, InvalidArgument, InvalidShape,
+                             UnmappedSymbol)
 from cogtrans.models import (
     ModelConfig,
     attend_bahdanau,
@@ -42,6 +43,9 @@ class TestModelConfig:
             ModelConfig(architecture="tn", d_model=10, num_heads=4).validate()
         with pytest.raises(InvalidArgument):
             ModelConfig(architecture="han", chunk_size=0).validate()
+        with pytest.raises(InvalidArgument, match="script"):
+            ModelConfig(architecture="am", script="latin").validate()
+        assert ModelConfig(architecture="am").script == "raw"
 
     @pytest.mark.parametrize("field,value", [
         ("hidden_dim", 0), ("embed_dim", 0), ("encoder_layers", 0),
@@ -574,6 +578,33 @@ class TestHan:
         for word in ("ab", "aab", "baba"):
             out = transduce_greedy(model, word).word
             assert strip_trailing_repeats(out) == out
+
+    def test_wx_output_cleaned_by_the_wx_rule(self):
+        """A model of a WX corpus cleans the Devanagari its output spells
+        (a trailing "aaa" is three repeated graphemes), and an output the
+        codec cannot read comes back as decoded.  Large random weights
+        decode long runs, some of them not WX."""
+        vocab = build_vocab([("Jata", "kaZ")])
+        seen = set()
+        for seed in range(8):
+            model = build_model(_cfg("han", script="wx", max_decode_len=12),
+                                vocab, seed=seed)
+            for t in model.params.values():
+                t.data *= 30.0
+            for word in ("Ja", "Jata", "kaZ", "taka"):
+                src, _, mask = encode_batch(vocab, [word])
+                raw = vocab.decode(model.transduce_ids(src, mask)[0][0])
+                out = transduce_greedy(model, word).word
+                try:
+                    clean = strip_trailing_repeats(raw, script="wx")
+                except UnmappedSymbol:
+                    seen.add("unreadable")
+                    assert out == raw
+                    continue
+                seen.add("cleaned" if clean != raw else "clean")
+                assert out == clean
+                assert strip_trailing_repeats(out, script="wx") == out
+        assert seen == {"unreadable", "cleaned", "clean"}
 
 
 class TestTransformer:

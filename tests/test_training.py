@@ -28,6 +28,7 @@ from cogtrans.training import (
     ADAGRAD_EPS,
     ADADELTA_EPS,
     ADADELTA_RHO,
+    CHECKPOINT_FORMAT,
     CHECKPOINT_MAGIC,
     RMSPROP_EPS,
     RMSPROP_RHO,
@@ -368,6 +369,19 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert run_cli(["transduce", "--model", str(path), "--word", "ab"]) == 1
 
+    def test_header_without_script_loads_as_raw(self, tmp_path):
+        """A header written before models recorded their script, at the
+        same format, loads as a ``raw`` model."""
+        best = self._trained().best
+        path = tmp_path / "m.ckpt"
+        cfg = dataclasses.replace(best.model_config, script="devanagari")
+        save_checkpoint(dataclasses.replace(best, model_config=cfg), path)
+        assert load_checkpoint(path).model_config.script == "devanagari"
+        self._rewrite_header(
+            path, lambda header: header["model_config"].pop("script") and None)
+        assert load_checkpoint(path).model_config.script == "raw"
+        assert CHECKPOINT_FORMAT == 3
+
     def test_unknown_model_config_key_rejected(self, tmp_path):
         res = self._trained()
         path = tmp_path / "m.ckpt"
@@ -378,7 +392,8 @@ class TestCheckpointIO:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [
-        ("hidden_dim", "8"), ("dropout", None), ("architecture", 5)])
+        ("hidden_dim", "8"), ("dropout", None), ("architecture", 5),
+        ("script", 5)])
     def test_wrong_typed_model_config_value_rejected(self, tmp_path, key,
                                                      value, capsys):
         res = self._trained()
