@@ -28,6 +28,11 @@ INIT_SCALE = 0.08         # uniform(-0.08, 0.08) for recurrent weights
 FORGET_BIAS = 1.0         # stabilizes early LSTM training
 
 
+def uniform(rng, *shape):
+    """A ``shape`` array drawn uniform(-INIT_SCALE, INIT_SCALE) from ``rng``."""
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+
+
 @dataclass
 class CellParams:
     """An LSTM or GRU cell: W is (input_dim + hidden_dim, G * hidden_dim)
@@ -45,8 +50,7 @@ def init_cell_params(kind, input_dim, hidden_dim, rng):
     side by side; biases zero but an LSTM's forget gate (columns
     [h:2h]), which starts at 1."""
     W = np.concatenate([
-        rng.uniform(-INIT_SCALE, INIT_SCALE,
-                    size=(input_dim + hidden_dim, hidden_dim))
+        uniform(rng, input_dim + hidden_dim, hidden_dim)
         for _ in range(GATES[kind])], axis=1)
     b = np.zeros(GATES[kind] * hidden_dim)
     if kind == "lstm":
@@ -120,5 +124,5 @@ def init_embedding(vocab_size, embed_dim, rng, pretrained=None):
                 f"pretrained embedding shape {data.shape} != {(vocab_size, embed_dim)}"
             )
     else:
-        data = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, embed_dim))
+        data = uniform(rng, vocab_size, embed_dim)
     return Tensor(data, requires_grad=True)

@@ -20,8 +20,9 @@ from .devanagari import (
     wx_decode,
     wx_encode,
 )
-from .errors import (CogtransError, EmptyInput, ParseError, build_config,
-                     require_finite, require_type)
+from .errors import (CogtransError, EmptyInput, InvalidArgument, ParseError,
+                     UnmappedSymbol, build_config, require_finite,
+                     require_type)
 from .models import (ARCHITECTURES, SCRIPTS, ModelConfig, transduce_batch,
                      transduce_greedy)
 from .training import (
@@ -66,6 +67,14 @@ def _maybe_wx(pairs, script):
     if script == "devanagari":
         return [(wx_encode(s), wx_encode(t)) for s, t in pairs]
     return pairs
+
+
+def _wx_or_empty(convert, word):
+    """``convert(word)``, or "" where the WX codec cannot read ``word``."""
+    try:
+        return convert(word)
+    except (UnmappedSymbol, InvalidArgument):
+        return ""
 
 
 def _loss_curve_svg(history, path):
@@ -170,7 +179,14 @@ def _cmd_transduce(args):
     devanagari = model.cfg.script == "devanagari"
     result = transduce_greedy(model,
                               wx_encode(args.word) if devanagari else args.word)
-    print(wx_decode(result.word) if devanagari else result.word)
+    word = result.word
+    if devanagari:
+        try:
+            word = wx_decode(word)
+        except UnmappedSymbol as exc:
+            print(f"warning: output is WX the codec cannot read ({exc}); "
+                  "printed unchanged", file=sys.stderr)
+    print(word)
     if args.attention:
         for row in result.attention:
             print("\t".join(f"{x:.4f}" for x in row))
@@ -275,11 +291,20 @@ def _cmd_oov_correct(args):
         )
     records = oov.load_pipeline_file(args.sentences, args.matrices)
     model = restore_model(load_checkpoint(args.model))
+    encode, decode = ((wx_encode, wx_decode)
+                      if model.cfg.script == "devanagari" else (str, str))
 
     def transduce(words):
         # rare words recur across sentences and shortlist sizes: every
-        # flagged word is decoded once, all in one batch
-        return [t.word for t in transduce_batch(model, words)]
+        # flagged word is decoded once, all in one batch.  A devanagari
+        # model reads and writes WX; a word the codec cannot carry either
+        # way becomes "", which keeps the MT token
+        inputs = {w: _wx_or_empty(encode, w) for w in words}
+        readable = [w for w in words if inputs[w]]
+        decoded = transduce_batch(model, [inputs[w] for w in readable])
+        out = {w: _wx_or_empty(decode, t.word)
+               for w, t in zip(readable, decoded)}
+        return [out.get(w, "") for w in words]
 
     corpus = data_io.read_text(args.shortlist_corpus).splitlines()
     if args.references:

@@ -190,9 +190,8 @@ class CharVocab:
                 + [self.EOS])
 
     def decode(self, ids):
-        return "".join(
-            self.symbols[i] for i in ids if i not in (self.PAD, self.BOS, self.EOS)
-        )
+        """The symbols of ``ids``, the specials dropped."""
+        return "".join(self.symbols[i] for i in ids if i >= len(self.SPECIALS))
 
 
 def build_vocab(pairs):

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .cells import (INIT_SCALE, birnn_summary, dropout, init_cell_params,
-                    init_embedding, run_birnn, run_rnn)
+from .cells import (birnn_summary, dropout, init_cell_params,
+                    init_embedding, run_birnn, run_rnn, uniform)
 from .data_io import naming_source, read_text
 from .devanagari import CharVocab
 from .errors import (EmptyInput, InvalidArgument, ParseError,
@@ -174,8 +174,7 @@ class CharLM(ModelBase):
                       for _ in sides]
         for side, cell in zip(sides, self.lstms):
             self.params.update({f"{side}W": cell.W, f"{side}b": cell.b})
-        self._add("W_out", rng.uniform(-INIT_SCALE, INIT_SCALE,
-                                       size=(len(sides) * cfg.hidden, V)))
+        self._add("W_out", uniform(rng, len(sides) * cfg.hidden, V))
         self._add("b_out", np.zeros(V))
 
     def _probs(self, ids, train, rng):

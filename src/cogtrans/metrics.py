@@ -22,19 +22,19 @@ def nfc(s):
 
 def levenshtein(s1, s2):
     """Unit-cost edit distance over code points."""
-    return _distance(nfc(s1), nfc(s2))
+    return _table(nfc(s1), nfc(s2))[-1][-1]
 
 
-def _distance(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
+def _table(a, b):
+    """The edit-distance table: row i, column j holds the distance from
+    a[:i] to b[:j]."""
+    rows = [list(range(len(b) + 1))]
     for i, ca in enumerate(a, 1):
-        cur = [i]
+        prev, cur = rows[-1], [i]
         for j, cb in enumerate(b, 1):
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+        rows.append(cur)
+    return rows
 
 
 def edit_script(s1, s2):
@@ -44,21 +44,9 @@ def edit_script(s1, s2):
     position an insert lands before, for "ins").
     """
     a, b = nfc(s1), nfc(s2)
-    n, m = len(a), len(b)
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dp[i][0] = i
-    for j in range(m + 1):
-        dp[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            dp[i][j] = min(
-                dp[i - 1][j] + 1,
-                dp[i][j - 1] + 1,
-                dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-            )
+    dp = _table(a, b)
     ops = []
-    i, j = n, m
+    i, j = len(a), len(b)
     while i > 0 or j > 0:
         if i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
             ops.append(("match" if a[i - 1] == b[j - 1] else "sub", i - 1, j - 1))
@@ -82,7 +70,7 @@ def _similarity(a, b):
     total = len(a) + len(b)
     if total == 0:
         return 100.0
-    return (1.0 - _distance(a, b) / total) * 100.0
+    return (1.0 - _table(a, b)[-1][-1] / total) * 100.0
 
 
 def word_accuracy(pred, gold):
@@ -97,40 +85,43 @@ def _ngrams(units, n):
     return Counter(units[i : i + n] for i in range(len(units) - n + 1))
 
 
-def char_bleu(pred, ref, max_n=BLEU_ORDER):
+def char_bleu(pred, ref):
     """BLEU over character n-grams with clipping and a brevity penalty on
     character counts.  Orders longer than both strings are dropped from the
     geometric mean so short words are not zeroed out.
     """
-    if max_n < 1:
-        raise InvalidArgument("max_n must be >= 1")
     p, r = nfc(pred), nfc(ref)
     if not r:
         raise InvalidArgument("empty reference")
-    return _bleu(p, r, max_n)
+    return _bleu(p, r)
 
 
-def _bleu(p, r, max_n):
-    """``char_bleu`` of a normalized prediction and non-empty reference."""
-    if not p:
-        return 0.0
+def _counts(pred, ref, orders):
+    """Each order's (clipped, total) count of the n-grams of ``pred``,
+    computed as it is read."""
+    for n in orders:
+        pc, rc = _ngrams(pred, n), _ngrams(ref, n)
+        yield sum(min(c, rc[g]) for g, c in pc.items()), sum(pc.values())
+
+
+def _combine(counts, pred_len, ref_len):
+    """BLEU from each order's (clipped, total) counts: the geometric mean of
+    the clipped precisions times the brevity penalty.  The first order with
+    no match gives 0.0 and no later order is read; an empty prediction has
+    no unigram, so the penalty never divides by a zero length."""
     logs = []
-    for n in range(1, max_n + 1):
-        if n > len(p) and n > len(r):
-            continue
-        pc = _ngrams(p, n)
-        rc = _ngrams(r, n)
-        total = sum(pc.values())
-        if total == 0:
-            return 0.0
-        clipped = sum(min(c, rc[g]) for g, c in pc.items())
-        if clipped == 0:
+    for clipped, total in counts:
+        if clipped == 0:   # clipped <= total, so this covers a total of 0
             return 0.0
         logs.append(math.log(clipped / total))
-    if not logs:
-        return 0.0
-    bp = 1.0 if len(p) >= len(r) else math.exp(1.0 - len(r) / len(p))
+    bp = 1.0 if pred_len >= ref_len else math.exp(1.0 - ref_len / pred_len)
     return 100.0 * bp * math.exp(sum(logs) / len(logs))
+
+
+def _bleu(p, r):
+    """``char_bleu`` of a normalized prediction and non-empty reference."""
+    orders = range(1, min(BLEU_ORDER, max(len(p), len(r))) + 1)
+    return _combine(_counts(p, r, orders), len(p), len(r))
 
 
 def corpus_bleu(pred_sentences, ref_sentences):
@@ -142,26 +133,15 @@ def corpus_bleu(pred_sentences, ref_sentences):
         raise InvalidArgument("prediction/reference counts differ")
     clipped = [0] * BLEU_ORDER
     totals = [0] * BLEU_ORDER
-    pred_len = 0
-    ref_len = 0
+    pred_len = ref_len = 0
     for ptoks, rtoks in zip(pred_sentences, ref_sentences):
         ptoks, rtoks = tuple(ptoks), tuple(rtoks)
         pred_len += len(ptoks)
         ref_len += len(rtoks)
-        for n in range(1, BLEU_ORDER + 1):
-            pc = _ngrams(ptoks, n)
-            rc = _ngrams(rtoks, n)
-            totals[n - 1] += sum(pc.values())
-            clipped[n - 1] += sum(min(c, rc[g]) for g, c in pc.items())
-    logs = []
-    for c, t in zip(clipped, totals):
-        if t == 0 or c == 0:
-            return 0.0
-        logs.append(math.log(c / t))
-    if pred_len == 0:
-        return 0.0
-    bp = 1.0 if pred_len >= ref_len else math.exp(1.0 - ref_len / pred_len)
-    return 100.0 * bp * math.exp(sum(logs) / len(logs))
+        for k, (c, t) in enumerate(_counts(ptoks, rtoks, range(1, BLEU_ORDER + 1))):
+            clipped[k] += c
+            totals[k] += t
+    return _combine(zip(clipped, totals), pred_len, ref_len)
 
 
 @dataclass
@@ -214,7 +194,7 @@ def score_items(triples, tags_fn=None):
             ss, wa, bleu = 100.0, 1, (100.0 if g else 0.0)
         else:
             ss, wa = _similarity(p, g), 0
-            bleu = _bleu(p, g, BLEU_ORDER) if g else 0.0
+            bleu = _bleu(p, g) if g else 0.0
         items.append(ItemRecord(source=src, gold=gold, prediction=pred,
                                 ss=ss, wa=wa, bleu=bleu, tags=tags))
     return EvalReport.from_items(items)

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import cells, tensor as T
 from .cells import (birnn_summary, cell_step, init_cell_params,
-                    init_embedding, run_birnn)
+                    init_embedding, run_birnn, uniform)
 from .devanagari import CharVocab, strip_trailing_repeats
 from .errors import (EmptyInput, InvalidArgument, InvalidShape,
                      UnmappedSymbol, require_positive, require_rate)
@@ -189,10 +189,6 @@ def _key_mask(src_mask):
     """The additive (B, 1, 1, T) mask over the source keys from the (B, T)
     0/1 source mask."""
     return np.where(src_mask > 0, 0.0, NEG_INF)[:, None, None, :]
-
-
-def _uniform(rng, *shape):
-    return rng.uniform(-cells.INIT_SCALE, cells.INIT_SCALE, size=shape)
 
 
 class ModelBase:
@@ -341,14 +337,14 @@ class _RecurrentModel(TransductionModel):
         for l in range(cfg.decoder_layers):
             self.dec_cells.append(self._add_cell(in_dim, f"dec{l}_", rng))
             in_dim = cfg.hidden_dim
-        self._add("W_init", _uniform(rng, 2 * cfg.hidden_dim, cfg.hidden_dim))
+        self._add("W_init", uniform(rng, 2 * cfg.hidden_dim, cfg.hidden_dim))
         self._add("b_init", np.zeros(cfg.hidden_dim))
-        self._add("W_out", _uniform(rng, cfg.hidden_dim + ctx_dim, len(self.vocab)))
+        self._add("W_out", uniform(rng, cfg.hidden_dim + ctx_dim, len(self.vocab)))
         self._add("b_out", np.zeros(len(self.vocab)))
         if self.uses_attention:
-            self._add("W_s", _uniform(rng, cfg.hidden_dim, cfg.hidden_dim))
-            self._add("W_h", _uniform(rng, 2 * cfg.hidden_dim, cfg.hidden_dim))
-            self._add("v", _uniform(rng, cfg.hidden_dim, 1))
+            self._add("W_s", uniform(rng, cfg.hidden_dim, cfg.hidden_dim))
+            self._add("W_h", uniform(rng, 2 * cfg.hidden_dim, cfg.hidden_dim))
+            self._add("v", uniform(rng, cfg.hidden_dim, 1))
 
     def _encode(self, src, src_mask, train, rng):
         H = self._embed(src, train, rng)
@@ -464,9 +460,9 @@ class HierarchicalAttentionModel(_RecurrentModel):
                            self._add_cell(cfg.embed_dim, "chr_bwd_", rng))
         self.chunk_cells = (self._add_cell(h2, "chk_fwd_", rng),
                             self._add_cell(h2, "chk_bwd_", rng))
-        self._add("W_c", _uniform(rng, h2, cfg.hidden_dim))
+        self._add("W_c", uniform(rng, h2, cfg.hidden_dim))
         self._add("b_c", np.zeros(cfg.hidden_dim))
-        self._add("v_c", _uniform(rng, cfg.hidden_dim, 1))
+        self._add("v_c", uniform(rng, cfg.hidden_dim, 1))
 
     def _char_attention(self, S, mask):
         """S: (N, cs, 2h) states -> pooled (N, 2h) and weights (N, cs) of
@@ -526,15 +522,15 @@ class TransformerModel(TransductionModel):
                 blocks = ["self"] if side == "enc" else ["self", "cross"]
                 for blk in blocks:
                     for w in ("W_q", "W_k", "W_v", "W_o"):
-                        self._add(f"{side}{l}_{blk}_{w}", _uniform(rng, d, d))
+                        self._add(f"{side}{l}_{blk}_{w}", uniform(rng, d, d))
                 for i, _ in enumerate(blocks + ["ffn"]):
                     self._add(f"{side}{l}_ln{i}_g", np.ones(d))
                     self._add(f"{side}{l}_ln{i}_b", np.zeros(d))
-                self._add(f"{side}{l}_ffn_W1", _uniform(rng, d, f))
+                self._add(f"{side}{l}_ffn_W1", uniform(rng, d, f))
                 self._add(f"{side}{l}_ffn_b1", np.zeros(f))
-                self._add(f"{side}{l}_ffn_W2", _uniform(rng, f, d))
+                self._add(f"{side}{l}_ffn_W2", uniform(rng, f, d))
                 self._add(f"{side}{l}_ffn_b2", np.zeros(d))
-        self._add("W_out", _uniform(rng, d, V))
+        self._add("W_out", uniform(rng, d, V))
         self._add("b_out", np.zeros(V))
         self._pe = positional_encoding(0, d)   # grown by _embed_pos
 

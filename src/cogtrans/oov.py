@@ -133,8 +133,9 @@ def align_from_attention(att):
 def correct_translation(pair, oov_positions, transducer):
     """Replace target tokens aligned to OOV source positions by transductions.
 
-    Returns (corrected tokens, log): the log records unaligned OOV words and
-    transducer failures (the affected tokens are left unchanged).
+    Returns (corrected tokens, log): the log records unaligned OOV words,
+    transducer failures and empty transductions (the affected tokens are
+    left unchanged).
     """
     if not pair.alignment:
         pair.alignment = align_from_attention(pair.attention)
@@ -151,6 +152,9 @@ def correct_translation(pair, oov_positions, transducer):
         except Exception as exc:  # a failing transducer must not kill the run
             log.append(("transducer-error", pos, f"{word}: {exc}"))
             continue
+        if not replacement:
+            log.append(("empty-transduction", pos, word))
+            continue
         for t_pos in targets:
             corrected[t_pos] = replacement
     return corrected, log
@@ -163,7 +167,7 @@ def correct_records(records, shortlist_corpus, shortlist_sizes, transduce):
     for each size.  ``transduce`` is called once, with the distinct words
     flagged at any size in order of first appearance, and must return one
     string per word; each record is then spliced by ``correct_translation``
-    through a lookup of those strings.
+    through a lookup of those strings, and an empty one keeps the MT token.
     """
     ranked = build_shortlist(shortlist_corpus, max(shortlist_sizes, default=1))
     flagged = [[detect_oov(rec.source, shortlist) for rec in records]

@@ -20,7 +20,8 @@ from cogtrans.devanagari import CharVocab, wx_decode, wx_encode
 from cogtrans.embeddings import CharLMConfig
 from cogtrans.errors import CogtransError
 from cogtrans.metrics import nfc
-from cogtrans.models import ModelConfig, transduce_batch, transduce_greedy
+from cogtrans.models import (ModelConfig, Transduction, transduce_batch,
+                             transduce_greedy)
 from cogtrans.oov import (
     AlignedSentencePair,
     build_shortlist,
@@ -65,6 +66,18 @@ def _train_tiny(data, out, *flags):
     assert run_cli(["train", "--data", str(data), "--arch", "am",
                     "--hidden-dim", "8", "--embed-dim", "6", "--epochs", "2",
                     "--metrics-every", "0", "--out", str(out), *flags]) == 0
+
+
+@pytest.fixture(scope="module")
+def devanagari_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("devanagari")
+    data = tmp / "hi.tsv"
+    data.write_text("".join(f"{w}\t{w}\n" for w in HINDI), encoding="utf-8")
+    ckpt = tmp / "dev.ckpt"
+    # enough training that the model writes more than EOS
+    _train_tiny(data, ckpt, "--script", "devanagari", "--epochs", "20",
+                "--lr", "0.01")
+    return ckpt
 
 
 class TestParser:
@@ -665,14 +678,9 @@ class TestModelScript:
     """The script is a model setting: ``train --script`` records it in the
     checkpoint, and ``transduce`` and ``evaluate`` read it from there."""
 
-    def test_transduce_devanagari_model_in_and_out(self, tmp_path, capsys):
-        data = tmp_path / "hi.tsv"
-        data.write_text("".join(f"{w}\t{w}\n" for w in HINDI),
-                        encoding="utf-8")
-        ckpt = tmp_path / "dev.ckpt"
-        # enough training that the model writes more than EOS
-        _train_tiny(data, ckpt, "--script", "devanagari", "--epochs", "20",
-                    "--lr", "0.01")
+    def test_transduce_devanagari_model_in_and_out(self, devanagari_checkpoint,
+                                                   capsys):
+        ckpt = devanagari_checkpoint
         model = restore_model(load_checkpoint(ckpt))
         capsys.readouterr()
         for word in HINDI[:3]:
@@ -682,6 +690,71 @@ class TestModelScript:
             assert out == wx_decode(
                 transduce_greedy(model, wx_encode(word)).word)
             assert out and all(0x0900 <= ord(c) <= 0x097F for c in out)
+
+    def test_transduce_unreadable_wx_output_printed_unchanged(
+            self, devanagari_checkpoint, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "transduce_greedy",
+                            lambda model, word: Transduction("kaZ", None))
+        assert run_cli(["transduce", "--model", str(devanagari_checkpoint),
+                        "--word", "कमल"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "kaZ\n"
+        assert "warning:" in err and "'Z'" in err
+
+    @staticmethod
+    def _oov_correct(ckpt, tmp_path, source, target):
+        """The corrected target of one sentence whose words all but "और"
+        are flagged."""
+        records = [AlignedSentencePair(source=source, target=target,
+                                       attention=np.eye(len(source)))]
+        tsv, mat = tmp_path / "s.tsv", tmp_path / "s.att"
+        save_pipeline_file(records, tsv, mat)
+        sl = tmp_path / "mono.txt"
+        sl.write_text("और और\n", encoding="utf-8")
+        out = tmp_path / "corrected.tsv"
+        assert run_cli(["oov-correct", "--sentences", str(tsv),
+                        "--matrices", str(mat), "--model", str(ckpt),
+                        "--shortlist-corpus", str(sl), "--sizes", "1",
+                        "--out", str(out)]) == 0
+        [line] = out.read_text(encoding="utf-8").splitlines()
+        return line.split("\t")[1].split()
+
+    def test_oov_correct_devanagari_model_as_transduce(
+            self, devanagari_checkpoint, tmp_path, capsys):
+        """Flagged Devanagari words are corrected to what ``transduce``
+        prints for them."""
+        source = ["कमल", "और", "नमक"]
+        corrected = self._oov_correct(devanagari_checkpoint, tmp_path,
+                                      source, list(source))
+        expected = []
+        for word in source:
+            if word == "और":
+                expected.append(word)
+                continue
+            assert run_cli(["transduce", "--model", str(devanagari_checkpoint),
+                            "--word", word]) == 0
+            expected.append(capsys.readouterr().out.splitlines()[-1])
+        assert corrected == expected
+        assert all(0x0900 <= ord(c) <= 0x097F for c in "".join(corrected))
+
+    def test_oov_correct_keeps_mt_token_without_devanagari_output(
+            self, devanagari_checkpoint, tmp_path, monkeypatch):
+        """A flagged word the codec cannot encode, an empty output and WX
+        the codec cannot read each keep the MT token."""
+        outputs = {wx_encode("कमल"): "kaZ", wx_encode("नमक"): "",
+                   wx_encode("मकान"): wx_encode("नाम")}
+        seen = []
+
+        def fake(model, words):
+            seen.extend(words)
+            return [Transduction(outputs[w], None) for w in words]
+
+        monkeypatch.setattr(cli, "transduce_batch", fake)
+        corrected = self._oov_correct(
+            devanagari_checkpoint, tmp_path, ["कमल", "नमक", "मकान", "An"],
+            ["t1", "t2", "t3", "t4"])
+        assert corrected == ["t1", "t2", "नाम", "t4"]
+        assert sorted(seen) == sorted(outputs)
 
     def test_evaluate_raw_and_wx_checkpoints_in_one_call(self, tmp_path,
                                                          capsys):

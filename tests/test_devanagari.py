@@ -134,6 +134,12 @@ class TestVocab:
         assert vocab.decode(ids) == "ab"
         assert vocab.encode("q") == [vocab.BOS, vocab.UNK, vocab.EOS]
 
+    def test_decode_drops_every_special(self):
+        vocab = build_vocab([("ab", "ba")])
+        assert vocab.decode([vocab.BOS, 4, vocab.UNK, 5, vocab.PAD,
+                             vocab.EOS]) == "ab"
+        assert vocab.decode(vocab.encode("aqb")) == "ab"
+
 
 class TestStripTrailingRepeats:
     def test_wx_artifact(self):

@@ -132,9 +132,11 @@ class TestCharBleu:
         assert char_bleu("ab", "cd") == 0.0
 
     def test_clipping_fixture(self):
-        # unigram 2/3, bigram 1/2, no brevity penalty
-        expected = 100.0 * math.exp(0.5 * (math.log(2 / 3) + math.log(1 / 2)))
-        assert char_bleu("aab", "ab", max_n=2) == pytest.approx(expected)
+        # the second "a" is clipped: precisions 4/5, 3/4, 2/3 and 1/2, no
+        # brevity penalty
+        expected = 100.0 * math.exp(0.25 * sum(
+            map(math.log, (4 / 5, 3 / 4, 2 / 3, 1 / 2))))
+        assert char_bleu("aabcd", "abcd") == pytest.approx(expected)
 
     def test_short_word_orders_dropped(self):
         assert char_bleu("a", "a") == pytest.approx(100.0)
@@ -156,9 +158,9 @@ class TestCharBleu:
                 char_bleu(a.translate(table), b.translate(table)))
 
     def test_brevity_penalty(self):
-        # pred "ab" vs ref "abab": p1=1, p2=1 (orders 3,4 kept: ref len 4)
-        val = char_bleu("ab", "abab", max_n=2)
-        assert val == pytest.approx(100.0 * math.exp(1 - 4 / 2))
+        # pred "abcd" vs ref "abcdabcd": every precision is 1
+        val = char_bleu("abcd", "abcdabcd")
+        assert val == pytest.approx(100.0 * math.exp(1 - 8 / 4))
 
 
 def independent_corpus_bleu(preds, refs, max_n=4):
