@@ -9,9 +9,10 @@ taped op (``tensor.rnn_seq``) that projects every step's input in one
 matmul, and ``run_birnn`` runs one each way for every bidirectional encoder
 (the models' and the char LM's); a step whose input depends on the step
 before (``cell_step``: the decoders) is one taped op too
-(``tensor.rnn_step``).  Both ops serve both cell kinds, carry a cell's state
-as one (B, S) tensor whose first hidden_dim columns are h ([h | c] for LSTM,
-h for GRU) and keep the state of padded rows.
+(``tensor.rnn_step``).  Both ops serve both cell kinds and carry a cell's
+state as one (B, S) tensor whose first hidden_dim columns are h ([h | c] for
+LSTM, h for GRU).  Only the sequence op masks padding: its padded rows keep
+their state, while a decoder step steps every row.
 """
 
 from dataclasses import dataclass
@@ -60,14 +61,13 @@ def init_cell_params(kind, input_dim, hidden_dim, rng):
                       Tensor(b, requires_grad=True))
 
 
-def cell_step(x, state, cell, mask=None):
+def cell_step(x, state, cell):
     """One step of a cell over (B, d) rows: the (B, S) state in, (h',
     state') out.  The state is [h | c] for LSTM, h for GRU, so only an
     LSTM's h is sliced out (one taped node).
 
     LSTM: c' = f*c + i*g, h' = o*tanh(c').  GRU: h' = z*h + (1-z)*n with
-    reset-gated candidate n.  Rows where the (B,) 0/1 ``mask`` is 0 keep
-    their state (padding).
+    reset-gated candidate n.  Every row steps.
     """
     n = cell.hidden_dim
     lstm = cell.kind == "lstm"
@@ -77,7 +77,7 @@ def cell_step(x, state, cell, mask=None):
             f"cell expects input {cell.input_dim} / state {width}, "
             f"got {x.shape[-1]} / {state.shape[-1]}"
         )
-    state = T.rnn_step(cell.kind, x, state, cell.W, cell.b, mask)
+    state = T.rnn_step(cell.kind, x, state, cell.W, cell.b)
     return (state[:, :n] if lstm else state), state
 
 

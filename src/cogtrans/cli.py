@@ -7,7 +7,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .devanagari import (
     wx_decode,
     wx_encode,
 )
-from .errors import (CogtransError, EmptyInput, InvalidArgument, ParseError,
+from .errors import (CogtransError, EmptyInput, InvalidArgument,
                      UnmappedSymbol, build_config, require_finite,
                      require_type)
 from .models import (ARCHITECTURES, SCRIPTS, ModelConfig, transduce_batch,
@@ -62,11 +61,28 @@ def _axis(text):
     return name, out
 
 
-def _maybe_wx(pairs, script):
-    """The pairs as a model of ``script`` reads them: WX for devanagari."""
-    if script == "devanagari":
-        return [(wx_encode(s), wx_encode(t)) for s, t in pairs]
-    return pairs
+def _at_line(path, line_no, fn, *args):
+    """``fn(*args)``; a codec or script error names ``path`` and the line."""
+    try:
+        return fn(*args)
+    except (InvalidArgument, UnmappedSymbol) as exc:
+        raise InvalidArgument(f"{path}: line {line_no}: {exc}") from None
+
+
+def _model_pairs(path, rows, script):
+    """The pairs of ``path``'s ``cognate_rows`` as a model of ``script``
+    reads them: WX for devanagari."""
+    convert = wx_encode if script == "devanagari" else str
+    return [(_at_line(path, n, convert, src), _at_line(path, n, convert, tgt))
+            for n, src, tgt in rows]
+
+
+def _tagger(path, lines, triples, script):
+    """``score_items``' tags function: ``classify_errors`` of each of the
+    ``triples``, read from lines ``lines`` of ``path``, computed once."""
+    tags = {triple: _at_line(path, n, classify_errors, *triple, script)
+            for n, triple in zip(lines, triples)}
+    return lambda *triple: tags[triple]
 
 
 def _wx_or_empty(convert, word):
@@ -129,8 +145,12 @@ def _cmd_train(args):
                else data_io.RunConfig())
     model_cfg = _config(ModelConfig, args, run_cfg.model).validate()
     train_cfg = _config(TrainConfig, args, run_cfg.train).validate()
+    if args.avg_last > train_cfg.max_epochs:
+        raise CogtransError(f"--avg-last {args.avg_last} is above the run's "
+                            f"{train_cfg.max_epochs} epochs")
     opt = _config(OptimizerSpec, args, run_cfg.optimizer).normalized()
-    pairs = _maybe_wx(data_io.load_cognate_tsv(args.data), model_cfg.script)
+    pairs = _model_pairs(args.data, data_io.cognate_rows(args.data),
+                         model_cfg.script)
     split = data_io.split_dataset(pairs, seed=args.split_seed)
     vocab = build_vocab(split.train + split.validation)
     embedding = None
@@ -156,7 +176,11 @@ def _cmd_train(args):
     result = train(model_cfg, train_cfg, opt, split, embedding, vocab)
     ckpt = result.best
     if args.avg_last > 1:
-        avg = average_checkpoints(result.history, args.avg_last)
+        k = min(args.avg_last, len(result.history))
+        if k < args.avg_last:
+            print(f"warning: early stopping left {k} epochs; --avg-last "
+                  f"averages those {k}", file=sys.stderr)
+        avg = average_checkpoints(result.history, k)
         ckpt = dataclasses.replace(result.best, params=avg)
     out = args.out or os.path.join(os.environ.get(CHECKPOINT_DIR_ENV, "."),
                                    f"{model_cfg.architecture}.ckpt")
@@ -196,17 +220,17 @@ def _cmd_transduce(args):
 
 
 def _cmd_evaluate(args):
-    data = data_io.load_cognate_tsv(args.data)
+    rows = data_io.cognate_rows(args.data)
     reports = {}
     for path in args.model:
         model = restore_model(load_checkpoint(path))
         arch, script = model.cfg.architecture, model.cfg.script
-        pairs = _maybe_wx(data, script)
+        pairs = _model_pairs(args.data, rows, script)
         decoded = transduce_batch(model, [src for src, _ in pairs])
         triples = [(src, gold, out.word)
                    for (src, gold), out in zip(pairs, decoded)]
-        tags_fn = (None if script == "raw"
-                   else partial(classify_errors, script="wx"))
+        tags_fn = (None if script == "raw" else
+                   _tagger(args.data, [n for n, _, _ in rows], triples, "wx"))
         report = metrics.score_items(triples, tags_fn=tags_fn)
         report.truncated = sum(out.truncated for out in decoded)
         name = arch if arch not in reports else os.path.basename(path)
@@ -259,7 +283,8 @@ def _cmd_pretrain_embed(args):
 
 def _cmd_tune(args):
     model_cfg = _config(ModelConfig, args).validate()
-    pairs = _maybe_wx(data_io.load_cognate_tsv(args.data), model_cfg.script)
+    pairs = _model_pairs(args.data, data_io.cognate_rows(args.data),
+                         model_cfg.script)
     split = data_io.split_dataset(pairs, seed=args.split_seed)
     space = dict(_axis(axis) for axis in args.axis)
     rows, skipped = training.grid_search(
@@ -353,20 +378,13 @@ def _cmd_synth_gen(args):
 
 
 def _cmd_error_report(args):
-    triples = []
-    with data_io.naming_source(args.predictions):
-        text = data_io.read_text(args.predictions)
-        for line_no, line in enumerate(text.split("\n"), 1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(line_no,
-                                 "expected source<TAB>gold<TAB>prediction")
-            triples.append(tuple(parts))
-
-    report = metrics.score_items(
-        triples, tags_fn=partial(classify_errors, script=args.script))
+    path = args.predictions
+    with data_io.naming_source(path):
+        rows = list(data_io.tsv_rows(data_io.read_text(path),
+                                     ("source", "gold", "prediction")))
+    triples = [tuple(fields) for _, fields in rows]
+    report = metrics.score_items(triples, tags_fn=_tagger(
+        path, [n for n, _ in rows], triples, args.script))
     metrics.write_report_tsv(report, args.out)
     counts = {}
     for item in report.items:

@@ -41,29 +41,45 @@ def read_text(path):
         return fh.read()
 
 
-def load_cognate_tsv(path):
-    """Read "source<TAB>target" lines into NFC-normalized pairs.
+def tsv_rows(text, names):
+    """(line number, fields) of each non-blank line of ``text``, split at
+    tabs into one field per entry of ``names``, after a byte-order mark that
+    starts the line is dropped (files joined end to end carry one at each
+    join).  Another field count raises ``ParseError`` quoting the line; the
+    caller's ``naming_source`` names the file."""
+    for line_no, line in enumerate(text.split("\n"), 1):
+        line = line.lstrip("\ufeff")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(names):
+            raise ParseError(line_no, f"expected {'<TAB>'.join(names)!r}, "
+                             f"got {line!r}")
+        yield line_no, fields
 
-    Blank lines are skipped; duplicate pairs are kept (a source word may have
-    several legitimate cognates), and a byte-order mark that starts a line
-    is dropped (files joined end to end carry one at each join).  A
-    malformed line raises ParseError, and a file with no pair
-    ``EmptyInput``, naming the file.
-    """
-    pairs = []
+
+def cognate_rows(path):
+    """(line number, source, target) of each "source<TAB>target" line of
+    ``path`` (``tsv_rows``), NFC-normalized; duplicate pairs are kept (a
+    source word may have several legitimate cognates).  An empty field
+    raises ParseError, and a file with no pair ``EmptyInput``, naming the
+    file."""
+    rows = []
     with naming_source(path):
-        for line_no, line in enumerate(read_text(path).split("\n"), 1):
-            line = line.lstrip("\ufeff")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
+        for line_no, fields in tsv_rows(read_text(path), ("source", "target")):
+            if not all(fields):
+                line = "\t".join(fields)
                 raise ParseError(line_no, "expected 'source<TAB>target', "
                                  f"got {line!r}")
-            pairs.append((nfc(parts[0]), nfc(parts[1])))
-    if not pairs:
+            rows.append((line_no, *map(nfc, fields)))
+    if not rows:
         raise EmptyInput(f"{path}: no cognate pairs")
-    return pairs
+    return rows
+
+
+def load_cognate_tsv(path):
+    """The (source, target) pairs of ``cognate_rows``."""
+    return [(src, tgt) for _, src, tgt in cognate_rows(path)]
 
 
 def save_cognate_tsv(pairs, path):

@@ -264,13 +264,11 @@ def is_valid_sequence(word):
     return True
 
 
-def _cluster_spans(s, cluster):
-    spans = []
-    start = s.find(cluster)
-    while start != -1:
-        spans.append(range(start, start + len(cluster)))
-        start = s.find(cluster, start + 1)
-    return spans
+def _covers(s, cluster, positions):
+    """Whether an occurrence of ``cluster`` in ``s`` covers one of the
+    indices ``positions``."""
+    return any(s.startswith(cluster, i - k) for i in positions
+               for k in range(min(i + 1, len(cluster))))
 
 
 def classify_errors(source, gold, prediction, script="devanagari"):
@@ -301,6 +299,7 @@ def classify_errors(source, gold, prediction, script="devanagari"):
     inserted = [c for _, c in changed_pred]
     deleted = [c for _, c in changed_gold]
     gold_positions = {i for i, _ in changed_gold}
+    pred_positions = {j for j, _ in changed_pred}
 
     def neighborhood(s, positions):
         chars = set()
@@ -310,9 +309,7 @@ def classify_errors(source, gold, prediction, script="devanagari"):
                     chars.add((k, s[k]))
         return chars
 
-    region = neighborhood(g, gold_positions) | neighborhood(
-        p, {j for j, _ in changed_pred}
-    )
+    region = neighborhood(g, gold_positions) | neighborhood(p, pred_positions)
     region_chars = {c for _, c in region}
 
     # anusvara: the sign itself in the diff, or a nasal NA inserted/deleted
@@ -348,21 +345,12 @@ def classify_errors(source, gold, prediction, script="devanagari"):
             tags.add(ErrorTag.VowelLength)
 
     for cluster in (KA + VIRAMA + SSA, JA + VIRAMA + NYA):
-        spans = _cluster_spans(g, cluster)
-        if any(gold_positions & set(span) for span in spans):
-            tags.add(ErrorTag.ConjunctKRaJFa)
-        if cluster in src and (SSA in region_chars or NYA in region_chars):
+        if _covers(g, cluster, gold_positions) or (
+                cluster in src and (SSA in region_chars or NYA in region_chars)):
             tags.add(ErrorTag.ConjunctKRaJFa)
 
     reph = RA + VIRAMA
-    for span in _cluster_spans(g, reph):
-        if gold_positions & set(span):
-            tags.add(ErrorTag.RephDiacritic)
-    if reph in p and any(
-        set(range(j, j + 2)) & {k for k, _ in changed_pred}
-        for j in range(len(p) - 1)
-        if p[j : j + 2] == reph
-    ):
+    if _covers(g, reph, gold_positions) or _covers(p, reph, pred_positions):
         tags.add(ErrorTag.RephDiacritic)
 
     if len(g) > 6:

@@ -194,11 +194,11 @@ class CharLM(ModelBase):
                                     weights)
 
     def nll(self, ids, targets):
-        """Total negative log-likelihood of the targets, in nats."""
+        """Total negative log-likelihood of the targets, in nats: the
+        training loss (``cross_entropy_rows``) with every row weighted 1."""
         with T.no_grad():
-            probs = self._probs(ids, False, None)
-        p = probs.data[np.arange(len(targets)), targets]
-        return float(-np.log(np.maximum(p, 1e-12)).sum())
+            return T.cross_entropy_rows(self._probs(ids, False, None), targets,
+                                        np.ones(len(targets))).item()
 
 
 def _windows(ids, window):

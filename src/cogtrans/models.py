@@ -111,7 +111,7 @@ class EncoderOutput:
 
     H: Tensor                       # (B, T, 2h) states the decoder attends over
     final: Tensor                   # (B, 2h) summary: decoder init, seq2seq context
-    mask: np.ndarray | None         # (B, T) 0/1 over H's rows; None = all real
+    mask: np.ndarray                # (B, T) 0/1 over H's rows, 0 at padding
     char_alpha: np.ndarray | None = None   # han: (B, K, chunk) char-level weights
     keys: Tensor | None = None      # (B, T, a) attention keys H @ W_h (am, han)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import naming_source, read_text
+from .data_io import naming_source, read_text, tsv_rows
 from .errors import EmptyInput, InvalidArgument, InvalidAttention, ParseError
 from .metrics import corpus_bleu, nfc
 
@@ -227,18 +227,17 @@ def load_pipeline_file(tsv_path, matrix_path):
     A record's matrix must be an attention matrix with one row per target
     token and one column per source token."""
     records = []
-    lines = read_text(tsv_path).split("\n")
+    text = read_text(tsv_path)
     with open(matrix_path, "rb") as fh:
         blob = fh.read()
     off = 0
     with naming_source(tsv_path):
-        for line_no, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(line_no, "expected 'source tokens<TAB>target "
-                                 f"tokens', got {line!r}")
+        for line_no, fields in tsv_rows(text, ("source tokens",
+                                                "target tokens")):
+            # no token holds a byte-order mark, which no line may start with
+            source, target = (f.replace("\ufeff", "").split() for f in fields)
+            if not source and not target:
+                continue   # a line of byte-order marks and whitespace
             if off + 8 > len(blob):
                 raise InvalidArgument(f"{matrix_path}: shorter than the TSV")
             rows, cols = struct.unpack_from("<II", blob, off)
@@ -248,7 +247,6 @@ def load_pipeline_file(tsv_path, matrix_path):
                 raise InvalidArgument(f"{matrix_path}: shorter than the TSV")
             att = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
             off += count * 8
-            source, target = parts[0].split(), parts[1].split()
             if (rows, cols) != (len(target), len(source)):
                 raise ParseError(
                     line_no, f"attention matrix is {rows}x{cols}, but the "

@@ -354,15 +354,10 @@ def embedding(table, ids):
 # recurrence.  A state is one (B, S) array whose first n columns are h:
 # [h | c] for an LSTM (S = 2n), h for a GRU (S = n); the step functions take
 # and return it whole, as do their backward passes with its gradient.
-# Entry 0 of a step's cache is the h it started from.
+# Entry 0 of a step's cache is the h it started from.  The step functions
+# are the cell math only: padding is the sequence op's concern.
 
-def _freeze(mask, new, old):
-    """Rows where the (B,) 0/1 mask is 0 keep ``old`` (padding)."""
-    m = mask[:, None]
-    return m * new + (1.0 - m) * old
-
-
-def _lstm_step(xa, s, W_h, mask):
+def _lstm_step(xa, s, W_h):
     """One LSTM step from [h | c] and the input's (B, 4n) part of the
     i|f|g|o pre-activations: c' = f*c + i*g, h' = o*tanh(c').  Returns
     [h' | c'] and the backward's cache."""
@@ -374,30 +369,23 @@ def _lstm_step(xa, s, W_h, mask):
     g = np.tanh(a[:, 2 * n:3 * n])
     c2 = f * c + i * g
     tc = np.tanh(c2)
-    s2 = np.concatenate([o * tc, c2], axis=-1)
-    if mask is not None:
-        s2 = _freeze(mask, s2, s)
-    return s2, (h, c, i, f, g, o, tc, mask)
+    return np.concatenate([o * tc, c2], axis=-1), (h, c, i, f, g, o, tc)
 
 
 def _lstm_step_bwd(gs, W_h, cache):
     """Gradients of one LSTM step with respect to its (B, 4n) pre-activations
     and to the [h | c] it started from, given that of [h' | c']."""
-    _, c, i, f, g, o, tc, mask = cache
+    _, c, i, f, g, o, tc = cache
     n = c.shape[-1]
-    if mask is not None:
-        m = mask[:, None]
-        keep, gs = (1.0 - m) * gs, m * gs
     gh, gc = gs[:, :n], gs[:, n:]
     dc2 = gc + gh * o * (1.0 - tc * tc)
     da = np.concatenate([dc2 * g * i * (1.0 - i), dc2 * c * f * (1.0 - f),
                          dc2 * i * (1.0 - g * g), gh * tc * o * (1.0 - o)],
                         axis=-1)
-    ds = np.concatenate([da @ W_h.T, dc2 * f], axis=-1)
-    return da, (ds if mask is None else ds + keep)
+    return da, np.concatenate([da @ W_h.T, dc2 * f], axis=-1)
 
 
-def _gru_step(xa, h, W_h, mask):
+def _gru_step(xa, h, W_h):
     """One GRU step from h and the input's (B, 3n) part of the z|r|n
     pre-activations: h' = z*h + (1-z)*tanh(xa_n + (r*h) W_hn).  Returns h'
     and the backward's cache."""
@@ -406,26 +394,19 @@ def _gru_step(xa, h, W_h, mask):
     z, r = s[:, :n], s[:, n:]
     rh = r * h
     cand = np.tanh(xa[:, 2 * n:] + rh @ W_h[:, 2 * n:])
-    h2 = z * h + (1.0 - z) * cand
-    if mask is not None:
-        h2 = _freeze(mask, h2, h)
-    return h2, (h, z, r, rh, cand, mask)
+    return z * h + (1.0 - z) * cand, (h, z, r, rh, cand)
 
 
 def _gru_step_bwd(gh, W_h, cache):
     """Gradients of one GRU step with respect to its (B, 3n) pre-activations
     and to the h it started from."""
-    h, z, r, rh, cand, mask = cache
+    h, z, r, rh, cand = cache
     n = h.shape[-1]
-    if mask is not None:
-        m = mask[:, None]
-        keep, gh = (1.0 - m) * gh, m * gh
     da_n = gh * (1.0 - z) * (1.0 - cand * cand)
     drh = da_n @ W_h[:, 2 * n:].T
     da = np.concatenate([(gh * h - gh * cand) * z * (1.0 - z),
                          drh * h * r * (1.0 - r), da_n], axis=-1)
-    dh = gh * z + drh * r + da[:, :2 * n] @ W_h[:, :2 * n].T
-    return da, (dh if mask is None else dh + keep)
+    return da, gh * z + drh * r + da[:, :2 * n] @ W_h[:, :2 * n].T
 
 
 def _rows(caches, i):
@@ -473,19 +454,19 @@ def _grads(X, W, da, dW_h):
     return dX, dW, da.sum(axis=0)
 
 
-def rnn_step(kind, x, state, W, b, mask=None):
+def rnn_step(kind, x, state, W, b):
     """One step of an LSTM or GRU (``kind``) over (B, d) rows, as one taped
     op: the (B, S) state ([h | c] or h) in, the new state out.
 
     W: (d + n, G * n) and b: (G * n,) hold the gates side by side (i|f|g|o
-    or z|r|n).  Rows where the (B,) 0/1 ``mask`` is 0 keep their state.
+    or z|r|n).  Every row steps.
     """
     x, state = _as_tensor(x), _as_tensor(state)
     W, b = _as_tensor(W), _as_tensor(b)
     _, step, step_bwd, dW_h = _CELLS[kind]
     d = x.shape[-1]
     W_h = W.data[d:]
-    s, cache = step(x.data @ W.data[:d] + b.data, state.data, W_h, mask)
+    s, cache = step(x.data @ W.data[:d] + b.data, state.data, W_h)
 
     def bwd(g):
         da, ds = step_bwd(g, W_h, cache)
@@ -503,7 +484,8 @@ def rnn_seq(kind, X, W, b, mask=None, reverse=False):
     each step multiplies only h @ W_h; the backward returns dX, dW and db
     from single matmuls over all steps.  ``reverse`` runs the last step
     first.  Rows where the (B, T) 0/1 ``mask`` is 0 keep their state at that
-    step (padding).  Returns every step's h as (B, T, n), in input order.
+    step (padding), and their state's gradient passes through that step
+    unchanged.  Returns every step's h as (B, T, n), in input order.
     """
     X, W, b = _as_tensor(X), _as_tensor(W), _as_tensor(b)
     B, steps, d = X.shape
@@ -517,7 +499,9 @@ def rnn_seq(kind, X, W, b, mask=None, reverse=False):
     caches = [None] * steps   # kept only for a taped op's backward
     keep = _taped((X, W, b))
     for t in order:
-        s, cache = step(XA[:, t], s, W_h, None if mask is None else mask[:, t])
+        s2, cache = step(XA[:, t], s, W_h)
+        m = None if mask is None else mask[:, t, None]
+        s = s2 if m is None else m * s2 + (1.0 - m) * s
         if keep:
             caches[t] = cache
         H[:, t] = s[:, :n]
@@ -527,7 +511,10 @@ def rnn_seq(kind, X, W, b, mask=None, reverse=False):
         ds = np.zeros((B, width * n))
         for t in reversed(order):
             ds[:, :n] += G[:, t]    # h is also step t's output
-            dA[:, t], ds = step_bwd(ds, W_h, caches[t])
+            m = None if mask is None else mask[:, t, None]
+            dA[:, t], ds_in = step_bwd(ds if m is None else m * ds, W_h,
+                                       caches[t])
+            ds = ds_in if m is None else ds_in + (1.0 - m) * ds
         flat = dA.reshape(B * steps, -1)
         return _grads(X, W, flat, dW_h(caches, flat))
 
@@ -559,18 +546,14 @@ def attention(q, k, v, heads, mask=None):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(dk)
-    z = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
-    if mask is not None:
-        z = z + mask
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
+    w = _softmax(np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale, mask)
 
     def bwd(g):
         # each matmul in the order and layout of the backward pass over the
         # composed ops (dK as (qᵀ g_s)ᵀ), so the gradients equal that pass's
         gh = np.transpose(g.reshape(B, tq, heads, dk), (0, 2, 1, 3))
         gw = np.matmul(gh, np.swapaxes(vh, -1, -2))
-        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+        gs = _softmax_bwd(w, gw) * scale
         gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)
         gv = np.matmul(np.swapaxes(w, -1, -2), gh)
         return merge(np.matmul(gs, kh)), merge(gk), merge(gv)
@@ -590,16 +573,12 @@ def additive_attention(s, W_s, keys, v, H, mask=None):
     s, W_s, keys, v, H = (_as_tensor(t) for t in (s, W_s, keys, v, H))
     B, n, a = keys.shape
     u = np.tanh(keys.data + (s.data @ W_s.data).reshape(B, 1, a))
-    z = (u @ v.data).reshape(B, n)
-    if mask is not None:
-        z = z + mask
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
+    w = _softmax((u @ v.data).reshape(B, n), mask)
     ctx = (w.reshape(B, 1, n) @ H.data).reshape(B, H.shape[2])
 
     def bwd(g):
         gw = (g.reshape(B, 1, -1) @ np.swapaxes(H.data, -1, -2)).reshape(B, n)
-        ge = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        ge = _softmax_bwd(w, gw)
         gu = ge[:, :, None] * v.data.reshape(1, 1, a) * (1.0 - u * u)
         gq = gu.sum(axis=1)
         gv = u.reshape(-1, a).T @ ge.reshape(-1, 1)
@@ -612,6 +591,21 @@ def additive_attention(s, W_s, keys, v, H, mask=None):
 # ---------------------------------------------------------------------------
 # normalization / probability ops
 
+def _softmax(z, mask, axis=-1):
+    """The stable softmax of ``softmax`` and both attention ops: exp(z +
+    mask) / its sum along ``axis``, the maximum subtracted first; ``mask``
+    is an additive constant or None."""
+    if mask is not None:
+        z = z + mask
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_bwd(y, g, axis=-1):
+    """The gradient of the logits of softmax output ``y`` from that of y."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis=-1, mask=None):
     """Stable softmax along ``axis``; ``mask`` is an additive constant applied
     to the logits before normalization (use large negatives to exclude slots).
@@ -619,16 +613,8 @@ def softmax(a, axis=-1, mask=None):
     a = _as_tensor(a)
     if a.data.size == 0 or a.data.shape[axis] == 0:
         raise InvalidShape("softmax over an empty axis")
-    z = a.data if mask is None else a.data + mask
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return _make(y, (a,), bwd)
+    y = _softmax(a.data, mask, axis)
+    return _make(y, (a,), lambda g: (_softmax_bwd(y, g, axis),))
 
 
 def _row_mean(a):
@@ -665,22 +651,15 @@ def layer_norm(x, gain, bias):
 
 
 def cross_entropy(probs, target):
-    """-ln(probs[target] + floor) for a single probability vector."""
+    """-ln(probs[target] + floor) for a single probability vector: one row
+    of ``cross_entropy_rows`` at weight 1."""
     probs = _as_tensor(probs)
     if probs.ndim != 1:
         raise InvalidShape("cross_entropy expects a probability vector")
     target = int(target)
     if target < 0 or target >= probs.shape[0]:
         raise IndexError(f"target {target} out of range for {probs.shape[0]} classes")
-    p = probs.data[target]
-    y = -np.log(p + EPS_LOG)
-
-    def bwd(g):
-        gp = np.zeros_like(probs.data)
-        gp[target] = -g / (p + EPS_LOG)
-        return (gp,)
-
-    return _make(y, (probs,), bwd)
+    return cross_entropy_rows(reshape(probs, (1, -1)), [target], [1.0])
 
 
 def cross_entropy_rows(probs, targets, weights):

@@ -55,11 +55,9 @@ def gru_step(x, h, p):
     return cell_step(x, h, p)[0]
 
 
-def _state(kind, rows, n, values=None):
-    """A (rows, S) cell state: [h | c] for LSTM, h for GRU; zeros unless
-    ``values`` draws it."""
-    shape = (rows, 2 * n if kind == "lstm" else n)
-    return T.Tensor(np.zeros(shape) if values is None else values(shape))
+def _state(kind, rows, n):
+    """A zero (rows, S) cell state: [h | c] for LSTM, h for GRU."""
+    return T.Tensor(np.zeros((rows, 2 * n if kind == "lstm" else n)))
 
 
 class TestLSTM:
@@ -173,15 +171,19 @@ def test_init_concatenates_per_gate_draws(kind):
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_masked_rows_keep_their_state(kind):
+    """Padding is masked in the sequence op only: a row's outputs past its
+    length repeat its last real one, and its real steps are those of the
+    row run alone."""
     cell = _rand(kind, 3, 4, seed=2)
-    r = np.random.default_rng(3)
-    x = T.Tensor(r.normal(size=(3, 3)))
-    state = _state(kind, 3, 4, lambda shape: r.normal(size=shape))
-    _, free = cell_step(x, state, cell)
-    h, frozen = cell_step(x, state, cell, np.array([1.0, 0.0, 1.0]))
-    assert np.array_equal(frozen.data[[0, 2]], free.data[[0, 2]])
-    assert np.array_equal(frozen.data[1], state.data[1])
-    assert np.array_equal(h.data, frozen.data[:, :4])
+    X = T.Tensor(np.random.default_rng(3).normal(size=(3, 5, 3)))
+    lengths = [5, 2, 4]
+    mask = (np.arange(5)[None, :]
+            < np.array(lengths)[:, None]).astype(np.float64)
+    H = run_rnn(X, cell, mask).data
+    for b, n in enumerate(lengths):
+        alone = run_rnn(T.Tensor(X.data[b:b + 1, :n]), cell).data[0]
+        assert np.allclose(H[b, :n], alone, rtol=0, atol=1e-12)
+        assert (H[b, n:] == H[b, n - 1]).all()
 
 
 @pytest.mark.parametrize("kind, nodes", [("lstm", 2), ("gru", 1)])
@@ -268,12 +270,10 @@ def _leaves(r, *shapes):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
-def test_fused_step_matches_composed_reference(kind, masked, seed):
+def test_fused_step_matches_composed_reference(kind, seed):
     r = np.random.default_rng(seed)
     B, d, n = 4, 3, 5
-    mask = np.array([1.0, 0.0, 1.0, 0.0]) if masked else None
     S, G = (2 * n, 4) if kind == "lstm" else (n, 3)
     leaves = _leaves(r, (B, d), (B, S), (d + n, G * n), (G * n,))
     weight = T.Tensor(r.normal(size=(B, S)))
@@ -282,7 +282,7 @@ def test_fused_step_matches_composed_reference(kind, masked, seed):
         for t in leaves:
             t.zero_grad()
         with T.Graph() as g:
-            y = step(kind, *leaves, mask)
+            y = step(kind, *leaves)
             T.backward(g, T.tsum(y * weight))
         results.append((y.data, [t.grad.copy() for t in leaves]))
     (y_f, g_f), (y_c, g_c) = results

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import os
@@ -10,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cogtrans import cli
@@ -32,6 +33,7 @@ from cogtrans.synthetic import generate_pairs
 from cogtrans.training import (
     OptimizerSpec,
     TrainConfig,
+    average_checkpoints,
     load_checkpoint,
     restore_model,
     save_checkpoint,
@@ -340,6 +342,40 @@ class TestTrainAndFriends:
                         "--avg-last", "-3", "--out", str(out)]) == 1
         assert "--avg-last" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_avg_last_above_epochs_exit_1_before_training(
+            self, corpus, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail(
+            "trained with an --avg-last above --epochs"))
+        out = tmp_path / "m.ckpt"
+        assert run_cli(["train", "--data", str(corpus), "--arch", "am",
+                        "--epochs", "3", "--avg-last", "5",
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --avg-last 5 is above the run's 3 epochs\n")
+        assert not out.exists()
+
+    def test_avg_last_averages_the_epochs_early_stopping_left(
+            self, corpus, tmp_path, capsys, monkeypatch):
+        train, runs = cli.train, []
+
+        def stopped_after_two(*args):
+            result = train(*args)
+            result.history = result.history[:2]   # as early stopping does
+            runs.append(result)
+            return result
+
+        monkeypatch.setattr(cli, "train", stopped_after_two)
+        out = tmp_path / "m.ckpt"
+        assert run_cli(["train", "--data", str(corpus), "--arch", "am",
+                        "--hidden-dim", "8", "--embed-dim", "6",
+                        "--metrics-every", "0", "--epochs", "3",
+                        "--avg-last", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.startswith(
+            "warning: early stopping left 2 epochs")
+        expected = average_checkpoints(runs[0].history, 2)
+        params = load_checkpoint(out).params
+        assert all(np.array_equal(params[k], v) for k, v in expected.items())
 
     def test_evaluate_report_counts_truncated_decodes(self, checkpoint, corpus,
                                                       tmp_path):
@@ -823,6 +859,47 @@ class TestModelScript:
         assert not out.exists()
 
 
+class TestContentErrorsNameTheLine:
+    """A codec or script error in a file's content names the file and
+    line, and exits 1."""
+
+    def test_train_devanagari_unmapped_symbol(self, tmp_path, capsys):
+        data = tmp_path / "hi.tsv"
+        data.write_text("कमल\tकमल\nकxम\tकम\nनमक\tनमक\nनाम\tनाम\n",
+                        encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        assert run_cli(["train", "--data", str(data), "--arch", "am",
+                        "--script", "devanagari", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 2: unmapped symbol 'x' at offset 1\n")
+        assert not out.exists()
+
+    def test_evaluate_wx_model_unmapped_gold(self, devanagari_checkpoint,
+                                             tmp_path, capsys):
+        ckpt = load_checkpoint(devanagari_checkpoint)
+        wx = tmp_path / "wx.ckpt"
+        save_checkpoint(dataclasses.replace(
+            ckpt, model_config=dataclasses.replace(ckpt.model_config,
+                                                   script="wx")), wx)
+        data = tmp_path / "gold.tsv"
+        data.write_text("kamala\tkamala\nnamaka\tnamak%\n", encoding="utf-8")
+        assert run_cli(["evaluate", "--model", str(wx),
+                        "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 2: unmapped symbol '%' at offset 5\n")
+
+    def test_error_report_gold_not_in_script(self, tmp_path, capsys):
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("कमल\tकमल\tकमल\nकमल\tkamal\tकमल\n",
+                         encoding="utf-8")
+        out = tmp_path / "report.tsv"
+        assert run_cli(["error-report", "--predictions", str(preds),
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {preds}: line 2: gold is not in the declared script\n")
+        assert not out.exists()
+
+
 class TestErrorReport:
     def test_wx_report(self, tmp_path, capsys):
         preds = tmp_path / "preds.tsv"
@@ -835,6 +912,56 @@ class TestErrorReport:
         assert "2 records" in text
         assert "Anusvara" in text
         assert out.exists()
+
+
+# predictions text: lines of mostly three tab-separated fields over the
+# letters of the declared script, and in half the files also over the
+# characters a reader must get right (Latin that neither script holds, tabs,
+# carriage returns, byte-order marks, other whitespace) and any other
+_PRED_LETTERS = {"devanagari": "कमलर्ांि", "wx": "kmlraAiMZ"}
+_PRED_ODD = (st.sampled_from(["x", "%", " ", "\r", "\ufeff", "\u2028"])
+             | st.characters(codec="utf-8"))
+
+
+@st.composite
+def _predictions(draw):
+    """(lines, script) of a predictions file."""
+    script = draw(st.sampled_from(sorted(_PRED_LETTERS)))
+    chars = st.sampled_from(_PRED_LETTERS[script])
+    if draw(st.booleans()):
+        chars = chars | _PRED_ODD
+    field = st.text(chars, max_size=5)
+    line = (st.tuples(field, field, field) | st.tuples(field, field, field)
+            | st.lists(field, max_size=4)).map("\t".join)
+    return draw(st.lists(line, max_size=4)), script
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(file=(["कम\tकम\tक"], "devanagari"))
+@example(file=(["kama\tkaZ%\tkama"], "wx"))
+@given(file=_predictions())
+def test_any_predictions_text_reports_or_names_the_file(tmp_path, file):
+    """Any predictions text gives ``error-report`` one record per non-blank
+    line (a leading byte-order mark dropped), or ``error:`` naming the file
+    and exit code 1."""
+    (lines, script), preds = file, tmp_path / "preds.tsv"
+    out = tmp_path / "report.tsv"
+    preds.write_text("\n".join(lines), encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli(["error-report", "--predictions", str(preds),
+                        "--script", script, "--out", str(out)])
+    if code:
+        assert code == 1
+        assert stderr.getvalue().startswith(f"error: {preds}: ")
+        return
+    text = preds.read_text(encoding="utf-8")   # newlines as the reader's
+    rows = [line.lstrip("\ufeff").split("\t") for line in text.split("\n")
+            if line.lstrip("\ufeff").strip()]
+    assert stdout.getvalue().startswith(f"wrote {len(rows)} records")
+    report = out.read_text(encoding="utf-8").split("\n")
+    assert [line.split("\t")[:3] for line in report[1:-2]] == rows
 
 
 class TestTypedInputErrors:

@@ -1,9 +1,12 @@
 import re
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cogtrans.cli import build_parser
 from cogtrans.data_io import (
     load_cognate_tsv,
     load_config,
@@ -14,6 +17,7 @@ from cogtrans.data_io import (
 from cogtrans.errors import (CogtransError, EmptyInput, InvalidArgument,
                              ParseError)
 from cogtrans.models import ModelConfig
+from cogtrans.oov import load_pipeline_file
 
 
 class TestCognateTsv:
@@ -171,3 +175,52 @@ def test_any_tsv_text_round_trips_or_names_the_file(tmp_path, text):
     again = tmp_path / "again.tsv"
     save_cognate_tsv(pairs, again)
     assert load_cognate_tsv(again) == pairs
+
+
+def _read_pipeline(path):
+    """The pipeline records of ``path`` as (source, target) text, read with
+    a sidecar of two 1x1 matrices."""
+    mat = path.with_suffix(".att")
+    one = struct.pack("<II", 1, 1) + np.ones(1, dtype="<f8").tobytes()
+    mat.write_bytes(one * 2)
+    return [(" ".join(r.source), " ".join(r.target))
+            for r in load_pipeline_file(path, mat)]
+
+
+def _read_predictions(path):
+    """The (source, gold, prediction) records ``error-report`` writes for
+    the predictions file ``path``."""
+    out = path.with_suffix(".report")
+    args = build_parser().parse_args(["error-report", "--predictions",
+                                      str(path), "--out", str(out)])
+    args.func(args)
+    lines = out.read_text(encoding="utf-8").splitlines()[1:-1]
+    return [tuple(line.split("\t")[:3]) for line in lines]
+
+
+# reader -> (its fields, its read function)
+_TSV_READERS = {
+    "cognate": (("source", "target"), load_cognate_tsv),
+    "pipeline": (("source tokens", "target tokens"), _read_pipeline),
+    "predictions": (("source", "gold", "prediction"), _read_predictions),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_TSV_READERS))
+def test_tsv_readers_share_the_line_rules(tmp_path, capsys, reader):
+    """The three tab-separated readers skip blank lines, drop a byte-order
+    mark that starts a line, and reject a line of another field count,
+    quoting it, with the file and line named."""
+    names, read = _TSV_READERS[reader]
+    row = tuple("कमल"[:len(names)])
+    path = tmp_path / "rows.tsv"
+    line = "\t".join(row)
+    path.write_text(f"\ufeff{line}\n\n \t \n\ufeff{line}\n",
+                    encoding="utf-8")
+    assert read(path) == [row, row]
+    bad = line + "\tम"
+    path.write_text(f"{line}\n\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read(path)
+    assert str(exc.value) == (f"{path}: line 3: expected "
+                              f"{'<TAB>'.join(names)!r}, got {bad!r}")

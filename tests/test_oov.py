@@ -1,14 +1,15 @@
 import re
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cogtrans import oov
-from cogtrans.errors import (EmptyInput, InvalidArgument, InvalidAttention,
-                             ParseError)
+from cogtrans.errors import (CogtransError, EmptyInput, InvalidArgument,
+                             InvalidAttention, ParseError)
 from cogtrans.metrics import corpus_bleu, nfc
 from cogtrans.oov import (
     AlignedSentencePair,
@@ -361,6 +362,17 @@ class TestPipelineFile:
             correct_translation(rec, {0}, str.upper)
         assert len(calls) == 2
 
+    def test_byte_order_marks_are_no_part_of_a_token(self, tmp_path):
+        """A byte-order mark is dropped wherever it stands, and a line of
+        marks and whitespace is blank, so each record writes back as read."""
+        tsv, mat = tmp_path / "p.tsv", tmp_path / "p.att"
+        save_pipeline_file(self._records(), tsv, mat)
+        tsv.write_text(" \ufeffa\ufeff b\tA\n \ufeff\t\n\ufeffc\t\ufeffC D\n",
+                       encoding="utf-8")
+        records = load_pipeline_file(tsv, mat)
+        assert [(r.source, r.target) for r in records] == [
+            (["a", "b"], ["A"]), (["c"], ["C", "D"])]
+
     def test_sidecar_truncated(self, tmp_path):
         tsv, mat = tmp_path / "p.tsv", tmp_path / "p.att"
         save_pipeline_file(self._records(), tsv, mat)
@@ -374,3 +386,59 @@ class TestPipelineFile:
         mat.write_bytes(mat.read_bytes() + b"\x00" * 8)
         with pytest.raises(InvalidArgument):
             load_pipeline_file(tsv, mat)
+
+
+# pipeline text: tab-separated lines of tokens, with the characters a reader
+# must get right: tabs, spaces and other whitespace, carriage returns and
+# byte-order marks
+_PIPE_CHAR = st.characters(codec="utf-8")
+_PIPE_FIELD = st.text(st.sampled_from("ab \r\ufeff\x1c\u2028") | _PIPE_CHAR,
+                      max_size=6)
+_PIPE_LINE = (st.tuples(_PIPE_FIELD, _PIPE_FIELD)
+              | st.lists(_PIPE_FIELD, max_size=3)).map("\t".join)
+_PIPE_TEXT = st.lists(_PIPE_LINE, max_size=4).map("\n".join)
+
+
+def _uniform_sidecar(text):
+    """One uniform attention matrix per line of ``text`` that has two
+    tab-separated fields, shaped by their whitespace-split tokens."""
+    blob = b""
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        fields = line.split("\t")
+        if len(fields) == 2:
+            rows, cols = len(fields[1].split()), len(fields[0].split())
+            blob += struct.pack("<II", rows, cols)
+            blob += np.full((rows, cols), 1.0 / max(cols, 1),
+                            dtype="<f8").tobytes()
+    return blob
+
+
+def _as_tuples(records):
+    return [(r.source, r.target, r.attention.tolist(), r.alignment)
+            for r in records]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(text=" \ufeffa\tb", sidecar=None)   # a BOM after leading space
+@example(text=" \ufeff\ta", sidecar=None)   # a token of one BOM
+@example(text=" \ufeff\t", sidecar=None)    # BOMs but no token
+@given(text=_PIPE_TEXT, sidecar=st.none() | st.binary(max_size=40))
+def test_any_pipeline_text_round_trips_or_names_a_file(tmp_path, text,
+                                                       sidecar):
+    """Any text, with a sidecar of uniform matrices shaped by its lines
+    (``sidecar`` None) or of arbitrary bytes, loads as records that
+    ``save_pipeline_file`` writes back to the same records, or raises a
+    ``CogtransError`` naming one of the two files."""
+    tsv, mat = tmp_path / "p.tsv", tmp_path / "p.att"
+    tsv.write_text(text, encoding="utf-8")
+    mat.write_bytes(_uniform_sidecar(text) if sidecar is None else sidecar)
+    try:
+        records = load_pipeline_file(tsv, mat)
+    except CogtransError as exc:
+        assert str(exc).startswith((f"{tsv}: ", f"{mat}: "))
+        return
+    again_tsv, again_mat = tmp_path / "again.tsv", tmp_path / "again.att"
+    save_pipeline_file(records, again_tsv, again_mat)
+    assert _as_tuples(load_pipeline_file(again_tsv, again_mat)) == \
+        _as_tuples(records)
