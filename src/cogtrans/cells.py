@@ -8,11 +8,14 @@ inputs from a zero state (``run_rnn``: the encoders and the char LM) is one
 taped op (``tensor.rnn_seq``) that projects every step's input in one
 matmul, and ``run_birnn`` runs one each way for every bidirectional encoder
 (the models' and the char LM's); a step whose input depends on the step
-before (``cell_step``: the decoders) is one taped op too
-(``tensor.rnn_step``).  Both ops serve both cell kinds and carry a cell's
-state as one (B, S) tensor whose first hidden_dim columns are h ([h | c] for
-LSTM, h for GRU).  Only the sequence op masks padding: its padded rows keep
-their state, while a decoder step steps every row.
+before (``cell_step``: greedy decoding) is one taped op too
+(``tensor.rnn_step``).  Under teacher forcing the models run a whole decoder
+stack over every step as one taped op (``tensor.decoder_seq``), with
+``dropout_steps`` drawing its top states' masks as per-step dropout would.
+The ops serve both cell kinds and carry a cell's state as one (B, S) tensor
+whose first hidden_dim columns are h ([h | c] for LSTM, h for GRU).  Only
+the sequence op masks padding: its padded rows keep their state, while a
+decoder step steps every row.
 """
 
 from dataclasses import dataclass
@@ -106,11 +109,27 @@ def birnn_summary(H):
     return H[:, np.repeat([H.shape[1] - 1, 0], n), np.arange(2 * n)]
 
 
+def _keep(shape, rate, rng):
+    """An inverted-dropout mask of ``shape`` drawn from ``rng``: 0 where a
+    unit is dropped, 1/(1-rate) where it is kept."""
+    require_rate("dropout rate", rate)
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
 def dropout(x, rate, rng):
     """Inverted dropout for training: kept units scaled by 1/(1-rate) so
     E[out] == x.  Callers skip it outside training."""
-    require_rate("dropout rate", rate)
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return x * Tensor(_keep(x.shape, rate, rng))
+
+
+def dropout_steps(x, rate, rng, width):
+    """``dropout`` of the first ``width`` columns of (B, S, ·) step rows,
+    the other columns kept as they are.  The mask is drawn step by step, as
+    S draws of (B, width) in step order, so it is the mask that dropping
+    each step's rows in turn draws."""
+    B, S, _ = x.shape
+    mask = np.ones(x.shape)
+    mask[:, :, :width] = np.swapaxes(_keep((S, B, width), rate, rng), 0, 1)
     return x * Tensor(mask)
 
 

@@ -69,10 +69,16 @@ def _at_line(path, line_no, fn, *args):
         raise InvalidArgument(f"{path}: line {line_no}: {exc}") from None
 
 
+def _readable_wx(word):
+    """``word`` if the WX codec reads it, which scoring a WX model needs."""
+    wx_decode(word)
+    return word
+
+
 def _model_pairs(path, rows, script):
     """The pairs of ``path``'s ``cognate_rows`` as a model of ``script``
-    reads them: WX for devanagari."""
-    convert = wx_encode if script == "devanagari" else str
+    reads them: WX for devanagari, and for wx only WX that the codec reads."""
+    convert = {"devanagari": wx_encode, "wx": _readable_wx}.get(script, str)
     return [(_at_line(path, n, convert, src), _at_line(path, n, convert, tgt))
             for n, src, tgt in rows]
 

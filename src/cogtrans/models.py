@@ -19,15 +19,16 @@ side, registered in ``params`` (``ModelBase``, shared with the char LM) as
 ``{prefix}W`` and ``{prefix}b``.  The recurrent models run
 each bidirectional encoder layer through ``cells.run_birnn``, one taped op
 each way over the whole (B, T, d) sequence (every step's input projected
-in one matmul, ``tensor.rnn_seq``), and each decoder layer's step as one
-taped op (``tensor.rnn_step``) on the layer's state, [h | c] for LSTM and h
-for GRU; both ops take the cell's ``W`` and ``b`` as stored.  Each layer
-keeps (h, state), so the next layer and the attention query read h without
-slicing it again.  The additive-attention keys
-``H @ W_h`` are computed once per batch, each decoder step's attention is
-one taped op (``tensor.additive_attention``), and under teacher forcing the
-output layer runs once per batch over the stacked top states and contexts
-of all steps.
+in one matmul, ``tensor.rnn_seq``).  Under teacher forcing the whole
+decoder stack, every step of every layer with its attention, is one taped
+op (``tensor.decoder_seq``) that returns [top h | context] for every step,
+and the output layer runs once per batch over those rows.  Greedy decoding
+steps each decoder layer as one taped op (``tensor.rnn_step``) on the
+layer's state, [h | c] for LSTM and h for GRU, and each step's attention as
+one (``tensor.additive_attention``); all these ops take the cell's ``W``
+and ``b`` as stored.  Each layer keeps (h, state), so the next layer and
+the attention query read h without slicing it again.  The
+additive-attention keys ``H @ W_h`` are computed once per batch.
 ``tn`` decodes incrementally: it encodes the word and
 projects each decoder layer's cross-attention keys/values once, and writes
 each layer's self-attention keys/values into a cache preallocated for
@@ -156,19 +157,24 @@ def positional_encoding(length, d_model):
     return pe
 
 
-def attend_bahdanau(s_prev, H, keys, p, mask=None):
+def _additive_mask(mask):
+    """The additive mask of a 0/1 mask: 0 where it is 1, NEG_INF where 0."""
+    return np.where(mask > 0, 0.0, NEG_INF)
+
+
+def attend_bahdanau(s_prev, H, keys, p, mask):
     """Additive attention: energies_j = v.tanh(W_s s + k_j), k_j = W_h h_j.
 
     s_prev: (B, h_dec); H: (B, T, d_enc); keys: H @ W_h, (B, T, a), which
-    do not depend on the decoder step and so are computed once per batch.
-    Returns the context (B, d_enc), one taped op
-    (``tensor.additive_attention``), and the (B, T) weights alpha as an
-    array, on the simplex per row.
+    do not depend on the decoder step and so are computed once per batch;
+    mask: (B, T) 0/1 over H's rows, 0 at padding.  Returns the context (B,
+    d_enc), one taped op (``tensor.additive_attention``), and the (B, T)
+    weights alpha as an array, on the simplex per row.
     """
     if H.shape[1] == 0:
         raise EmptyInput("attention over empty encoder states")
-    add_mask = None if mask is None else np.where(mask > 0, 0.0, NEG_INF)
-    return T.additive_attention(s_prev, p["W_s"], keys, p["v"], H, add_mask)
+    return T.additive_attention(s_prev, p["W_s"], keys, p["v"], H,
+                                _additive_mask(mask))
 
 
 def multi_head_attention(q, k, v, heads, W_o, mask):
@@ -188,7 +194,7 @@ def multi_head_attention(q, k, v, heads, W_o, mask):
 def _key_mask(src_mask):
     """The additive (B, 1, 1, T) mask over the source keys from the (B, T)
     0/1 source mask."""
-    return np.where(src_mask > 0, 0.0, NEG_INF)[:, None, None, :]
+    return _additive_mask(src_mask)[:, None, None, :]
 
 
 class ModelBase:
@@ -247,12 +253,12 @@ class TransductionModel(ModelBase):
         self.params.update({f"{prefix}W": p.W, f"{prefix}b": p.b})
         return p
 
-    def _output_dist(self, h_top, context):
-        """Next-char distributions (N, V) from (N, h) top decoder states and
-        their (N, c) contexts: one step's rows when decoding, every step's
-        rows of a batch at once under teacher forcing."""
-        vec = T.concat([h_top, context], axis=-1)
-        logits = vec @ self.params["W_out"] + self.params["b_out"]
+    def _output_dist(self, rows):
+        """Next-char distributions (N, V) from (N, h + c) rows of a top
+        decoder state and its context side by side: one step's rows when
+        decoding, every step's rows of a batch at once under teacher
+        forcing."""
+        logits = rows @ self.params["W_out"] + self.params["b_out"]
         return T.softmax(logits, axis=-1)
 
     # -- public API --------------------------------------------------------
@@ -385,9 +391,11 @@ class _RecurrentModel(TransductionModel):
 
         x_emb: (B, embed) embedded previous symbols; layers: per decoder
         layer (h, state), the state as ``cell_step`` takes it.  Returns
-        what the output layer (``_output_dist``) takes, the top state (B, h)
-        and the context (B, 2h), then the new layers and the attention
-        weights (None without attention).
+        the top state (B, h) and the context (B, 2h), which the output layer
+        (``_output_dist``) reads side by side, then the new layers and the
+        attention weights (None without attention).  Greedy decoding steps
+        through this; teacher-forced training runs all steps as one op
+        (``loss_batch``).
         """
         ctx, alpha = self._context(layers, enc)
         h = T.concat([x_emb, ctx], axis=-1)
@@ -401,20 +409,26 @@ class _RecurrentModel(TransductionModel):
 
     def loss_batch(self, src, src_mask, tgt, tgt_len, tgt_mask, train=True,
                    rng=None):
+        """Teacher-forced loss: every decoder step of every layer, and its
+        attention, is one taped op (``tensor.decoder_seq``), which computes
+        what ``decode_step`` computes at each step.  Dropout on the top
+        states draws the masks that per-step dropout draws."""
         rng = rng or np.random.default_rng(0)
         enc, layers = self._start(src, src_mask, train, rng)
         emb_in = self._embed(tgt[:, :-1], train, rng)
-        tops, ctxs = [], []
-        for t in range(tgt.shape[1] - 1):
-            h, ctx, layers, _ = self.decode_step(emb_in[:, t], layers, enc,
-                                                 train, rng)
-            tops.append(h)
-            ctxs.append(ctx)
-
-        def rows(steps):   # (B, h) per step -> (B * steps, h), batch-major
-            return T.reshape(T.stack(steps, axis=1), (-1, steps[0].shape[-1]))
-
-        probs = self._output_dist(rows(tops), rows(ctxs))
+        if self.uses_attention:
+            p = self.params
+            context = enc.H
+            attention = (p["W_s"], enc.keys, p["v"], _additive_mask(enc.mask))
+        else:
+            context, attention = enc.final, None
+        out = T.decoder_seq(self.cfg.cell, emb_in, [s for _, s in layers],
+                            [(c.W, c.b) for c in self.dec_cells], context,
+                            attention)
+        if train and self.cfg.dropout > 0:
+            out = cells.dropout_steps(out, self.cfg.dropout, rng,
+                                      self.cfg.hidden_dim)
+        probs = self._output_dist(T.reshape(out, (-1, out.shape[-1])))
         return self._loss_from_probs(probs, tgt, tgt_len, tgt_mask)
 
     def _decode_start(self, src, src_mask):
@@ -425,7 +439,7 @@ class _RecurrentModel(TransductionModel):
         x = self._embed(prefix[:, -1], False, None)
         h, ctx, state.layers, alpha = self.decode_step(x, state.layers,
                                                        state.enc, False, None)
-        return (self._output_dist(h, ctx).data,
+        return (self._output_dist(T.concat([h, ctx], axis=-1)).data,
                 self._attention_rows(alpha, state))
 
     def _attention_rows(self, alpha, state):
@@ -469,7 +483,7 @@ class HierarchicalAttentionModel(_RecurrentModel):
         the additive attention v_c·tanh(W_c s_j + b_c) with a learned query:
         one ``tensor.additive_attention`` call whose query is ones and whose
         query weight is b_c as a row."""
-        add = np.where(mask > 0, 0.0, NEG_INF)
+        add = _additive_mask(mask)
         # a chunk of padding only stays unmasked; its zero states weigh alike
         add[mask.sum(axis=1) == 0] = 0.0
         p = self.params

@@ -7,7 +7,8 @@ leaf tensors that were created with ``requires_grad=True``.  Everything is
 
 Fused ops with hand-written backwards record one node for what would be
 many: a recurrent step (``rnn_step``) or sequence (``rnn_seq``) of either
-cell kind, and the multi-head and additive attention blocks.
+cell kind, a teacher-forced decoder stack with its attention over every
+step (``decoder_seq``), and the multi-head and additive attention blocks.
 """
 
 import numpy as np
@@ -344,18 +345,18 @@ def embedding(table, ids):
 
 
 # ---------------------------------------------------------------------------
-# recurrent cells: one step op (one node per decoder step) and one sequence
-# op (one node per encoder recurrence), each written once for both cell
-# kinds; only a kind's step, step backward and state rows of dW differ
-# (``_CELLS``).  W: (d + n, G * n) holds the gates side by side, its first d
-# rows for the input x and the rest for h, so a step's pre-activations are
-# x W_x + b + h W_h; the step functions take x W_x + b already computed,
-# which lets a sequence project every step's input in one matmul before the
-# recurrence.  A state is one (B, S) array whose first n columns are h:
-# [h | c] for an LSTM (S = 2n), h for a GRU (S = n); the step functions take
-# and return it whole, as do their backward passes with its gradient.
-# Entry 0 of a step's cache is the h it started from.  The step functions
-# are the cell math only: padding is the sequence op's concern.
+# recurrent cells: one step op (one node per greedy decoder step) and one
+# sequence op (one node per encoder recurrence), each written once for both
+# cell kinds, as is the decoder op below; only a kind's step, step backward and
+# state rows of dW differ (``_CELLS``).  W: (d + n, G * n) holds the gates side
+# by side, its first d rows for the input x and the rest for h, so a step's
+# pre-activations are x W_x + b + h W_h; the step functions take x W_x + b
+# already computed, which lets a sequence project every step's input in one
+# matmul before the recurrence.  A state is one (B, S) array whose first n
+# columns are h: [h | c] for an LSTM (S = 2n), h for a GRU (S = n); the step
+# functions take and return it whole, as do their backward passes with its
+# gradient.  Entry 0 of a step's cache is the h it started from.  The step
+# functions are the cell math only: padding is the sequence op's concern.
 
 def _lstm_step(xa, s, W_h):
     """One LSTM step from [h | c] and the input's (B, 4n) part of the
@@ -445,13 +446,18 @@ def _input_projection(X, W, b):
     return XA.reshape(B, steps, -1)
 
 
+def _dW(rows, da, dW_h):
+    """dW and db from the (N, G*n) pre-activation gradients of the (N, d)
+    input ``rows``, in single matmuls; ``dW_h`` is dW's state rows."""
+    return np.concatenate([rows.T @ da, dW_h]), da.sum(axis=0)
+
+
 def _grads(X, W, da, dW_h):
     """dX, dW and db from the (N, G*n) pre-activation gradients of X's N
     rows, in single matmuls; ``dW_h`` is dW's state rows."""
     d = X.shape[-1]
     dX = (da @ W.data[:d].T).reshape(X.shape)
-    dW = np.concatenate([X.data.reshape(-1, d).T @ da, dW_h])
-    return dX, dW, da.sum(axis=0)
+    return (dX, *_dW(X.data.reshape(-1, d), da, dW_h))
 
 
 def rnn_step(kind, x, state, W, b):
@@ -561,6 +567,28 @@ def attention(q, k, v, heads, mask=None):
     return _make(merge(np.matmul(w, vh)), (q, k, v), bwd), w
 
 
+def _additive_fwd(q, keys, v, H, mask):
+    """Additive attention of (B, a) projected queries q over the (B, T, a)
+    keys: u = tanh(k_j + q), energies u·v, softmax weights w over j
+    (``mask`` an additive (B, T) constant) and the (B, d) context, the
+    weighted sum of H's rows.  Returns the context, w and u."""
+    B, n, a = keys.shape
+    u = np.tanh(keys + q.reshape(B, 1, a))
+    w = _softmax((u @ v).reshape(B, n), mask)
+    return (w.reshape(B, 1, n) @ H).reshape(B, H.shape[2]), w, u
+
+
+def _additive_bwd(g, H, w, u, v):
+    """From the gradient g of ``_additive_fwd``'s context: those of the
+    energies (B, T), of u (B, T, a), which is the keys', and of the
+    projected queries (B, a)."""
+    B, n, a = u.shape
+    gw = (g.reshape(B, 1, -1) @ np.swapaxes(H, -1, -2)).reshape(B, n)
+    ge = _softmax_bwd(w, gw)
+    gu = ge[:, :, None] * v.reshape(1, 1, a) * (1.0 - u * u)
+    return ge, gu, gu.sum(axis=1)
+
+
 def additive_attention(s, W_s, keys, v, H, mask=None):
     """Additive (Bahdanau) attention of (B, h) query rows over (B, T, d)
     states, as one taped op: energies e_j = v·tanh(s W_s + k_j) over the
@@ -571,21 +599,128 @@ def additive_attention(s, W_s, keys, v, H, mask=None):
     untaped array.
     """
     s, W_s, keys, v, H = (_as_tensor(t) for t in (s, W_s, keys, v, H))
-    B, n, a = keys.shape
-    u = np.tanh(keys.data + (s.data @ W_s.data).reshape(B, 1, a))
-    w = _softmax((u @ v.data).reshape(B, n), mask)
-    ctx = (w.reshape(B, 1, n) @ H.data).reshape(B, H.shape[2])
+    a = keys.shape[2]
+    ctx, w, u = _additive_fwd(s.data @ W_s.data, keys.data, v.data, H.data,
+                              mask)
 
     def bwd(g):
-        gw = (g.reshape(B, 1, -1) @ np.swapaxes(H.data, -1, -2)).reshape(B, n)
-        ge = _softmax_bwd(w, gw)
-        gu = ge[:, :, None] * v.data.reshape(1, 1, a) * (1.0 - u * u)
-        gq = gu.sum(axis=1)
+        ge, gu, gq = _additive_bwd(g, H.data, w, u, v.data)
         gv = u.reshape(-1, a).T @ ge.reshape(-1, 1)
         gH = w[:, :, None] * g[:, None, :]
         return gq @ W_s.data.T, s.data.T @ gq, gu, gv, gH
 
     return _make(ctx, (s, W_s, keys, v, H), bwd), w
+
+
+# ---------------------------------------------------------------------------
+# the teacher-forced recurrent decoder: every step of every decoder layer,
+# and with attention every step's additive attention, as one node
+
+def decoder_seq(kind, X, states, cells, context, attention=None):
+    """A stack of LSTM or GRU (``kind``) decoder layers over every step of
+    (B, S, e) teacher-forced inputs, as one taped op.
+
+    ``states`` holds each layer's (B, S_w) initial state and ``cells`` its
+    (W, b), as ``rnn_step`` takes them.  Layer 0's input at a step is the
+    step's row of X and then the step's (B, c) context; each layer above
+    reads the h of the layer below.  Without ``attention`` the context is
+    the fixed (B, c) ``context``.  With ``attention`` = (W_s, keys, v,
+    mask) it is ``additive_attention`` over the (B, T, c) states
+    ``context``, and its query is the top layer's h after the step before
+    (at step 0, that of the top initial state).
+
+    Layer 0's X W_e + b is one matmul before the recurrence.  The backward
+    runs back through time by hand and does per step only what the
+    recurrence needs; every gradient that sums over the steps (each layer's
+    dW and db, dX, and the attention's dW_s, keys, v and H) is one op after
+    it.  Returns [top h | context] of every step as one (B, S, n + c) node.
+    """
+    X, context = _as_tensor(X), _as_tensor(context)
+    states = [_as_tensor(st) for st in states]
+    Ws = [_as_tensor(W) for W, _ in cells]
+    bs = [_as_tensor(b) for _, b in cells]
+    att = () if attention is None else tuple(
+        _as_tensor(t) for t in attention[:3])
+    width, step, step_bwd, dW_h = _CELLS[kind]
+    B, steps, e = X.shape
+    n = states[0].shape[1] // width
+    c = context.shape[-1]
+    layers = range(len(cells))
+    W_x = [W.data[:-n] for W in Ws]   # input rows: e + c at layer 0, n above
+    W_h = [W.data[-n:] for W in Ws]
+    W_c = W_x[0][e:]
+    XA = _input_projection(X, Ws[0], bs[0])
+    out = np.empty((B, steps, n + c))
+    parents = (X, context, *states, *Ws, *bs, *att)
+    keep = _taped(parents)   # the backward's caches, kept only when taped
+    caches = [[None] * steps for _ in layers]
+    ins = [np.empty((B, steps, n)) if keep and l else None for l in layers]
+    if attention is None:
+        XA += (context.data @ W_c)[:, None]
+        out[:, :, n:] = context.data[:, None]
+    else:
+        W_s, keys, v = (t.data for t in att)
+        H, mask = context.data, attention[3]
+        T_src, a = keys.shape[1:]
+        if keep:
+            Q = np.empty((steps, B, n))
+            U = np.empty((steps, B, T_src, a))
+            A = np.empty((steps, B, T_src))
+    s = [st.data for st in states]
+    q = s[-1][:, :n]
+    for t in range(steps):
+        xa = XA[:, t]
+        if attention is not None:
+            ctx, w, u = _additive_fwd(q @ W_s, keys, v, H, mask)
+            out[:, t, n:] = ctx
+            xa = xa + ctx @ W_c
+            if keep:
+                Q[t], U[t], A[t] = q, u, w
+        for l in layers:
+            if l:
+                xa = h @ W_x[l] + bs[l].data
+                if keep:
+                    ins[l][:, t] = h
+            s[l], cache = step(xa, s[l], W_h[l])
+            h = s[l][:, :n]
+            if keep:
+                caches[l][t] = cache
+        out[:, t, :n] = h
+        q = h
+
+    def bwd(G):
+        dA = [np.empty((B, steps, W.shape[1])) for W in Ws]
+        ds = [np.zeros(st.shape) for st in s]
+        if attention is not None:
+            GC, GQ = np.empty((steps, B, c)), np.empty((steps, B, a))
+            GE, GU = np.empty((steps, B, T_src)), np.empty(U.shape)
+        for t in reversed(range(steps)):
+            ds[-1][:, :n] += G[:, t, :n]
+            for l in reversed(layers):
+                da, ds[l] = step_bwd(ds[l], W_h[l], caches[l][t])
+                dA[l][:, t] = da
+                if l:
+                    ds[l - 1][:, :n] += da @ W_x[l].T
+            if attention is not None:   # da is layer 0's
+                GC[t] = G[:, t, n:] + da @ W_c.T
+                GE[t], GU[t], GQ[t] = _additive_bwd(GC[t], H, A[t], U[t], v)
+                ds[-1][:, :n] += GQ[t] @ W_s.T   # the query: the top h before
+        flat = [da.reshape(B * steps, -1) for da in dA]
+        rows = [np.concatenate([X.data.reshape(-1, e),
+                                out[:, :, n:].reshape(-1, c)], axis=1)]
+        rows += [ins[l].reshape(-1, n) for l in layers[1:]]
+        dWs, dbs = zip(*(_dW(r, f, dW_h(caches[l], f))
+                         for l, (r, f) in enumerate(zip(rows, flat))))
+        dX = (flat[0] @ W_x[0][:e].T).reshape(X.shape)
+        if attention is None:
+            dctx = G[:, :, n:].sum(axis=1) + dA[0].sum(axis=1) @ W_c.T
+            return (dX, dctx, *ds, *dWs, *dbs)
+        dH = np.matmul(A.transpose(1, 2, 0), GC.transpose(1, 0, 2))
+        return (dX, dH, *ds, *dWs, *dbs,
+                Q.reshape(-1, n).T @ GQ.reshape(-1, a), GU.sum(axis=0),
+                U.reshape(-1, a).T @ GE.reshape(-1, 1))
+
+    return _make(out, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -350,34 +350,81 @@ def test_run_rnn_checks_input_width():
         run_rnn(T.Tensor(np.zeros((1, 2, 4))), cell)
 
 
+def _per_step_loss_batch(model, src, src_mask, tgt, tgt_len, tgt_mask,
+                         train=True, rng=None):
+    """A recurrent model's teacher-forced loss with one ``decode_step`` per
+    target step, its top states and contexts stacked and joined for the
+    output layer: the reference for the one ``tensor.decoder_seq`` node of
+    ``loss_batch``."""
+    rng = rng or np.random.default_rng(0)
+    enc, layers = model._start(src, src_mask, train, rng)
+    emb_in = model._embed(tgt[:, :-1], train, rng)
+    tops, ctxs = [], []
+    for t in range(tgt.shape[1] - 1):
+        h, ctx, layers, _ = model.decode_step(emb_in[:, t], layers, enc,
+                                              train, rng)
+        tops.append(h)
+        ctxs.append(ctx)
+
+    def rows(steps):   # (B, h) per step -> (B * steps, h), batch-major
+        return T.reshape(T.stack(steps, axis=1), (-1, steps[0].shape[-1]))
+
+    probs = model._output_dist(T.concat([rows(tops), rows(ctxs)], axis=-1))
+    return model._loss_from_probs(probs, tgt, tgt_len, tgt_mask)
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("arch", ["seq2seq", "am", "han"])
 def test_model_losses_match_composed_steps(arch, seed, monkeypatch):
     """A model's loss and gradients through the fused ops (sequence ops,
-    step ops, additive attention) equal those through composed ops."""
+    the decoder op) equal those through composed ops and one decoder step
+    at a time, for both cell kinds, one and two decoder layers, and with
+    and without dropout, whose masks are drawn alike."""
     pairs = generate_pairs(seed, 24)
     vocab = build_vocab(pairs)
-    cfg = ModelConfig(architecture=arch, cell=("lstm", "gru")[seed % 2],
-                      hidden_dim=8, embed_dim=6, chunk_size=2,
-                      decoder_layers=1 + seed // 2)
-    model = build_model(cfg, vocab, seed=seed)
-    results = []
-    for composed in (False, True):
-        if composed:
-            monkeypatch.setattr(T, "rnn_step", _composed_step)
-            monkeypatch.setattr(T, "rnn_seq", _composed_seq)
-            monkeypatch.setattr(T, "additive_attention",
-                                _composed_additive_attention)
-        model.zero_grads()
-        with T.Graph() as g:
-            loss = model.loss_words(pairs, train=False)
-            T.backward(g, loss)
-        results.append((loss.item(), {k: t.grad.copy()
-                                      for k, t in model.params.items()}))
-    (loss_f, grads_f), (loss_c, grads_c) = results
-    assert abs(loss_f - loss_c) <= 1e-12
-    for k in grads_f:
-        assert np.allclose(grads_f[k], grads_c[k], rtol=0, atol=1e-12), k
+    keep = cells._keep
+    for cell in ("lstm", "gru"):
+        for layers in (1, 2):
+            for rate in (0.0, 0.1):
+                cfg = ModelConfig(architecture=arch, cell=cell, hidden_dim=8,
+                                  embed_dim=6, chunk_size=2,
+                                  decoder_layers=layers, dropout=rate)
+                model = build_model(cfg, vocab, seed=seed)
+                results = []
+                for composed in (False, True):
+                    masks = []
+                    monkeypatch.setattr(cells, "_keep", lambda *a: (
+                        masks.append(keep(*a)) or masks[-1]))
+                    if composed:
+                        monkeypatch.setattr(T, "rnn_step", _composed_step)
+                        monkeypatch.setattr(T, "rnn_seq", _composed_seq)
+                        monkeypatch.setattr(T, "additive_attention",
+                                            _composed_additive_attention)
+                        monkeypatch.setattr(type(model), "loss_batch",
+                                            _per_step_loss_batch)
+                    model.zero_grads()
+                    with T.Graph() as g:
+                        loss = model.loss_words(
+                            pairs, train=True,
+                            rng=np.random.default_rng(seed))
+                        T.backward(g, loss)
+                    results.append((loss.item(), masks,
+                                    {k: t.grad.copy()
+                                     for k, t in model.params.items()}))
+                    monkeypatch.undo()
+                (loss_f, masks_f, grads_f), ref = results
+                loss_c, masks_c, grads_c = ref
+                assert abs(loss_f - loss_c) <= 1e-12
+                for k in grads_f:
+                    assert np.allclose(grads_f[k], grads_c[k], rtol=0,
+                                       atol=1e-12), (cell, layers, rate, k)
+                # embeddings of source and target, then the top states: one
+                # (S, B, h) draw fused, S draws of (B, h) step by step
+                assert len(masks_f) == (3 if rate else 0)
+                if rate:
+                    assert np.array_equal(masks_f[0], masks_c[0])
+                    assert np.array_equal(masks_f[1], masks_c[1])
+                    assert np.array_equal(masks_f[2], np.stack(masks_c[2:]))
 
 
 def _sequence(n):

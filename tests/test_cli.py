@@ -874,6 +874,24 @@ class TestContentErrorsNameTheLine:
             f"error: {data}: line 2: unmapped symbol 'x' at offset 1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_wx_corpus_the_codec_cannot_read(self, tmp_path, capsys, command):
+        """A ``wx`` model is trained only on WX that its own ``evaluate``
+        can score: an unreadable word is an error before training."""
+        data = tmp_path / "wx.tsv"
+        data.write_text("kamala\tkamala\nnAma\tnAma\nrAma\tylLa\n"
+                        "xAma\txAma\n", encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        argv = ([command, "--data", str(data), "--arch", "am", "--script",
+                 "wx", "--hidden-dim", "4", "--embed-dim", "4",
+                 "--epochs", "1"]
+                + (["--out", str(out)] if command == "train"
+                   else ["--axis", "hidden_dim=4"]))
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 3: unmapped symbol 'L' at offset 2\n")
+        assert not out.exists()
+
     def test_evaluate_wx_model_unmapped_gold(self, devanagari_checkpoint,
                                              tmp_path, capsys):
         ckpt = load_checkpoint(devanagari_checkpoint)

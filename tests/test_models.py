@@ -92,7 +92,7 @@ class TestBahdanau:
         r = np.random.default_rng(1)
         s = T.Tensor(r.normal(size=(1, h)))
         H = T.Tensor(r.normal(size=(1, 4, 2 * h)))
-        ctx, alpha = attend_bahdanau(s, H, H @ p["W_h"], p)
+        ctx, alpha = attend_bahdanau(s, H, H @ p["W_h"], p, np.ones((1, 4)))
         assert ctx.shape == (1, 2 * h) and alpha.shape == (1, 4)
         e = np.tanh(s.data[0] @ p["W_s"].data
                     + H.data[0] @ p["W_h"].data) @ p["v"].data
@@ -107,14 +107,14 @@ class TestBahdanau:
         r = np.random.default_rng(2)
         H = T.Tensor(r.normal(size=(1, 5, 6)))
         _, alpha = attend_bahdanau(T.Tensor(r.normal(size=(1, 3))), H,
-                                   H @ p["W_h"], p)
+                                   H @ p["W_h"], p, np.ones((1, 5)))
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_when_states_equal(self):
         p = self._params(3)
         H = T.Tensor(np.tile(np.arange(6.0), (1, 4, 1)))
         ctx, alpha = attend_bahdanau(T.Tensor(np.zeros((1, 3))), H,
-                                     H @ p["W_h"], p)
+                                     H @ p["W_h"], p, np.ones((1, 4)))
         assert np.allclose(alpha, 0.25)
         assert np.allclose(ctx.data, H.data.mean(axis=1))
 
@@ -123,7 +123,7 @@ class TestBahdanau:
         with pytest.raises(EmptyInput):
             attend_bahdanau(T.Tensor(np.zeros((1, 3))),
                             T.Tensor(np.zeros((1, 0, 6))),
-                            T.Tensor(np.zeros((1, 0, 3))), p)
+                            T.Tensor(np.zeros((1, 0, 3))), p, np.ones((1, 0)))
 
 
 def _split_heads(x, heads):
@@ -216,6 +216,36 @@ class TestOneGemmMatmul:
         assert grads.keys() == ref_grads.keys()
         for k in grads:
             assert np.abs(grads[k] - ref_grads[k]).max() <= 1e-12, k
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("arch", ["seq2seq", "am", "han"])
+def test_training_batch_records_one_decoder_node(arch, cell, monkeypatch):
+    """Every decoder step of every layer, and its attention, is one taped
+    node, so a batch records as many nodes for long targets as for short."""
+    decoded = []
+    fused = T.decoder_seq
+
+    def spy(*args):
+        decoded.append(fused(*args))
+        return decoded[-1]
+
+    monkeypatch.setattr(T, "decoder_seq", spy)
+    vocab = build_vocab([("abcd", "abcd")])
+    model = build_model(_cfg(arch, cell=cell, decoder_layers=2), vocab,
+                        seed=0)
+    nodes = []
+    for length in (1, 3, 12):
+        pairs = [("abcd", "ab" * length), ("dcb", "c" * length)]
+        with T.Graph() as g:
+            loss = model.loss_words(pairs, train=True)
+            T.backward(g, loss)
+        assert len(decoded) == len(nodes) + 1
+        out = decoded[-1]
+        assert out.shape == (2, 2 * length + 1, 3 * model.cfg.hidden_dim)
+        assert sum(node is out for node in g.nodes) == 1
+        nodes.append(len(g.nodes))
+    assert len(set(nodes)) == 1
 
 
 def _causal(t):
@@ -375,7 +405,8 @@ class TestDecoding:
         src = np.array([vocab.encode("abc")], dtype=np.intp)
         with T.no_grad():
             for model, varies in ((s2s, False), (am, True)):
-                enc, layers = model._start(src, None, False, None)
+                enc, layers = model._start(src, np.ones(src.shape), False,
+                                           None)
                 ctxs = []
                 sym = 1
                 for _ in range(3):
@@ -384,7 +415,7 @@ class TestDecoding:
                     x = T.embedding(model.params["embedding"], np.array([sym]))
                     h, ctx, layers, _ = model.decode_step(x, layers, enc,
                                                           False, None)
-                    dist = model._output_dist(h, ctx)
+                    dist = model._output_dist(T.concat([h, ctx], axis=-1))
                     sym = int(np.argmax(dist.data))
                     assert dist.data.sum() == pytest.approx(1.0, abs=1e-12)
                 deltas = [np.abs(ctxs[i] - ctxs[0]).max() for i in (1, 2)]

@@ -163,6 +163,39 @@ def _seq_case(kind, x, w, b, mask, reverse):
                 y := T.rnn_seq(kind, x, w, b, mask, reverse), y)))
 
 
+def _decoder_case(kind, layers, attend, masked):
+    """A finite-difference case for ``decoder_seq``: ``layers`` stacked
+    cells of one kind, the context fixed or attended (over a source whose
+    first row is padded when ``masked``); every input takes a gradient."""
+    r = np.random.default_rng(44)   # own stream: the other cases keep theirs
+    B, steps, e, n, c, src, a = 2, 3, 2, 2, 3, 4, 2
+    G = {"lstm": 4, "gru": 3}[kind]
+    width = 2 if kind == "lstm" else 1
+    arrays = [r.normal(size=(B, steps, e)),
+              r.normal(size=(B, src, c) if attend else (B, c))]
+    arrays += [r.normal(size=(B, width * n)) for _ in range(layers)]
+    arrays += [r.normal(size=(e + c + n if l == 0 else 2 * n, G * n))
+               for l in range(layers)]
+    arrays += [r.normal(size=G * n) for _ in range(layers)]
+    if attend:
+        arrays += [r.normal(size=(n, a)), r.normal(size=(B, src, a)),
+                   r.normal(size=(a, 1))]
+    mask = np.where(np.array([[1, 1, 0, 0], [1, 1, 1, 1]]) > 0, 0.0, -1e9)
+    name = (f"{kind}_decoder_{layers}_layers"
+            + ("_attention" if attend else "") + ("_masked" if masked else ""))
+
+    def fn(X, ctx, *rest):
+        states, rest = rest[:layers], rest[layers:]
+        cells = list(zip(rest[:layers], rest[layers:2 * layers]))
+        attention = None
+        if attend:
+            attention = (*rest[2 * layers:], mask if masked else None)
+        y = T.decoder_seq(kind, X, states, cells, ctx, attention)
+        return T.tsum(T.mul(y, y))
+
+    return name, arrays, fn
+
+
 def _op_cases():
     r = np.random.default_rng(42)
     a32 = r.normal(size=(3, 2))
@@ -231,6 +264,9 @@ def _op_cases():
         *(_seq_case(kind, seq_x, w, b, mask, reverse)
           for kind, w, b in (("lstm", lstm_w, lstm_b), ("gru", gru_w, gru_b))
           for mask in (None, lengths) for reverse in (False, True)),
+        *(_decoder_case(kind, layers, attend, masked)
+          for kind in ("lstm", "gru") for layers in (1, 2)
+          for attend, masked in ((False, False), (True, False), (True, True))),
         ("additive_attention", [att_s, att_ws, att_keys, att_v, att_h],
          lambda s, ws, k, v, h: T.tsum(T.mul(
              c := T.additive_attention(s, ws, k, v, h)[0], c))),
@@ -298,6 +334,48 @@ def test_rnn_seq_keeps_step_caches_only_when_taped(monkeypatch, kind):
     with T.Graph() as g:
         out = run(T.Tensor(X), leaf(W), leaf(b))
         assert alive[-1] == steps - 1
+        T.backward(g, T.tsum(out))
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_decoder_seq_keeps_step_caches_only_when_taped(monkeypatch, kind):
+    """As ``rnn_seq``: untaped, a step's cache is freed once the next cell
+    step has run; taped, every step's cache of every layer is kept for the
+    backward pass."""
+    width, step, step_bwd, dW_h = T._CELLS[kind]
+    refs, alive = [], []
+
+    def watched_step(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        s, cache = step(*args)
+        cache = _Cache(cache)
+        refs.append(weakref.ref(cache))
+        return s, cache
+
+    monkeypatch.setitem(T._CELLS, kind, (width, watched_step, step_bwd, dW_h))
+    r = np.random.default_rng(0)
+    B, steps, e, n, c, G = 2, 6, 2, 3, 4, (4 if kind == "lstm" else 3)
+    X, ctx = r.normal(size=(B, steps, e)), r.normal(size=(B, c))
+    states = [r.normal(size=(B, width * n)) for _ in range(2)]
+    Ws = [r.normal(size=(e + c + n, G * n)), r.normal(size=(2 * n, G * n))]
+    bs = [np.zeros(G * n)] * 2
+
+    def run(wrap):
+        refs.clear()
+        alive.clear()
+        return T.decoder_seq(kind, T.Tensor(X),
+                             [T.Tensor(st) for st in states],
+                             [(wrap(W), wrap(b)) for W, b in zip(Ws, bs)],
+                             T.Tensor(ctx))
+
+    run(leaf)
+    assert max(alive) <= 1
+    with T.Graph():
+        run(T.Tensor)
+    assert max(alive) <= 1
+    with T.Graph() as g:
+        out = run(leaf)
+        assert alive[-1] == 2 * steps - 1
         T.backward(g, T.tsum(out))
 
 
