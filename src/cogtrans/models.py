@@ -8,8 +8,9 @@
              are ``tensor.additive_attention``
 * tn       - transformer: multi-head self-attention, residuals, layer norm
 
-All models share the taped tensor core, train on padded batches with loss
-masks, and decode greedily through one loop (``transduce_ids``) that steps
+All models share the taped tensor core, train on padded batches, score
+only each word's real target positions (``_loss_from_probs``), and decode
+greedily through one loop (``transduce_ids``) that steps
 a padded batch of words in lockstep through each family's start and
 next-step hooks; each row stops at its own EOS, and its attention is cut to
 its own steps and source length.  ``transduce_batch`` decodes a list of
@@ -22,15 +23,24 @@ each way over the whole (B, T, d) sequence (every step's input projected
 in one matmul, ``tensor.rnn_seq``).  Under teacher forcing the whole
 decoder stack, every step of every layer with its attention, is one taped
 op (``tensor.decoder_seq``) that returns [top h | context] for every step,
-and the output layer runs once per batch over those rows.  Greedy decoding
+and the output layer runs once per batch over the rows of the scored
+steps.  Greedy decoding
 steps each decoder layer as one taped op (``tensor.rnn_step``) on the
 layer's state, [h | c] for LSTM and h for GRU, and each step's attention as
 one (``tensor.additive_attention``); all these ops take the cell's ``W``
 and ``b`` as stored.  Each layer keeps (h, state), so the next layer and
 the attention query read h without slicing it again.  The
 additive-attention keys ``H @ W_h`` are computed once per batch.
-``tn`` decodes incrementally: it encodes the word and
-projects each decoder layer's cross-attention keys/values once, and writes
+``tn`` trains on packed rows: after the embedding, positional rows and
+dropout, which run on the padded (B, T, d) shape, it gathers the real rows
+of each side once, the source positions and the scored target positions,
+and every projection, FFN, residual add, layer norm and the output layer
+run on those (N, d) rows only.  Attention (``tensor.attention``) scatters
+them into the padded layout inside its one node; causal attention never
+lets a scored position read a target row that was left out.  ``tn``
+decodes incrementally on dense (B, 1, d) rows: it encodes the word,
+unpacks the encoder rows and projects each decoder layer's cross-attention
+keys/values once, and writes
 each layer's self-attention keys/values into a cache preallocated for
 ``max_decode_len`` positions (``DecodeState``), so every step runs the
 decoder on the new position only and copies no earlier one.  Every product
@@ -177,17 +187,21 @@ def attend_bahdanau(s_prev, H, keys, p, mask):
                                 _additive_mask(mask))
 
 
-def multi_head_attention(q, k, v, heads, W_o, mask):
+def multi_head_attention(q, k, v, heads, W_o, mask, q_rows=None,
+                         kv_rows=None):
     """Multi-head scaled dot-product attention of projected (B, tq, d)
     queries over projected (B, tk, d) keys and values, then the output
     projection ``W_o``.  ``mask`` is an additive constant that broadcasts to
     (B, heads, tq, tk), or None when no key is masked.  The scores, mask,
-    softmax and weighted sum are one taped op (``tensor.attention``).
-    Returns the output and the (B, heads, tq, tk) weights as an array.
+    softmax and weighted sum are one taped op (``tensor.attention``), which
+    takes packed (N, d) queries, or keys and values, with their (B, t)
+    boolean row layouts ``q_rows`` and ``kv_rows``; the output then has the
+    queries' packed rows.  Returns the output and the (B, heads, tq, tk)
+    weights as an array.
     """
     if q.shape[-1] % heads != 0:
         raise InvalidArgument("model dim not divisible by head count")
-    out, weights = T.attention(q, k, v, heads, mask)
+    out, weights = T.attention(q, k, v, heads, mask, q_rows, kv_rows)
     return out @ W_o, weights
 
 
@@ -195,6 +209,13 @@ def _key_mask(src_mask):
     """The additive (B, 1, 1, T) mask over the source keys from the (B, T)
     0/1 source mask."""
     return _additive_mask(src_mask)[:, None, None, :]
+
+
+def _scored(tgt_mask):
+    """The (B, T-1) boolean over the teacher-forced decoder positions whose
+    next char is scored, from the (B, T) 0/1 target mask: every position up
+    to the one that predicts EOS.  Each row's are a prefix."""
+    return tgt_mask[:, 1:] > 0
 
 
 class ModelBase:
@@ -299,12 +320,13 @@ class TransductionModel(ModelBase):
         return [(prefix[b, 1:1 + chars[b]].tolist(),
                  att[b, :steps[b], :lens[b]], not done[b]) for b in range(B)]
 
-    def _loss_from_probs(self, probs_flat, tgt, tgt_len, tgt_mask):
-        """Mean CE over real target chars per word, then mean over words."""
-        B = tgt.shape[0]
-        targets = tgt[:, 1:].reshape(-1)
-        w = tgt_mask[:, 1:] / (tgt_len - 1.0)[:, None] / B
-        return T.cross_entropy_rows(probs_flat, targets, w.reshape(-1))
+    def _loss_from_probs(self, probs, tgt, tgt_len, tgt_mask):
+        """Mean CE over real target chars per word, then mean over words,
+        from the (N, V) distributions of the scored positions only
+        (``_scored``), row-major."""
+        rows = _scored(tgt_mask)
+        w = tgt_mask[:, 1:] / (tgt_len - 1.0)[:, None] / tgt.shape[0]
+        return T.cross_entropy_rows(probs, tgt[:, 1:][rows], w[rows])
 
 
 def build_model(cfg, vocab, seed=0, embedding=None):
@@ -412,7 +434,8 @@ class _RecurrentModel(TransductionModel):
         """Teacher-forced loss: every decoder step of every layer, and its
         attention, is one taped op (``tensor.decoder_seq``), which computes
         what ``decode_step`` computes at each step.  Dropout on the top
-        states draws the masks that per-step dropout draws."""
+        states draws the masks that per-step dropout draws; then only the
+        scored steps' rows reach the output layer."""
         rng = rng or np.random.default_rng(0)
         enc, layers = self._start(src, src_mask, train, rng)
         emb_in = self._embed(tgt[:, :-1], train, rng)
@@ -428,7 +451,7 @@ class _RecurrentModel(TransductionModel):
         if train and self.cfg.dropout > 0:
             out = cells.dropout_steps(out, self.cfg.dropout, rng,
                                       self.cfg.hidden_dim)
-        probs = self._output_dist(T.reshape(out, (-1, out.shape[-1])))
+        probs = self._output_dist(out[_scored(tgt_mask)])
         return self._loss_from_probs(probs, tgt, tgt_len, tgt_mask)
 
     def _decode_start(self, src, src_mask):
@@ -580,19 +603,27 @@ class TransformerModel(TransductionModel):
         return x
 
     def _encode(self, src, src_mask, train, rng):
-        x = self._embed_pos(src, train, rng)
+        """The top encoder states of the real source positions, where the
+        (B, T) 0/1 ``src_mask`` is 1, as packed (N, d) rows, row-major."""
+        rows = src_mask > 0
+        x = self._embed_pos(src, train, rng)[rows]
         p, mask = self.params, _key_mask(src_mask)
         for l in range(self.cfg.num_layers):
             n = f"enc{l}_self_"
             a = multi_head_attention(x @ p[n + "W_q"], *self._kv(x, n),
-                                     self.cfg.num_heads, p[n + "W_o"], mask)[0]
+                                     self.cfg.num_heads, p[n + "W_o"], mask,
+                                     rows, rows)[0]
             x = self._ln(x + a, "enc", l, 0)
             x = self._ln(x + self._ffn(x, "enc", l), "enc", l, 1)
         return x
 
-    def _decode(self, tgt_in, enc_out, src_mask, train, rng, state=None):
+    def _decode(self, tgt_in, enc_out, src_mask, train, rng, state=None,
+                tgt_rows=None):
         """The top decoder states and the last layer's cross-attention
-        weights (B, heads, t, T).  Each block projects its queries before
+        weights (B, heads, t, T).  Without a state the source is
+        ``_encode``'s packed rows; with ``tgt_rows``, a (B, t) boolean, only
+        those target positions run, as packed rows, and the states come
+        back packed.  Each block projects its queries before
         its keys and values: ``tensor.backward`` adds the gradient parts of
         the block input in the reverse of that order, and another order
         changes the gradients in their last bits.  The projections are
@@ -600,24 +631,28 @@ class TransformerModel(TransductionModel):
         none outlives its block."""
         p, heads = self.params, self.cfg.num_heads
         if state is None:
-            start, key_mask = 0, _key_mask(src_mask)
+            start, key_mask, src_rows = 0, _key_mask(src_mask), src_mask > 0
             t = tgt_in.shape[1]
             causal = np.triu(np.full((t, t), NEG_INF), k=1)[None, None]
         else:   # the one new position attends to every cached one
-            start, key_mask, causal = state.length, state.key_mask, None
+            start, key_mask, src_rows = state.length, state.key_mask, None
+            causal = None
         y = self._embed_pos(tgt_in[:, start:], train, rng, start=start)
+        if tgt_rows is not None:
+            y = y[tgt_rows]
         for l in range(self.cfg.num_layers):
             weights = None   # free the previous layer's before this one runs
             n = f"dec{l}_self_"
             a = multi_head_attention(y @ p[n + "W_q"],
                                      *self._self_kv(y, l, state), heads,
-                                     p[n + "W_o"], causal)[0]
+                                     p[n + "W_o"], causal, tgt_rows,
+                                     tgt_rows)[0]
             y = self._ln(y + a, "dec", l, 0)
             n = f"dec{l}_cross_"
             a, weights = multi_head_attention(
                 y @ p[n + "W_q"],
                 *(self._kv(enc_out, n) if state is None else state.cross[l]),
-                heads, p[n + "W_o"], key_mask)
+                heads, p[n + "W_o"], key_mask, tgt_rows, src_rows)
             y = self._ln(y + a, "dec", l, 1)
             y = self._ln(y + self._ffn(y, "dec", l), "dec", l, 2)
         if state is not None:
@@ -625,10 +660,14 @@ class TransformerModel(TransductionModel):
         return y, weights
 
     def forward(self, src, tgt_in, src_mask=None, train=False, rng=None,
-                state=None):
+                state=None, tgt_rows=None):
         """Next-char distributions (B, T_tgt, V) under teacher forcing, and
         the last decoder layer's cross-attention weights (B, heads, T_tgt,
-        T_src), from the ``encode_batch`` ids ``src`` and 0/1 ``src_mask``.
+        T_src), from the ``encode_batch`` ids ``src`` and 0/1 ``src_mask``,
+        which is required.  The encoder runs on the real source positions
+        only.  With ``tgt_rows``, a (B, T_tgt) boolean, so does the decoder:
+        only those positions of ``tgt_in`` run, and their distributions come
+        back as packed (N, V) rows, row-major.
 
         With a ``DecodeState`` from ``_decode_start`` (greedy decoding),
         ``src`` and ``src_mask`` are not read: the state holds the source's
@@ -639,26 +678,38 @@ class TransformerModel(TransductionModel):
         """
         if train and rng is None:
             rng = np.random.default_rng(0)
-        if state is None and src.shape[1] == 0:
-            raise EmptyInput("empty source")
+        if state is None:
+            if src_mask is None:
+                raise InvalidArgument("forward needs the source mask "
+                                      "(src_mask) unless it decodes from a "
+                                      "DecodeState")
+            if src.shape[1] == 0:
+                raise EmptyInput("empty source")
         enc = (self._encode(src, src_mask, train, rng) if state is None
                else None)
-        y, weights = self._decode(tgt_in, enc, src_mask, train, rng, state)
+        y, weights = self._decode(tgt_in, enc, src_mask, train, rng, state,
+                                  tgt_rows)
         logits = y @ self.params["W_out"] + self.params["b_out"]
         return T.softmax(logits, axis=-1), weights
 
     def loss_batch(self, src, src_mask, tgt, tgt_len, tgt_mask, train=True,
                    rng=None):
+        """Teacher-forced loss; the decoder runs on the scored positions
+        only (``_scored``), which causal attention lets read no other."""
         probs, _ = self.forward(src, tgt[:, :-1], src_mask=src_mask,
-                                train=train, rng=rng)
-        flat = T.reshape(probs, (-1, len(self.vocab)))
-        return self._loss_from_probs(flat, tgt, tgt_len, tgt_mask)
+                                train=train, rng=rng,
+                                tgt_rows=_scored(tgt_mask))
+        return self._loss_from_probs(probs, tgt, tgt_len, tgt_mask)
 
     def _decode_start(self, src, src_mask):
-        """Encode the source, project each decoder layer's cross-attention
-        keys/values and allocate its self-attention cache, once per decoded
-        batch."""
-        enc = self._encode(src, src_mask, False, None)
+        """Encode the source, unpack its rows into the padded (B, T, d)
+        layout (zeros at padding, which the key mask hides), project each
+        decoder layer's cross-attention keys/values and allocate its
+        self-attention cache, once per decoded batch."""
+        packed = self._encode(src, src_mask, False, None)
+        enc = np.zeros(src.shape + (self.cfg.d_model,))
+        enc[src_mask > 0] = packed.data
+        enc = Tensor(enc)
         layers = range(self.cfg.num_layers)
         shape = (src.shape[0], self.cfg.max_decode_len, self.cfg.d_model)
         return DecodeState(

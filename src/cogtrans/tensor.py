@@ -9,6 +9,9 @@ Fused ops with hand-written backwards record one node for what would be
 many: a recurrent step (``rnn_step``) or sequence (``rnn_seq``) of either
 cell kind, a teacher-forced decoder stack with its attention over every
 step (``decoder_seq``), and the multi-head and additive attention blocks.
+The multi-head block also runs on packed rows, the real positions of a
+padded batch only (``attention``'s row layouts), so that every op around it
+can skip the padding.
 """
 
 import numpy as np
@@ -531,7 +534,18 @@ def rnn_seq(kind, X, W, b, mask=None, reverse=False):
 # fused attention: one node per attention call for the scores, softmax and
 # weighted sum (multi-head scaled dot-product, and additive)
 
-def attention(q, k, v, heads, mask=None):
+def _unpack(a, rows):
+    """Packed (N, d) rows into the padded (B, t, d) layout of the (B, t)
+    boolean ``rows``, row-major, zeros where it is False; with no layout,
+    ``a`` as it is."""
+    if rows is None:
+        return a
+    out = np.zeros(rows.shape + a.shape[-1:])
+    out[rows] = a
+    return out
+
+
+def attention(q, k, v, heads, mask=None, q_rows=None, kv_rows=None):
     """Multi-head scaled dot-product attention over projected rows.
 
     q: (B, tq, d) and k, v: (B, tk, d) are split into ``heads`` slices of
@@ -539,32 +553,46 @@ def attention(q, k, v, heads, mask=None):
     ``mask`` is an additive constant that broadcasts to (B, heads, tq, tk).
     Returns the heads merged back into one (B, tq, d) node, and the
     (B, heads, tq, tk) weights as an untaped array.
+
+    ``q_rows`` and ``kv_rows`` are optional row layouts: (B, tq) and
+    (B, tk) booleans.  With one, q (or k and v) holds only the layout's
+    positions as packed (N, d) rows, row-major.  The op scatters them into
+    the padded layout, zeros elsewhere, and with ``q_rows`` returns the
+    output's (N, d) rows at those positions; its backward does the same in
+    reverse.  The mask must keep every query of the layout off the keys it
+    leaves out.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    B, tq, d = q.shape
+    Q = _unpack(q.data, q_rows)
+    K, V = _unpack(k.data, kv_rows), _unpack(v.data, kv_rows)
+    B, _, d = Q.shape
     dk = d // heads
 
     def split(a):
         return np.transpose(a.reshape(B, a.shape[1], heads, dk), (0, 2, 1, 3))
 
-    def merge(a):
-        return np.transpose(a, (0, 2, 1, 3)).reshape(B, a.shape[2], d)
+    def merge(a, rows):
+        """(B, heads, t, dk) -> (B, t, d), or its (N, d) rows at ``rows``."""
+        a = np.transpose(a, (0, 2, 1, 3))
+        return a.reshape(B, a.shape[1], d) if rows is None else (
+            a[rows].reshape(-1, d))
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(Q), split(K), split(V)
     scale = 1.0 / np.sqrt(dk)
     w = _softmax(np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale, mask)
 
     def bwd(g):
         # each matmul in the order and layout of the backward pass over the
         # composed ops (dK as (qᵀ g_s)ᵀ), so the gradients equal that pass's
-        gh = np.transpose(g.reshape(B, tq, heads, dk), (0, 2, 1, 3))
+        gh = split(_unpack(g, q_rows))
         gw = np.matmul(gh, np.swapaxes(vh, -1, -2))
         gs = _softmax_bwd(w, gw) * scale
         gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)
         gv = np.matmul(np.swapaxes(w, -1, -2), gh)
-        return merge(np.matmul(gs, kh)), merge(gk), merge(gv)
+        return (merge(np.matmul(gs, kh), q_rows), merge(gk, kv_rows),
+                merge(gv, kv_rows))
 
-    return _make(merge(np.matmul(w, vh)), (q, k, v), bwd), w
+    return _make(merge(np.matmul(w, vh), q_rows), (q, k, v), bwd), w
 
 
 def _additive_fwd(q, keys, v, H, mask):

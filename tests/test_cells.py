@@ -353,9 +353,9 @@ def test_run_rnn_checks_input_width():
 def _per_step_loss_batch(model, src, src_mask, tgt, tgt_len, tgt_mask,
                          train=True, rng=None):
     """A recurrent model's teacher-forced loss with one ``decode_step`` per
-    target step, its top states and contexts stacked and joined for the
-    output layer: the reference for the one ``tensor.decoder_seq`` node of
-    ``loss_batch``."""
+    target step, its top states and contexts stacked and joined, and the
+    rows of the scored steps picked for the output layer: the reference for
+    the one ``tensor.decoder_seq`` node of ``loss_batch``."""
     rng = rng or np.random.default_rng(0)
     enc, layers = model._start(src, src_mask, train, rng)
     emb_in = model._embed(tgt[:, :-1], train, rng)
@@ -369,7 +369,8 @@ def _per_step_loss_batch(model, src, src_mask, tgt, tgt_len, tgt_mask,
     def rows(steps):   # (B, h) per step -> (B * steps, h), batch-major
         return T.reshape(T.stack(steps, axis=1), (-1, steps[0].shape[-1]))
 
-    probs = model._output_dist(T.concat([rows(tops), rows(ctxs)], axis=-1))
+    joined = T.concat([rows(tops), rows(ctxs)], axis=-1)
+    probs = model._output_dist(joined[tgt_mask[:, 1:].reshape(-1) > 0])
     return model._loss_from_probs(probs, tgt, tgt_len, tgt_mask)
 
 

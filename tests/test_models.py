@@ -131,11 +131,26 @@ def _split_heads(x, heads):
     return T.transpose(T.reshape(x, (B, t, heads, d // heads)), (0, 2, 1, 3))
 
 
-def _composed_attention(q, k, v, heads, W_o, mask):
-    """``multi_head_attention`` as a chain of small taped ops (head split,
-    scaled scores, an additive mask that is all zeros when nothing is
-    masked, softmax, weighted sum, head merge): the reference for the one
-    fused ``tensor.attention`` node."""
+def _scatter(x, rows):
+    """Packed (N, d) rows into the padded (B, t, d) layout of the (B, t)
+    boolean ``rows``, zeros elsewhere, as the product with a constant 0/1
+    matrix: each output element and each gradient element is one term, so
+    both directions are exact."""
+    if rows is None:
+        return x
+    select = np.zeros((rows.size, x.shape[0]))
+    select[np.flatnonzero(rows), np.arange(x.shape[0])] = 1.0
+    return T.reshape(T.Tensor(select) @ x, rows.shape + x.shape[-1:])
+
+
+def _composed_attention(q, k, v, heads, W_o, mask, q_rows=None,
+                        kv_rows=None):
+    """``multi_head_attention`` as a chain of small taped ops (packed rows
+    scattered into the padded layout, head split, scaled scores, an
+    additive mask that is all zeros when nothing is masked, softmax,
+    weighted sum, head merge, the packed query rows gathered back): the
+    reference for the one fused ``tensor.attention`` node."""
+    q, k, v = _scatter(q, q_rows), _scatter(k, kv_rows), _scatter(v, kv_rows)
     B, tq, d = q.shape
     qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
     scores = qh @ T.transpose(kh, (0, 1, 3, 2)) * (1.0 / np.sqrt(d // heads))
@@ -143,8 +158,10 @@ def _composed_attention(q, k, v, heads, W_o, mask):
     if mask is not None:
         full += mask
     weights = T.softmax(scores, axis=-1, mask=full)
-    out = T.reshape(T.transpose(weights @ vh, (0, 2, 1, 3)), (B, tq, d)) @ W_o
-    return out, weights.data
+    out = T.reshape(T.transpose(weights @ vh, (0, 2, 1, 3)), (B, tq, d))
+    if q_rows is not None:
+        out = out[q_rows]
+    return out @ W_o, weights.data
 
 
 def _stacked_matmul(a, b):
@@ -248,6 +265,39 @@ def test_training_batch_records_one_decoder_node(arch, cell, monkeypatch):
     assert len(set(nodes)) == 1
 
 
+_PADDING_CASES = [("tn", "lstm")] + [
+    (arch, cell) for arch in ("seq2seq", "am", "han") for cell in ("lstm", "gru")]
+
+
+@pytest.mark.parametrize("arch,cell", _PADDING_CASES)
+def test_padded_batch_equals_mean_of_single_words(arch, cell):
+    """Without dropout, the loss of a padded batch of words of mixed length
+    is the mean of the words' batch-of-one losses, and each parameter's
+    gradient the mean of theirs.  A batch of one has no padding, so no
+    padded position may reach the loss, whatever path leaves it out."""
+    pairs = generate_pairs(3, 10)
+    assert len({len(s) for s, _ in pairs}) > 2
+    assert len({len(t) for _, t in pairs}) > 2
+    vocab = build_vocab(pairs)
+    model = build_model(_cfg(arch, cell=cell, d_model=16, ffn_dim=24,
+                             num_layers=2, decoder_layers=2, chunk_size=3),
+                        vocab, seed=1)
+
+    def run(batch):
+        model.zero_grads()
+        with T.Graph() as g:
+            loss = model.loss_words(batch, train=False)
+            T.backward(g, loss)
+        return loss.item(), {k: t.grad.copy() for k, t in model.params.items()}
+
+    loss, grads = run(pairs)
+    singles = [run([pair]) for pair in pairs]
+    assert abs(loss - np.mean([l for l, _ in singles])) <= 1e-12
+    for k, grad in grads.items():
+        mean = np.mean([one[k] for _, one in singles], axis=0)
+        assert np.abs(grad - mean).max() <= 1e-12, k
+
+
 def _causal(t):
     return np.triu(np.full((t, t), -1e9), k=1)[None, None]
 
@@ -310,25 +360,36 @@ class TestMultiHeadAttention:
         mem = T.Tensor(r.normal(size=(B, t + 1, d)), requires_grad=True)
         probe = r.normal(size=(B, t, d))
         mask = None
+        # packed modes: the real rows of words of 4 and 2 positions, over
+        # keys of 5 and 3
+        q_rows = kv_rows = None
+        if mode.startswith("packed"):
+            q_rows = np.arange(t)[None, :] < np.array([[t], [2]])
+            kv_rows = np.arange(t + 1)[None, :] < np.array([[t + 1], [3]])
+            probe = probe[q_rows]
         with T.Graph() as g:
+            queries = x if q_rows is None else x[q_rows]
             if mode == "kv":   # one query over cached keys, as a decode step
                 q = x[:, -1:] @ p["W_q"]
                 probe = probe[:, -1:]
             else:
-                q = x @ p["W_q"]
-            keys = x if mode == "causal" else mem
-            k, v = keys @ p["W_k"], keys @ p["W_v"]
-            if mode == "causal":
+                q = queries @ p["W_q"]
+            if mode in ("causal", "packed_causal"):
+                keys, kv_rows = queries, q_rows
                 mask = _causal(t)
-            elif mode == "key_masked":
+            else:
+                keys = mem if kv_rows is None else mem[kv_rows]
+            k, v = keys @ p["W_k"], keys @ p["W_v"]
+            if mode in ("key_masked", "packed_cross"):
                 mask = np.zeros((B, 1, 1, t + 1))
                 mask[1, ..., -2:] = -1e9
-            out, w = mha(q, k, v, heads, p["W_o"], mask)
+            out, w = mha(q, k, v, heads, p["W_o"], mask, q_rows, kv_rows)
             T.backward(g, T.tsum(T.mul(out, probe)))
         grads = [t.grad for t in (x, mem, *p.values())]
         return out.data, w, grads
 
-    @pytest.mark.parametrize("mode", ["plain", "causal", "key_masked", "kv"])
+    @pytest.mark.parametrize("mode", ["plain", "causal", "key_masked", "kv",
+                                      "packed_causal", "packed_cross"])
     @pytest.mark.parametrize("seed", range(3))
     def test_fused_matches_composed_ops_exactly(self, mode, seed):
         out, w, grads = self._attention_case(multi_head_attention, mode, seed)
@@ -640,6 +701,10 @@ class TestHan:
 
 class TestTransformer:
     def test_residual_skeleton(self):
+        """With zero attention and FFN weights, unit gains and zero biases,
+        every block is layer_norm(x + 0): the encoder layer returns the
+        embedded rows normalized twice, one packed row per real position of
+        a padded batch."""
         vocab = _vocab()
         model = build_model(_cfg("tn"), vocab, seed=1)
         for name, t in model.params.items():
@@ -650,13 +715,26 @@ class TestTransformer:
             elif any(k in name for k in ("W_q", "W_k", "W_v", "W_o",
                                           "W1", "W2", "b1", "b2")):
                 t.data[...] = 0.0
-        src, _, mask = encode_batch(vocab, ["abc"])
+        src, _, mask = encode_batch(vocab, ["abc", "a", "ba"])
         with T.no_grad():
             H = model._encode(src, mask, False, None)
-            x = model._embed_pos(src, False, None)
-        ref = x.data - x.data.mean(axis=-1, keepdims=True)
-        ref /= np.sqrt(x.data.var(axis=-1, keepdims=True) + 1e-6)
-        assert np.allclose(H.data, ref, atol=1e-9)
+            x = model._embed_pos(src, False, None).data[mask > 0]
+        ref = x
+        for _ in ("attention", "ffn"):
+            ref = ref - ref.mean(axis=-1, keepdims=True)
+            ref /= np.sqrt(ref.var(axis=-1, keepdims=True) + 1e-6)
+        assert H.shape == (5 + 3 + 4, 8)
+        assert np.allclose(H.data, ref, rtol=0, atol=1e-9)
+
+    def test_forward_requires_source_mask(self):
+        """Without a decode state, ``forward`` needs the source mask to
+        pick the real source rows, and says so."""
+        model = build_model(_cfg("tn"), _vocab(), seed=0)
+        src, _, mask = encode_batch(model.vocab, ["abc"])
+        with pytest.raises(InvalidArgument, match="src_mask"):
+            model.forward(src, src[:, :2])
+        probs, _ = model.forward(src, src[:, :2], mask)
+        assert probs.shape == (1, 2, len(model.vocab))
 
     def test_causal_invariance_end_to_end(self):
         vocab = _vocab()

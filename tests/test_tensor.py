@@ -221,6 +221,13 @@ def _op_cases():
     att_v, att_h = rs.normal(size=(4, 1)), rs.normal(size=(2, 5, 3))
     att_mask = np.where(np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]) > 0, 0.0, -1e9)
     key_mask = np.where(np.array([[1, 1, 0], [1, 1, 1]]) > 0, 0.0, -1e9)[:, None, None, :]
+    # packed rows: 5 real positions of a (2, 4) query grid and of the (2, 3)
+    # key/value grid that key_mask masks
+    rp = np.random.default_rng(45)   # own stream, as above
+    q_rows = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=bool)
+    kv_rows = np.array([[1, 1, 0], [1, 1, 1]], dtype=bool)
+    pq, pk, pv = (rp.normal(size=(5, 4)) for _ in range(3))
+    causal4 = np.triu(np.full((4, 4), -1e9), k=1)[None, None]
     return [
         ("add", [a32, b32], lambda a, b: T.tsum(T.add(a, b))),
         ("add_broadcast", [a32, r.normal(size=(2,))],
@@ -280,6 +287,12 @@ def _op_cases():
         ("attention_key_masked", [aq, ak, av],
          lambda q, k, v: T.tsum(T.mul(
              y := T.attention(q, k, v, 2, key_mask)[0], y))),
+        ("attention_packed_causal", [pq, pk, pv],
+         lambda q, k, v: T.tsum(T.mul(
+             y := T.attention(q, k, v, 2, causal4, q_rows, q_rows)[0], y))),
+        ("attention_packed_key_masked", [pq, pk, pv],
+         lambda q, k, v: T.tsum(T.mul(
+             y := T.attention(q, k, v, 2, key_mask, q_rows, kv_rows)[0], y))),
         ("cross_entropy_rows", [probs_src],
          lambda p: T.cross_entropy_rows(
              T.softmax(p, axis=-1), np.array([1, 0, 4]),
