@@ -7,15 +7,15 @@ checkpoint keeps the same two arrays.  A whole recurrence over (B, T, d)
 inputs from a zero state (``run_rnn``: the encoders and the char LM) is one
 taped op (``tensor.rnn_seq``) that projects every step's input in one
 matmul, and ``run_birnn`` runs one each way for every bidirectional encoder
-(the models' and the char LM's); a step whose input depends on the step
-before (``cell_step``: greedy decoding) is one taped op too
-(``tensor.rnn_step``).  Under teacher forcing the models run a whole decoder
-stack over every step as one taped op (``tensor.decoder_seq``), with
-``dropout_steps`` drawing its top states' masks as per-step dropout would.
-The ops serve both cell kinds and carry a cell's state as one (B, S) tensor
-whose first hidden_dim columns are h ([h | c] for LSTM, h for GRU).  Only
-the sequence op masks padding: its padded rows keep their state, while a
-decoder step steps every row.
+(the models' and the char LM's).  Under teacher forcing the models run a
+whole decoder stack over every step as one taped op
+(``tensor.decoder_seq``), with ``dropout_steps`` drawing its top states'
+masks as per-step dropout would.  A step whose input depends on the step
+before (``cell_step``: greedy decoding) is untaped and runs on arrays.  All
+three run one step function per cell kind (``tensor._CELLS``) and carry a
+cell's state as one (B, S) array whose first hidden_dim columns are h
+([h | c] for LSTM, h for GRU).  Only the sequence op masks padding: its
+padded rows keep their state, while a decoder step steps every row.
 """
 
 from dataclasses import dataclass
@@ -65,23 +65,20 @@ def init_cell_params(kind, input_dim, hidden_dim, rng):
 
 
 def cell_step(x, state, cell):
-    """One step of a cell over (B, d) rows: the (B, S) state in, (h',
-    state') out.  The state is [h | c] for LSTM, h for GRU, so only an
-    LSTM's h is sliced out (one taped node).
-
-    LSTM: c' = f*c + i*g, h' = o*tanh(c').  GRU: h' = z*h + (1-z)*n with
-    reset-gated candidate n.  Every row steps.
+    """One untaped step of a cell over (B, d) array rows: the (B, S) state
+    ([h | c] for LSTM, h for GRU) in, the new state out.  It is the kind's
+    step in ``tensor._CELLS``, which ``tensor.rnn_seq`` and
+    ``tensor.decoder_seq`` run too.  Every row steps.
     """
-    n = cell.hidden_dim
-    lstm = cell.kind == "lstm"
-    width = 2 * n if lstm else n
-    if x.shape[-1] != cell.input_dim or state.shape[-1] != width:
+    width, step = T._CELLS[cell.kind][:2]
+    d, n = cell.input_dim, cell.hidden_dim
+    if x.shape[-1] != d or state.shape[-1] != width * n:
         raise InvalidShape(
-            f"cell expects input {cell.input_dim} / state {width}, "
+            f"cell expects input {d} / state {width * n}, "
             f"got {x.shape[-1]} / {state.shape[-1]}"
         )
-    state = T.rnn_step(cell.kind, x, state, cell.W, cell.b)
-    return (state[:, :n] if lstm else state), state
+    W = cell.W.data
+    return step(x @ W[:d] + cell.b.data, state, W[d:])[0]
 
 
 def run_rnn(X, cell, mask=None, reverse=False):

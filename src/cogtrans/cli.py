@@ -47,18 +47,34 @@ def _config(cls, args, section=None):
 
 
 def _axis(text):
-    """``name=v1,v2,...`` -> (name, values converted to the field's type)."""
-    if "=" not in text:
+    """``name=v1,v2,...`` -> (name, values converted to the field's type);
+    the name must be a config field's."""
+    name, sep, values = text.partition("=")
+    if not sep:
         raise CogtransError(f"--axis expects name=v1,v2,..., got {text!r}")
-    name, values = text.split("=", 1)
-    out = [data_io._coerce(raw) for raw in values.split(",")]
-    if name in training.CONFIG_FIELDS:
-        kind = training.CONFIG_FIELDS[name][1]
-        out = [require_type(f"--axis {name}", kind, value) for value in out]
-        if kind is float:   # no float field takes NaN or infinity
-            for value in out:
-                require_finite(f"--axis {name}", value)
+    if name not in training.CONFIG_FIELDS:
+        raise InvalidArgument(f"--axis: unknown hyperparameter {name!r}")
+    kind = training.CONFIG_FIELDS[name][1]
+    out = [require_type(f"--axis {name}", kind, data_io._coerce(raw))
+           for raw in values.split(",")]
+    if kind is float:   # no float field takes NaN or infinity
+        for value in out:
+            require_finite(f"--axis {name}", value)
     return name, out
+
+
+def _sizes(text):
+    """``K1,K2,...`` -> the shortlist sizes of ``--sizes``, each >= 1."""
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise CogtransError(
+            f"--sizes expects comma-separated integers, got {text!r}"
+        ) from None
+    for K in sizes:
+        if K < 1:
+            raise InvalidArgument(f"--sizes: K must be >= 1, got {K}")
+    return sizes
 
 
 def _at_line(path, line_no, fn, *args):
@@ -289,10 +305,10 @@ def _cmd_pretrain_embed(args):
 
 def _cmd_tune(args):
     model_cfg = _config(ModelConfig, args).validate()
+    space = dict(_axis(axis) for axis in args.axis)
     pairs = _model_pairs(args.data, data_io.cognate_rows(args.data),
                          model_cfg.script)
     split = data_io.split_dataset(pairs, seed=args.split_seed)
-    space = dict(_axis(axis) for axis in args.axis)
     rows, skipped = training.grid_search(
         space, model_cfg, _config(TrainConfig, args).validate(),
         _config(OptimizerSpec, args).normalized(),
@@ -306,12 +322,7 @@ def _cmd_tune(args):
 
 
 def _cmd_oov_correct(args):
-    try:
-        sizes = [int(s) for s in args.sizes.split(",")]
-    except ValueError:
-        raise CogtransError(
-            f"--sizes expects comma-separated integers, got {args.sizes!r}"
-        ) from None
+    sizes = _sizes(args.sizes)
     if len(sizes) > 1 and not args.references:
         raise CogtransError(
             "several --sizes need --references; a corrected corpus uses one size"

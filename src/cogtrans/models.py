@@ -24,13 +24,11 @@ in one matmul, ``tensor.rnn_seq``).  Under teacher forcing the whole
 decoder stack, every step of every layer with its attention, is one taped
 op (``tensor.decoder_seq``) that returns [top h | context] for every step,
 and the output layer runs once per batch over the rows of the scored
-steps.  Greedy decoding
-steps each decoder layer as one taped op (``tensor.rnn_step``) on the
-layer's state, [h | c] for LSTM and h for GRU, and each step's attention as
-one (``tensor.additive_attention``); all these ops take the cell's ``W``
-and ``b`` as stored.  Each layer keeps (h, state), so the next layer and
-the attention query read h without slicing it again.  The
-additive-attention keys ``H @ W_h`` are computed once per batch.
+steps.  Greedy decoding is untaped and runs on arrays: each
+``decode_step`` runs the attention and cell math of ``decoder_seq``
+(``attend_bahdanau``, ``cells.cell_step``) on each layer's state, [h | c]
+for LSTM and h for GRU.  The additive-attention keys ``H @ W_h`` are
+computed once per batch.
 ``tn`` trains on packed rows: after the embedding, positional rows and
 dropout, which run on the padded (B, T, d) shape, it gathers the real rows
 of each side once, the source positions and the scored target positions,
@@ -117,7 +115,7 @@ class EncoderOutput:
 
     ``keys`` is filled in after encoding (``_RecurrentModel._start``): every
     decoder step of the batch reads it, so it is computed once, not at every
-    step.
+    step.  Greedy decoding holds them all as arrays (``_decode_start``).
     """
 
     H: Tensor                       # (B, T, 2h) states the decoder attends over
@@ -129,10 +127,11 @@ class EncoderOutput:
 
 @dataclass
 class RecurrentDecodeState:
-    """One batch's greedy decoding: encoder output, decoder layers, T."""
+    """One batch's greedy decoding, as arrays: encoder output, decoder
+    layers' states, T."""
 
     enc: EncoderOutput
-    layers: list
+    states: list
     n_src: int
 
 
@@ -173,18 +172,19 @@ def _additive_mask(mask):
 
 
 def attend_bahdanau(s_prev, H, keys, p, mask):
-    """Additive attention: energies_j = v.tanh(W_s s + k_j), k_j = W_h h_j.
+    """Additive attention: energies_j = v.tanh(W_s s + k_j), k_j = W_h h_j,
+    untaped, on arrays: a greedy decoder step's attention.
 
     s_prev: (B, h_dec); H: (B, T, d_enc); keys: H @ W_h, (B, T, a), which
     do not depend on the decoder step and so are computed once per batch;
-    mask: (B, T) 0/1 over H's rows, 0 at padding.  Returns the context (B,
-    d_enc), one taped op (``tensor.additive_attention``), and the (B, T)
-    weights alpha as an array, on the simplex per row.
+    p: the arrays ``W_s`` and ``v``; mask: (B, T) 0/1 over H's rows, 0 at
+    padding.  Returns the (B, d_enc) context and the (B, T) weights alpha,
+    on the simplex per row.
     """
     if H.shape[1] == 0:
         raise EmptyInput("attention over empty encoder states")
-    return T.additive_attention(s_prev, p["W_s"], keys, p["v"], H,
-                                _additive_mask(mask))
+    return T._additive_fwd(s_prev @ p["W_s"], keys, p["v"], H,
+                           _additive_mask(mask))[:2]
 
 
 def multi_head_attention(q, k, v, heads, W_o, mask, q_rows=None,
@@ -382,52 +382,49 @@ class _RecurrentModel(TransductionModel):
 
     def _start(self, src, src_mask, train, rng):
         """Encode a batch and set up its decoder: the attention keys, once
-        per batch, and the initial layers."""
+        per batch, and each decoder layer's initial state."""
         enc = self._encode(src, src_mask, train, rng)
         if self.uses_attention:
             enc.keys = enc.H @ self.params["W_h"]
         return enc, self._init_dec_state(enc.final, src.shape[0])
 
     def _init_dec_state(self, final, batch):
-        """Per decoder layer (h, state): h = tanh(final W_init + b_init) for
-        the first layer and zeros above it; an LSTM's c starts at zero."""
+        """Each decoder layer's initial (B, S) state: h = tanh(final W_init
+        + b_init) for the first layer and zeros above it; an LSTM's c starts
+        at zero."""
         zeros = Tensor(np.zeros((batch, self.cfg.hidden_dim)))
         h = T.tanh(final @ self.params["W_init"] + self.params["b_init"])
-        layers = []
+        states = []
         for _ in self.dec_cells:
-            layers.append((h, h if self.cfg.cell == "gru"
-                           else T.concat([h, zeros], axis=-1)))
+            states.append(h if self.cfg.cell == "gru"
+                          else T.concat([h, zeros], axis=-1))
             h = zeros
-        return layers
+        return states
 
-    def _context(self, layers, enc):
-        """Context for the next step from the previous top decoder state:
-        the encoder summary (seq2seq) or attention over H (am, han)."""
-        if not self.uses_attention:
-            return enc.final, None
-        p = {k: self.params[k] for k in ("W_s", "v")}
-        return attend_bahdanau(layers[-1][0], enc.H, enc.keys, p, mask=enc.mask)
+    def decode_step(self, x_emb, states, enc):
+        """One untaped greedy decoder step for a batch of array rows.
 
-    def decode_step(self, x_emb, layers, enc, train, rng):
-        """One decoder step for a batch of rows.
-
-        x_emb: (B, embed) embedded previous symbols; layers: per decoder
-        layer (h, state), the state as ``cell_step`` takes it.  Returns
-        the top state (B, h) and the context (B, 2h), which the output layer
-        (``_output_dist``) reads side by side, then the new layers and the
-        attention weights (None without attention).  Greedy decoding steps
-        through this; teacher-forced training runs all steps as one op
-        (``loss_batch``).
+        x_emb: (B, embed) embedded previous symbols; states: each decoder
+        layer's (B, S) state, as ``cell_step`` takes it.  The context is the
+        encoder summary (seq2seq) or attention over H (am, han) from the top
+        h.  Returns the top h (B, h) and the context (B, 2h), which the
+        output layer reads side by side, then the new states and the
+        attention weights (None without attention).  ``loss_batch`` runs
+        the same math over all steps as one op.
         """
-        ctx, alpha = self._context(layers, enc)
-        h = T.concat([x_emb, ctx], axis=-1)
-        new_layers = []
-        for cell, (_, state) in zip(self.dec_cells, layers):
-            h, state = cell_step(h, state, cell)
-            new_layers.append((h, state))
-        if train and self.cfg.dropout > 0:
-            h = cells.dropout(h, self.cfg.dropout, rng)
-        return h, ctx, new_layers, alpha
+        n = self.cfg.hidden_dim
+        if self.uses_attention:
+            p = {k: self.params[k].data for k in ("W_s", "v")}
+            ctx, alpha = attend_bahdanau(states[-1][:, :n], enc.H, enc.keys,
+                                         p, enc.mask)
+        else:
+            ctx, alpha = enc.final, None
+        h = np.concatenate([x_emb, ctx], axis=-1)
+        new_states = []
+        for cell, state in zip(self.dec_cells, states):
+            new_states.append(cell_step(h, state, cell))
+            h = new_states[-1][:, :n]
+        return h, ctx, new_states, alpha
 
     def loss_batch(self, src, src_mask, tgt, tgt_len, tgt_mask, train=True,
                    rng=None):
@@ -437,7 +434,7 @@ class _RecurrentModel(TransductionModel):
         states draws the masks that per-step dropout draws; then only the
         scored steps' rows reach the output layer."""
         rng = rng or np.random.default_rng(0)
-        enc, layers = self._start(src, src_mask, train, rng)
+        enc, states = self._start(src, src_mask, train, rng)
         emb_in = self._embed(tgt[:, :-1], train, rng)
         if self.uses_attention:
             p = self.params
@@ -445,7 +442,7 @@ class _RecurrentModel(TransductionModel):
             attention = (p["W_s"], enc.keys, p["v"], _additive_mask(enc.mask))
         else:
             context, attention = enc.final, None
-        out = T.decoder_seq(self.cfg.cell, emb_in, [s for _, s in layers],
+        out = T.decoder_seq(self.cfg.cell, emb_in, states,
                             [(c.W, c.b) for c in self.dec_cells], context,
                             attention)
         if train and self.cfg.dropout > 0:
@@ -455,14 +452,20 @@ class _RecurrentModel(TransductionModel):
         return self._loss_from_probs(probs, tgt, tgt_len, tgt_mask)
 
     def _decode_start(self, src, src_mask):
-        enc, layers = self._start(src, src_mask, False, None)
-        return RecurrentDecodeState(enc, layers, src.shape[1])
+        """Encode a batch and set up its decoder, as arrays."""
+        enc, states = self._start(src, src_mask, False, None)
+        enc.H, enc.final = enc.H.data, enc.final.data
+        if enc.keys is not None:
+            enc.keys = enc.keys.data
+        return RecurrentDecodeState(enc, [s.data for s in states],
+                                    src.shape[1])
 
     def _decode_next(self, state, prefix):
-        x = self._embed(prefix[:, -1], False, None)
-        h, ctx, state.layers, alpha = self.decode_step(x, state.layers,
-                                                       state.enc, False, None)
-        return (self._output_dist(T.concat([h, ctx], axis=-1)).data,
+        x = self.params["embedding"].data[prefix[:, -1]]
+        h, ctx, state.states, alpha = self.decode_step(x, state.states,
+                                                       state.enc)
+        rows = Tensor(np.concatenate([h, ctx], axis=-1))
+        return (self._output_dist(rows).data,
                 self._attention_rows(alpha, state))
 
     def _attention_rows(self, alpha, state):

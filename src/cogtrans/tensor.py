@@ -6,9 +6,11 @@ leaf tensors that were created with ``requires_grad=True``.  Everything is
 64-bit so finite-difference checks have enough headroom.
 
 Fused ops with hand-written backwards record one node for what would be
-many: a recurrent step (``rnn_step``) or sequence (``rnn_seq``) of either
-cell kind, a teacher-forced decoder stack with its attention over every
-step (``decoder_seq``), and the multi-head and additive attention blocks.
+many: a recurrent sequence (``rnn_seq``) of either cell kind, a
+teacher-forced decoder stack with its attention over every step
+(``decoder_seq``), and the multi-head and additive attention blocks.
+Greedy decoding, which is untaped, steps the same cell and attention math
+on arrays (``_CELLS``, ``_additive_fwd``).
 The multi-head block also runs on packed rows, the real positions of a
 padded batch only (``attention``'s row layouts), so that every op around it
 can skip the padding.
@@ -348,18 +350,19 @@ def embedding(table, ids):
 
 
 # ---------------------------------------------------------------------------
-# recurrent cells: one step op (one node per greedy decoder step) and one
-# sequence op (one node per encoder recurrence), each written once for both
-# cell kinds, as is the decoder op below; only a kind's step, step backward and
-# state rows of dW differ (``_CELLS``).  W: (d + n, G * n) holds the gates side
-# by side, its first d rows for the input x and the rest for h, so a step's
-# pre-activations are x W_x + b + h W_h; the step functions take x W_x + b
-# already computed, which lets a sequence project every step's input in one
-# matmul before the recurrence.  A state is one (B, S) array whose first n
-# columns are h: [h | c] for an LSTM (S = 2n), h for a GRU (S = n); the step
-# functions take and return it whole, as do their backward passes with its
-# gradient.  Entry 0 of a step's cache is the h it started from.  The step
-# functions are the cell math only: padding is the sequence op's concern.
+# recurrent cells: one sequence op (one node per encoder recurrence), written
+# once for both cell kinds, as is the decoder op below; only a kind's step,
+# step backward and state rows of dW differ (``_CELLS``), and greedy
+# decoding (``cells.cell_step``) runs the same step untaped.  W: (d + n,
+# G * n) holds the gates side by side, its first d rows for the input x and
+# the rest for h, so a step's pre-activations are x W_x + b + h W_h; the
+# step functions take x W_x + b already computed, which lets a sequence
+# project every step's input in one matmul before the recurrence.  A state
+# is one (B, S) array whose first n columns are h: [h | c] for an LSTM
+# (S = 2n), h for a GRU (S = n); the step functions take and return it
+# whole, as do their backward passes with its gradient.  Entry 0 of a step's
+# cache is the h it started from.  The step functions are the cell math
+# only: padding is the sequence op's concern.
 
 def _lstm_step(xa, s, W_h):
     """One LSTM step from [h | c] and the input's (B, 4n) part of the
@@ -416,8 +419,6 @@ def _gru_step_bwd(gh, W_h, cache):
 def _rows(caches, i):
     """Entry ``i`` of every step's cache as (B*T, ·) rows, batch-major as the
     (B*T, G*n) pre-activation gradients are."""
-    if len(caches) == 1:   # one step: its rows as they are, no copy
-        return caches[0][i]
     return np.stack([c[i] for c in caches], axis=1).reshape(
         -1, caches[0][i].shape[-1])
 
@@ -455,39 +456,10 @@ def _dW(rows, da, dW_h):
     return np.concatenate([rows.T @ da, dW_h]), da.sum(axis=0)
 
 
-def _grads(X, W, da, dW_h):
-    """dX, dW and db from the (N, G*n) pre-activation gradients of X's N
-    rows, in single matmuls; ``dW_h`` is dW's state rows."""
-    d = X.shape[-1]
-    dX = (da @ W.data[:d].T).reshape(X.shape)
-    return (dX, *_dW(X.data.reshape(-1, d), da, dW_h))
-
-
-def rnn_step(kind, x, state, W, b):
-    """One step of an LSTM or GRU (``kind``) over (B, d) rows, as one taped
-    op: the (B, S) state ([h | c] or h) in, the new state out.
-
-    W: (d + n, G * n) and b: (G * n,) hold the gates side by side (i|f|g|o
-    or z|r|n).  Every row steps.
-    """
-    x, state = _as_tensor(x), _as_tensor(state)
-    W, b = _as_tensor(W), _as_tensor(b)
-    _, step, step_bwd, dW_h = _CELLS[kind]
-    d = x.shape[-1]
-    W_h = W.data[d:]
-    s, cache = step(x.data @ W.data[:d] + b.data, state.data, W_h)
-
-    def bwd(g):
-        da, ds = step_bwd(g, W_h, cache)
-        dx, dW, db = _grads(x, W, da, dW_h([cache], da))
-        return dx, ds, dW, db
-
-    return _make(s, (x, state, W, b), bwd)
-
-
 def rnn_seq(kind, X, W, b, mask=None, reverse=False):
     """An LSTM or GRU (``kind``) over (B, T, d) inputs from a zero state, as
-    one taped op; W and b are ``rnn_step``'s.
+    one taped op.  W: (d + n, G * n) and b: (G * n,) hold the gates side by
+    side (i|f|g|o or z|r|n).
 
     Every step's input is projected in one matmul before the recurrence, so
     each step multiplies only h @ W_h; the backward returns dX, dW and db
@@ -525,7 +497,8 @@ def rnn_seq(kind, X, W, b, mask=None, reverse=False):
                                        caches[t])
             ds = ds_in if m is None else ds_in + (1.0 - m) * ds
         flat = dA.reshape(B * steps, -1)
-        return _grads(X, W, flat, dW_h(caches, flat))
+        dX = (flat @ W.data[:d].T).reshape(X.shape)
+        return (dX, *_dW(X.data.reshape(-1, d), flat, dW_h(caches, flat)))
 
     return _make(H, (X, W, b), bwd)
 
@@ -617,11 +590,12 @@ def _additive_bwd(g, H, w, u, v):
     return ge, gu, gu.sum(axis=1)
 
 
-def additive_attention(s, W_s, keys, v, H, mask=None):
+def additive_attention(s, W_s, keys, v, H, mask):
     """Additive (Bahdanau) attention of (B, h) query rows over (B, T, d)
     states, as one taped op: energies e_j = v·tanh(s W_s + k_j) over the
-    (B, T, a) keys, softmax over j (``mask`` is an additive (B, T) constant),
-    context = the weighted sum of H's rows.
+    (B, T, a) keys, softmax over j (``mask`` is an additive (B, T) constant,
+    all zeros when no key is masked), context = the weighted sum of H's
+    rows.
 
     Returns the (B, d) context as one node and the (B, T) weights as an
     untaped array.
@@ -649,7 +623,7 @@ def decoder_seq(kind, X, states, cells, context, attention=None):
     (B, S, e) teacher-forced inputs, as one taped op.
 
     ``states`` holds each layer's (B, S_w) initial state and ``cells`` its
-    (W, b), as ``rnn_step`` takes them.  Layer 0's input at a step is the
+    (W, b), as ``rnn_seq`` takes them.  Layer 0's input at a step is the
     step's row of X and then the step's (B, c) context; each layer above
     reads the h of the layer below.  Without ``attention`` the context is
     the fixed (B, c) ``context``.  With ``attention`` = (W_s, keys, v,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cogtrans import cells, tensor as T
+from cogtrans import cells, models, tensor as T
 from cogtrans.cells import (
     birnn_summary,
     cell_step,
@@ -41,18 +41,18 @@ def _gates(p):
 
 
 def _row(v):
-    return T.Tensor(np.asarray(v, dtype=np.float64).reshape(1, -1))
+    return np.asarray(v, dtype=np.float64).reshape(1, -1)
 
 
 def lstm_step(x, h, c, p):
-    """One LSTM step of CellParams ``p`` on rows; returns (h', c')."""
-    _, s = cell_step(x, T.concat([h, c], axis=-1), p)
+    """One LSTM step of CellParams ``p`` on array rows; returns (h', c')."""
+    s = cell_step(x, np.concatenate([h, c], axis=-1), p)
     return s[:, :p.hidden_dim], s[:, p.hidden_dim:]
 
 
 def gru_step(x, h, p):
-    """One GRU step of CellParams ``p`` on rows; returns h'."""
-    return cell_step(x, h, p)[0]
+    """One GRU step of CellParams ``p`` on array rows; returns h'."""
+    return cell_step(x, h, p)
 
 
 def _state(kind, rows, n):
@@ -65,8 +65,8 @@ class TestLSTM:
         p = _zeroed("lstm", 3, 2)
         h, c = lstm_step(_row(np.ones(3)), _row(np.zeros(2)),
                          _row(np.zeros(2)), p)
-        assert np.allclose(h.data, 0.0)
-        assert np.allclose(c.data, 0.0)
+        assert np.allclose(h, 0.0)
+        assert np.allclose(c, 0.0)
 
     def test_saturated_gates_carry_cell(self):
         p = _zeroed("lstm", 2, 2)
@@ -74,7 +74,7 @@ class TestLSTM:
         _gates(p)["b_i"][...] = -50.0
         c0 = np.array([0.3, -0.7])
         _, c1 = lstm_step(_row(np.ones(2)), _row(np.zeros(2)), _row(c0), p)
-        assert np.allclose(c1.data[0], c0, atol=1e-12)
+        assert np.allclose(c1[0], c0, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         p = _rand("lstm", 2, 2, seed=3)
@@ -94,8 +94,8 @@ class TestLSTM:
         o = sig(z @ w["W_o"] + w["b_o"])
         c_ref = f * c0 + i * g
         h_ref = o * np.tanh(c_ref)
-        assert np.allclose(c1.data[0], c_ref, atol=1e-12)
-        assert np.allclose(h1.data[0], h_ref, atol=1e-12)
+        assert np.allclose(c1[0], c_ref, atol=1e-12)
+        assert np.allclose(h1[0], h_ref, atol=1e-12)
 
     def test_dim_mismatch(self):
         p = _rand("lstm", 3, 2)
@@ -114,14 +114,14 @@ class TestGRU:
         p = _zeroed("gru", 3, 2)
         h0 = np.array([0.4, -0.8])
         h1 = gru_step(_row(np.ones(3)), _row(h0), p)
-        assert np.allclose(h1.data[0], 0.5 * h0)
+        assert np.allclose(h1[0], 0.5 * h0)
 
     def test_saturated_update_gate_carries_state(self):
         p = _zeroed("gru", 2, 2)
         _gates(p)["b_z"][...] = 50.0
         h0 = np.array([0.3, -0.1])
         h1 = gru_step(_row(np.ones(2)), _row(h0), p)
-        assert np.allclose(h1.data[0], h0, atol=1e-12)
+        assert np.allclose(h1[0], h0, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         p = _rand("gru", 2, 2, seed=5)
@@ -138,20 +138,7 @@ class TestGRU:
         r = sig(zc @ w["W_r"] + w["b_r"])
         n = np.tanh(np.concatenate([x, r * h0]) @ w["W_n"] + w["b_n"])
         h_ref = z * h0 + (1.0 - z) * n
-        assert np.allclose(h1.data[0], h_ref, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind", ["lstm", "gru"])
-def test_cell_step_gradients(kind):
-    p = _rand(kind, 3, 4, seed=7)
-    x = T.Tensor(np.random.default_rng(1).normal(size=(2, 3)))
-
-    def f():
-        h, state = cell_step(x, _state(kind, 2, 4), p)
-        h, state = cell_step(x, state, p)
-        return T.tsum(T.mul(h, h))
-
-    assert T.finite_diff_check(f, {"W": p.W, "b": p.b}) < 1e-4
+        assert np.allclose(h1[0], h_ref, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
@@ -186,18 +173,6 @@ def test_masked_rows_keep_their_state(kind):
         assert (H[b, n:] == H[b, n - 1]).all()
 
 
-@pytest.mark.parametrize("kind, nodes", [("lstm", 2), ("gru", 1)])
-def test_cell_step_records_one_op_and_an_lstm_h_slice(kind, nodes):
-    """A step is one taped op; an LSTM step adds one slice of h from its
-    [h | c] state, a GRU step none."""
-    x = T.Tensor(np.ones((2, 3)))
-    cell = _rand(kind, 3, 4, seed=4)
-    with T.Graph() as g:
-        h, state = cell_step(x, _state(kind, 2, 4), cell)
-    assert len(g.nodes) == nodes
-    assert h.shape == (2, 4) and state is g.nodes[0]
-
-
 def _freeze_composed(mask, new, old):
     m, keep = T.Tensor(mask[:, None]), T.Tensor(1.0 - mask[:, None])
     return m * new + keep * old
@@ -205,7 +180,7 @@ def _freeze_composed(mask, new, old):
 
 def _composed_lstm(x, s, W, b, mask=None):
     """The LSTM step on the [h | c] state as separate taped ops, one matmul
-    per gate: the reference ``tensor.rnn_step`` must match."""
+    per gate: the reference the fused step must match."""
     n = s.shape[-1] // 2
     h, c = s[:, :n], s[:, n:]
     z = T.concat([x, h], axis=-1)
@@ -233,8 +208,8 @@ def _composed_gru(x, h, W, b, mask=None):
 
 
 def _composed_step(kind, x, s, W, b, mask=None):
-    """One step of either kind as composed ops: the reference for
-    ``tensor.rnn_step``."""
+    """One step of either kind as composed ops: the reference for the fused
+    step of ``cells.cell_step`` and of the sequence and decoder ops."""
     return (_composed_lstm if kind == "lstm" else _composed_gru)(x, s, W, b,
                                                                  mask)
 
@@ -272,23 +247,18 @@ def _leaves(r, *shapes):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_fused_step_matches_composed_reference(kind, seed):
+    """The untaped step of greedy decoding (``cell_step`` on arrays) equals
+    the composed step.  Its gradients are those of the sequence and
+    decoder ops, which run the same step and are checked below and by
+    finite differences."""
     r = np.random.default_rng(seed)
     B, d, n = 4, 3, 5
     S, G = (2 * n, 4) if kind == "lstm" else (n, 3)
-    leaves = _leaves(r, (B, d), (B, S), (d + n, G * n), (G * n,))
-    weight = T.Tensor(r.normal(size=(B, S)))
-    results = []
-    for step in (T.rnn_step, _composed_step):
-        for t in leaves:
-            t.zero_grad()
-        with T.Graph() as g:
-            y = step(kind, *leaves)
-            T.backward(g, T.tsum(y * weight))
-        results.append((y.data, [t.grad.copy() for t in leaves]))
-    (y_f, g_f), (y_c, g_c) = results
-    assert np.allclose(y_f, y_c, rtol=0, atol=1e-12)
-    for a, b in zip(g_f, g_c):
-        assert np.allclose(a, b, rtol=0, atol=1e-12)
+    x, s, W, b = (r.normal(size=shape)
+                  for shape in ((B, d), (B, S), (d + n, G * n), (G * n,)))
+    cell = cells.CellParams(kind, d, n, T.Tensor(W), T.Tensor(b))
+    want = _composed_step(kind, *map(T.Tensor, (x, s, W, b))).data
+    assert np.allclose(cell_step(x, s, cell), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -324,7 +294,7 @@ def test_sequence_op_matches_composed_steps(kind, masked, reverse, seed):
 def test_additive_attention_matches_composed_ops(masked, seed):
     r = np.random.default_rng(seed)
     B, steps, h, a, d = 3, 4, 5, 6, 7
-    mask = None
+    mask = np.zeros((B, steps))
     if masked:
         mask = np.where(np.arange(steps)[None, :]
                         < np.array([4, 2, 3])[:, None], 0.0, -1e9)
@@ -352,17 +322,31 @@ def test_run_rnn_checks_input_width():
 
 def _per_step_loss_batch(model, src, src_mask, tgt, tgt_len, tgt_mask,
                          train=True, rng=None):
-    """A recurrent model's teacher-forced loss with one ``decode_step`` per
-    target step, its top states and contexts stacked and joined, and the
-    rows of the scored steps picked for the output layer: the reference for
-    the one ``tensor.decoder_seq`` node of ``loss_batch``."""
+    """A recurrent model's teacher-forced loss, one target step at a time
+    through composed taped ops: the context (``_composed_additive_attention``
+    from the top h, or the encoder summary), then ``_composed_step`` per
+    decoder layer and dropout on the top h.  The top states and contexts
+    are stacked and joined, and the rows of the scored steps picked for the
+    output layer.  The reference for the one ``tensor.decoder_seq`` node of
+    ``loss_batch``; it shares no code with greedy decoding's step either."""
     rng = rng or np.random.default_rng(0)
-    enc, layers = model._start(src, src_mask, train, rng)
+    enc, states = model._start(src, src_mask, train, rng)
     emb_in = model._embed(tgt[:, :-1], train, rng)
+    n, p, rate = model.cfg.hidden_dim, model.params, model.cfg.dropout
+    mask = np.where(enc.mask > 0, 0.0, models.NEG_INF)
     tops, ctxs = [], []
     for t in range(tgt.shape[1] - 1):
-        h, ctx, layers, _ = model.decode_step(emb_in[:, t], layers, enc,
-                                              train, rng)
+        ctx = enc.final
+        if model.uses_attention:
+            ctx, _ = _composed_additive_attention(
+                states[-1][:, :n], p["W_s"], enc.keys, p["v"], enc.H, mask)
+        h = T.concat([emb_in[:, t], ctx], axis=-1)
+        for l, cell in enumerate(model.dec_cells):
+            states[l] = _composed_step(cell.kind, h, states[l], cell.W,
+                                       cell.b)
+            h = states[l][:, :n]
+        if train and rate > 0:
+            h = dropout(h, rate, rng)
         tops.append(h)
         ctxs.append(ctx)
 
@@ -397,7 +381,6 @@ def test_model_losses_match_composed_steps(arch, seed, monkeypatch):
                     monkeypatch.setattr(cells, "_keep", lambda *a: (
                         masks.append(keep(*a)) or masks[-1]))
                     if composed:
-                        monkeypatch.setattr(T, "rnn_step", _composed_step)
                         monkeypatch.setattr(T, "rnn_seq", _composed_seq)
                         monkeypatch.setattr(T, "additive_attention",
                                             _composed_additive_attention)
@@ -442,12 +425,11 @@ class TestBidirectional:
 
     def test_single_step_is_concat_of_both_directions(self):
         pf, pb = _rand("gru", 3, 2, 0), _rand("gru", 3, 2, 1)
-        x = T.Tensor(np.array([[0.1, 0.2, 0.3]]))
-        out = run_birnn(T.reshape(x, (1, 1, 3)), pf, pb)
-        hf = gru_step(x, T.Tensor(np.zeros((1, 2))), pf)
-        hb = gru_step(x, T.Tensor(np.zeros((1, 2))), pb)
-        assert np.allclose(out.data[:, 0],
-                           np.concatenate([hf.data, hb.data], axis=-1))
+        x = np.array([[0.1, 0.2, 0.3]])
+        out = run_birnn(T.Tensor(x.reshape(1, 1, 3)), pf, pb)
+        hf = gru_step(x, np.zeros((1, 2)), pf)
+        hb = gru_step(x, np.zeros((1, 2)), pb)
+        assert np.allclose(out.data[:, 0], np.concatenate([hf, hb], axis=-1))
 
     def test_reversal_symmetry(self):
         pf, pb = _rand("lstm", 3, 2, 0), _rand("lstm", 3, 2, 1)

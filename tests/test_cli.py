@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import math
 import os
 import re
 import shutil
@@ -31,6 +32,7 @@ from cogtrans.oov import (
 )
 from cogtrans.synthetic import generate_pairs
 from cogtrans.training import (
+    CONFIG_FIELDS,
     OptimizerSpec,
     TrainConfig,
     average_checkpoints,
@@ -681,6 +683,19 @@ class TestOovCorrect:
         assert "--out" in err and "--references" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes", ["0", "-5,10", "10,0"])
+    def test_sizes_below_one_exit_1_before_reading(self, tmp_path, capsys,
+                                                   sizes):
+        """A K below 1 is an error before any input is read: here none of
+        the inputs exists."""
+        missing = str(tmp_path / "missing")
+        assert run_cli(["oov-correct", "--sentences", missing,
+                        "--matrices", missing, "--model", missing,
+                        "--shortlist-corpus", missing, f"--sizes={sizes}",
+                        "--references", missing]) == 1
+        err = capsys.readouterr().err
+        assert "--sizes" in err and "missing" not in err
+
     def test_each_flagged_word_decoded_once_per_command(
             self, checkpoint, tmp_path, monkeypatch, capsys):
         args, refs = self._pipeline(tmp_path)
@@ -818,6 +833,15 @@ class TestModelScript:
         assert any(row[6] for row in rows["wx.ckpt"])
         for _, gold, pred, *_, tags in rows["wx.ckpt"]:
             assert bool(tags) == (pred != gold)
+
+    def test_tune_unknown_axis_exit_1_before_reading(self, tmp_path, capsys):
+        """An axis that names no config field is an error before the data
+        is read: here the data file does not exist."""
+        missing = str(tmp_path / "missing.tsv")
+        assert run_cli(["tune", "--data", missing, "--arch", "am",
+                        "--axis", "learning_rate=0.1"]) == 1
+        err = capsys.readouterr().err
+        assert "learning_rate" in err and "missing" not in err
 
     def test_tune_script_axis_exit_1(self, corpus, capsys):
         assert run_cli(["tune", "--data", str(corpus), "--arch", "am",
@@ -1197,3 +1221,45 @@ def test_config_file_gives_typed_configs_or_typed_errors(lines, arch_flag):
             value = getattr(cfg, f.name)
             assert type(value) is f.type or (value is None
                                              and f.default is None)
+
+
+_AXIS_NAMES = st.sampled_from(sorted(CONFIG_FIELDS)
+                              + ["", "lr ", "LR", "model.lr", "paths"])
+_AXIS_VALUES = st.lists(_CONFIG_VALUES, min_size=1, max_size=3).map(",".join)
+
+
+@settings(max_examples=300, deadline=None)
+@example(text="lr=nan")
+@example(text="learning_rate=0.1")
+@given(text=st.tuples(_AXIS_NAMES, _AXIS_VALUES).map("=".join)
+       | st.text(max_size=20))
+def test_any_axis_text_gives_typed_values_or_typed_error(text):
+    """Any ``--axis`` text gives a config field's name and a non-empty list
+    of finite values of the field's type, which its own text reads back
+    to, or a ``CogtransError``."""
+    try:
+        name, values = cli._axis(text)
+    except CogtransError:
+        return
+    kind = CONFIG_FIELDS[name][1]
+    assert values and all(type(value) is kind for value in values)
+    assert all(math.isfinite(value) for value in values if kind is float)
+    assert cli._axis(f"{name}=" + ",".join(map(str, values))) == (name,
+                                                                   values)
+
+
+@settings(max_examples=300, deadline=None)
+@example(text="0")
+@example(text="-5,10")
+@given(text=st.lists(st.integers(-3, 300).map(str) | _CONFIG_VALUES,
+                     min_size=1, max_size=4).map(",".join)
+       | st.text(max_size=20))
+def test_any_sizes_text_gives_sizes_or_typed_error(text):
+    """Any ``--sizes`` text gives a non-empty list of ints >= 1, which its
+    own text reads back to, or a ``CogtransError``."""
+    try:
+        sizes = cli._sizes(text)
+    except CogtransError:
+        return
+    assert sizes and all(type(K) is int and K >= 1 for K in sizes)
+    assert cli._sizes(",".join(map(str, sizes))) == sizes

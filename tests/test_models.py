@@ -80,50 +80,45 @@ class TestPositionalEncoding:
 class TestBahdanau:
     def _params(self, h, seed=0):
         r = np.random.default_rng(seed)
-        return {
-            "W_s": T.Tensor(r.normal(size=(h, h)), requires_grad=True),
-            "W_h": T.Tensor(r.normal(size=(2 * h, h)), requires_grad=True),
-            "v": T.Tensor(r.normal(size=(h, 1)), requires_grad=True),
-        }
+        return {"W_s": r.normal(size=(h, h)), "W_h": r.normal(size=(2 * h, h)),
+                "v": r.normal(size=(h, 1))}
 
     def test_matches_independent_computation(self):
         h = 3
         p = self._params(h)
         r = np.random.default_rng(1)
-        s = T.Tensor(r.normal(size=(1, h)))
-        H = T.Tensor(r.normal(size=(1, 4, 2 * h)))
+        s = r.normal(size=(1, h))
+        H = r.normal(size=(1, 4, 2 * h))
         ctx, alpha = attend_bahdanau(s, H, H @ p["W_h"], p, np.ones((1, 4)))
         assert ctx.shape == (1, 2 * h) and alpha.shape == (1, 4)
-        e = np.tanh(s.data[0] @ p["W_s"].data
-                    + H.data[0] @ p["W_h"].data) @ p["v"].data
+        e = np.tanh(s[0] @ p["W_s"] + H[0] @ p["W_h"]) @ p["v"]
         e = e.reshape(-1)
         a_ref = np.exp(e - e.max())
         a_ref /= a_ref.sum()
         assert np.allclose(alpha[0], a_ref, atol=1e-12)
-        assert np.allclose(ctx.data[0], a_ref @ H.data[0], atol=1e-12)
+        assert np.allclose(ctx[0], a_ref @ H[0], atol=1e-12)
 
     def test_row_stochastic(self):
         p = self._params(3)
         r = np.random.default_rng(2)
-        H = T.Tensor(r.normal(size=(1, 5, 6)))
-        _, alpha = attend_bahdanau(T.Tensor(r.normal(size=(1, 3))), H,
-                                   H @ p["W_h"], p, np.ones((1, 5)))
+        H = r.normal(size=(1, 5, 6))
+        _, alpha = attend_bahdanau(r.normal(size=(1, 3)), H, H @ p["W_h"], p,
+                                   np.ones((1, 5)))
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_when_states_equal(self):
         p = self._params(3)
-        H = T.Tensor(np.tile(np.arange(6.0), (1, 4, 1)))
-        ctx, alpha = attend_bahdanau(T.Tensor(np.zeros((1, 3))), H,
-                                     H @ p["W_h"], p, np.ones((1, 4)))
+        H = np.tile(np.arange(6.0), (1, 4, 1))
+        ctx, alpha = attend_bahdanau(np.zeros((1, 3)), H, H @ p["W_h"], p,
+                                     np.ones((1, 4)))
         assert np.allclose(alpha, 0.25)
-        assert np.allclose(ctx.data, H.data.mean(axis=1))
+        assert np.allclose(ctx, H.mean(axis=1))
 
     def test_empty_states(self):
         p = self._params(3)
         with pytest.raises(EmptyInput):
-            attend_bahdanau(T.Tensor(np.zeros((1, 3))),
-                            T.Tensor(np.zeros((1, 0, 6))),
-                            T.Tensor(np.zeros((1, 0, 3))), p, np.ones((1, 0)))
+            attend_bahdanau(np.zeros((1, 3)), np.zeros((1, 0, 6)),
+                            np.zeros((1, 0, 3)), p, np.ones((1, 0)))
 
 
 def _split_heads(x, heads):
@@ -466,24 +461,62 @@ class TestDecoding:
         src = np.array([vocab.encode("abc")], dtype=np.intp)
         with T.no_grad():
             for model, varies in ((s2s, False), (am, True)):
-                enc, layers = model._start(src, np.ones(src.shape), False,
-                                           None)
-                ctxs = []
+                state = model._decode_start(src, np.ones(src.shape))
+                states, ctxs = state.states, []
                 sym = 1
                 for _ in range(3):
-                    ctx, _ = model._context(layers, enc)
-                    ctxs.append(ctx.data.copy())
-                    x = T.embedding(model.params["embedding"], np.array([sym]))
-                    h, ctx, layers, _ = model.decode_step(x, layers, enc,
-                                                          False, None)
-                    dist = model._output_dist(T.concat([h, ctx], axis=-1))
-                    sym = int(np.argmax(dist.data))
-                    assert dist.data.sum() == pytest.approx(1.0, abs=1e-12)
+                    x = model.params["embedding"].data[[sym]]
+                    h, ctx, states, _ = model.decode_step(x, states,
+                                                          state.enc)
+                    ctxs.append(ctx.copy())
+                    dist = model._output_dist(
+                        T.Tensor(np.concatenate([h, ctx], axis=-1))).data
+                    sym = int(np.argmax(dist))
+                    assert dist.sum() == pytest.approx(1.0, abs=1e-12)
                 deltas = [np.abs(ctxs[i] - ctxs[0]).max() for i in (1, 2)]
                 if varies:
                     assert max(deltas) > 1e-9
                 else:
                     assert max(deltas) == 0.0
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("arch", ["seq2seq", "am", "han"])
+    def test_greedy_steps_equal_teacher_forcing(self, arch, cell, layers):
+        """Each greedy step's next-char distributions over a padded batch
+        equal those of the teacher-forced decoder op (``decoder_seq``, then
+        the output layer) fed each row's decoded prefix: the untaped greedy
+        step runs the training op's step math."""
+        words = ["abcab", "ba", "cabcabc", "a"]
+        vocab = build_vocab([(w, w) for w in words])
+        model = build_model(_cfg(arch, cell=cell, decoder_layers=layers,
+                                 chunk_size=2), vocab, seed=2)
+        for t in model.params.values():   # larger weights: rows decode
+            t.data *= 3.0                 # different prefixes
+        src, _, mask = encode_batch(vocab, words)
+        prefix = np.full((len(words), 1), CharVocab.BOS, dtype=np.intp)
+        greedy = []
+        with T.no_grad():
+            state = model._decode_start(src, mask)
+            for _ in range(model.cfg.max_decode_len):
+                dist, _ = model._decode_next(state, prefix)
+                greedy.append(dist)
+                prefix = np.concatenate(
+                    [prefix, dist.argmax(axis=-1)[:, None]], axis=1)
+            enc, states = model._start(src, mask, False, None)
+            p, context, attention = model.params, enc.final, None
+            if model.uses_attention:
+                context = enc.H
+                attention = (p["W_s"], enc.keys, p["v"],
+                             np.where(enc.mask > 0, 0.0, models.NEG_INF))
+            emb = model._embed(prefix[:, :-1], False, None)
+            out = T.decoder_seq(cell, emb, states,
+                                [(c.W, c.b) for c in model.dec_cells],
+                                context, attention)
+            forced = model._output_dist(out).data
+        assert len({tuple(row) for row in prefix[:, 1:]}) > 1
+        assert np.allclose(np.stack(greedy, axis=1), forced, rtol=0,
+                           atol=1e-12)
 
 
 def _per_word_greedy(model, word):
@@ -607,9 +640,9 @@ class TestHan:
                 enc = model._decode_start(one, ones).enc
                 K = enc.H.shape[1]
                 assert K == -(-lens[b] // 3)
-                assert np.allclose(enc.H.data[0], batch.H.data[b, :K],
+                assert np.allclose(enc.H[0], batch.H.data[b, :K],
                                    rtol=0, atol=1e-12)
-                assert np.allclose(enc.final.data[0], batch.final.data[b],
+                assert np.allclose(enc.final[0], batch.final.data[b],
                                    rtol=0, atol=1e-12)
                 assert np.allclose(enc.char_alpha[0],
                                    batch.char_alpha[b, :K], rtol=0, atol=1e-12)
