@@ -85,17 +85,11 @@ def _at_line(path, line_no, fn, *args):
         raise InvalidArgument(f"{path}: line {line_no}: {exc}") from None
 
 
-def _readable_wx(word):
-    """``word`` if the WX codec reads it, which scoring a WX model needs."""
-    wx_decode(word)
-    return word
-
-
 def _model_pairs(path, rows, script):
     """The pairs of ``path``'s ``cognate_rows`` as a model of ``script``
-    reads them: WX for devanagari, and for wx only WX that the codec reads."""
-    convert = {"devanagari": wx_encode, "wx": _readable_wx}.get(script, str)
-    return [(_at_line(path, n, convert, src), _at_line(path, n, convert, tgt))
+    reads them (``SCRIPTS``)."""
+    read = SCRIPTS[script][0]
+    return [(_at_line(path, n, read, src), _at_line(path, n, read, tgt))
             for n, src, tgt in rows]
 
 
@@ -178,10 +172,6 @@ def _cmd_train(args):
     embedding = None
     if args.embed_vectors:
         store = embeddings.WordVectorStore.load(args.embed_vectors)
-        if store.dim != model_cfg.embed_dim:
-            raise CogtransError(
-                f"embedding vectors have dimension {store.dim}, "
-                f"model expects {model_cfg.embed_dim}")
         # a symbol with no vector starts from a zero row
         symbols = vocab.symbols[len(CharVocab.SPECIALS):]
         missing = [s for s in symbols if s not in store]
@@ -221,17 +211,14 @@ def _cmd_train(args):
 
 def _cmd_transduce(args):
     model = restore_model(load_checkpoint(args.model))
-    # a devanagari model reads and writes WX
-    devanagari = model.cfg.script == "devanagari"
-    result = transduce_greedy(model,
-                              wx_encode(args.word) if devanagari else args.word)
+    read, write = SCRIPTS[model.cfg.script]
+    result = transduce_greedy(model, read(args.word))
     word = result.word
-    if devanagari:
-        try:
-            word = wx_decode(word)
-        except UnmappedSymbol as exc:
-            print(f"warning: output is WX the codec cannot read ({exc}); "
-                  "printed unchanged", file=sys.stderr)
+    try:
+        word = write(word)
+    except UnmappedSymbol as exc:
+        print(f"warning: output is WX the codec cannot read ({exc}); "
+              "printed unchanged", file=sys.stderr)
     print(word)
     if args.attention:
         for row in result.attention:
@@ -305,7 +292,11 @@ def _cmd_pretrain_embed(args):
 
 def _cmd_tune(args):
     model_cfg = _config(ModelConfig, args).validate()
-    space = dict(_axis(axis) for axis in args.axis)
+    space = {}
+    for name, values in map(_axis, args.axis):
+        if name in space:
+            raise InvalidArgument(f"--axis {name} given twice")
+        space[name] = values
     pairs = _model_pairs(args.data, data_io.cognate_rows(args.data),
                          model_cfg.script)
     split = data_io.split_dataset(pairs, seed=args.split_seed)
@@ -333,18 +324,16 @@ def _cmd_oov_correct(args):
         )
     records = oov.load_pipeline_file(args.sentences, args.matrices)
     model = restore_model(load_checkpoint(args.model))
-    encode, decode = ((wx_encode, wx_decode)
-                      if model.cfg.script == "devanagari" else (str, str))
+    read, write = SCRIPTS[model.cfg.script]
 
     def transduce(words):
         # rare words recur across sentences and shortlist sizes: every
-        # flagged word is decoded once, all in one batch.  A devanagari
-        # model reads and writes WX; a word the codec cannot carry either
-        # way becomes "", which keeps the MT token
-        inputs = {w: _wx_or_empty(encode, w) for w in words}
+        # flagged word is decoded once, all in one batch.  A word the script
+        # cannot carry either way becomes "", which keeps the MT token
+        inputs = {w: _wx_or_empty(read, w) for w in words}
         readable = [w for w in words if inputs[w]]
         decoded = transduce_batch(model, [inputs[w] for w in readable])
-        out = {w: _wx_or_empty(decode, t.word)
+        out = {w: _wx_or_empty(write, t.word)
                for w, t in zip(readable, decoded)}
         return [out.get(w, "") for w in words]
 
@@ -419,7 +408,7 @@ def _cmd_error_report(args):
 _FLAG_NAMES = {"architecture": "--arch", "max_epochs": "--epochs",
                "kind": "--optimizer"}
 _CHOICES = {"architecture": ARCHITECTURES, "cell": tuple(GATES),
-            "script": SCRIPTS, "kind": training.OPTIMIZER_KINDS,
+            "script": tuple(SCRIPTS), "kind": training.OPTIMIZER_KINDS,
             "direction": embeddings.DIRECTIONS}
 
 

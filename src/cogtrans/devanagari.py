@@ -11,8 +11,6 @@ so ``wx_encode`` rejects that sequence, which Hindi orthography does not use.
 """
 
 import enum
-import unicodedata
-from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InvalidArgument, UnmappedSymbol

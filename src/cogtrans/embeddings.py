@@ -213,7 +213,8 @@ def train_char_lm(corpus, cfg):
     held-out perplexity).
 
     The corpus tail (HOLDOUT_FRACTION) is held out for the perplexity
-    estimate; early stopping uses the same held-out NLL with cfg.patience.
+    estimate and early stopping (cfg.patience), scored cfg.batch_size
+    windows at a time, so memory does not grow with it.
     """
     cfg.validate()
     text = nfc(corpus)
@@ -236,7 +237,9 @@ def train_char_lm(corpus, cfg):
             sel = order[i : i + cfg.batch_size]
             train_step(lm, opt, lambda: lm.loss_batch(
                 train_x[sel], train_y[sel], rng), epoch)
-        nll = lm.nll(held_x, held_y)
+        nll = sum(lm.nll(held_x[i:i + cfg.batch_size],
+                         held_y[i:i + cfg.batch_size])
+                  for i in range(0, len(held_y), cfg.batch_size))
         if nll < best - 1e-9:
             best = nll
             best_params = lm.export_params()

@@ -3,9 +3,9 @@
 * seq2seq  - encoder-decoder where the encoder summary is fed ("peeked") to
              the decoder at every step
 * am       - additive-attention alignment model: a fresh context per step
-* han      - hierarchical attention: char-level attention pools fixed-size
-             chunks, chunk-level attention feeds the decoder; both levels
-             are ``tensor.additive_attention``
+* han      - hierarchical attention: char-level attention
+             (``tensor.additive_attention``) pools fixed-size chunks, and
+             the decoder's step attention runs over the chunk-level states
 * tn       - transformer: multi-head self-attention, residuals, layer norm
 
 All models share the taped tensor core, train on padded batches, score
@@ -56,7 +56,7 @@ import numpy as np
 from . import cells, tensor as T
 from .cells import (birnn_summary, cell_step, init_cell_params,
                     init_embedding, run_birnn, uniform)
-from .devanagari import CharVocab, strip_trailing_repeats
+from .devanagari import CharVocab, strip_trailing_repeats, wx_decode, wx_encode
 from .errors import (EmptyInput, InvalidArgument, InvalidShape,
                      UnmappedSymbol, require_positive, require_rate)
 from .tensor import Tensor
@@ -64,9 +64,19 @@ from .tensor import Tensor
 NEG_INF = -1e9
 
 ARCHITECTURES = ("seq2seq", "am", "han", "tn")
-# the scripts a model's corpus arrives in: a devanagari corpus is converted
-# to WX before training, and a devanagari or wx model reads and writes WX
-SCRIPTS = ("devanagari", "wx", "raw")
+
+
+def _readable_wx(word):
+    """``word`` if the WX codec reads it, which scoring a WX model needs."""
+    wx_decode(word)
+    return word
+
+
+# each script a model's corpus may arrive in -> the (read, write) pair that
+# turns a word into the model's input and its output back; each raises
+# UnmappedSymbol or InvalidArgument on a word it cannot carry
+SCRIPTS = {"devanagari": (wx_encode, wx_decode), "wx": (_readable_wx, str),
+           "raw": (str, str)}
 
 
 @dataclass
@@ -79,6 +89,7 @@ class ModelConfig:
     embed_dim: int = 32
     dropout: float = 0.0
     script: str = "raw"
+    max_decode_len: int = 32
     # transformer-only
     num_layers: int = 2
     num_heads: int = 4
@@ -86,7 +97,6 @@ class ModelConfig:
     ffn_dim: int = 128
     # han-only
     chunk_size: int = 3
-    max_decode_len: int = 32
 
     def validate(self):
         if self.architecture not in ARCHITECTURES:
@@ -710,9 +720,7 @@ class TransformerModel(TransductionModel):
         decoder layer's cross-attention keys/values and allocate its
         self-attention cache, once per decoded batch."""
         packed = self._encode(src, src_mask, False, None)
-        enc = np.zeros(src.shape + (self.cfg.d_model,))
-        enc[src_mask > 0] = packed.data
-        enc = Tensor(enc)
+        enc = Tensor(T._unpack(packed.data, src_mask > 0))
         layers = range(self.cfg.num_layers)
         shape = (src.shape[0], self.cfg.max_decode_len, self.cfg.d_model)
         return DecodeState(

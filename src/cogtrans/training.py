@@ -335,7 +335,8 @@ def grid_search(space, model_cfg, train_cfg, opt_spec, data, base_seed=0):
     to value lists; without a ``seed`` axis each run's seed is derived from
     ``base_seed`` and the combination's index.  Returns (rows, skipped): each
     row carries the combination plus bleu/ss/wa and the best-validation epoch
-    ("ep"); invalid combinations and diverged runs are recorded in
+    ("ep"); invalid combinations (``metrics_every`` 0 among them), diverged
+    runs and runs whose best epoch computed no metrics are recorded in
     ``skipped`` with a reason.
     """
     if not space:
@@ -363,6 +364,8 @@ def grid_search(space, model_cfg, train_cfg, opt_spec, data, base_seed=0):
             mc.validate()
             tc.validate()
             op.normalized()
+            if not tc.metrics_every:
+                raise InvalidArgument("metrics_every 0 computes no metrics")
         except InvalidArgument as exc:
             skipped.append({**combo, "reason": str(exc)})
             continue
@@ -371,13 +374,11 @@ def grid_search(space, model_cfg, train_cfg, opt_spec, data, base_seed=0):
         except DivergedError as exc:
             skipped.append({**combo, "reason": f"diverged at epoch {exc.epoch}"})
             continue
-        rows.append({
-            **combo,
-            "bleu": result.best.metrics.get("bleu", float("nan")),
-            "ss": result.best.metrics.get("ss", float("nan")),
-            "wa": result.best.metrics.get("wa", float("nan")),
-            "ep": result.best.epoch,
-        })
+        if not result.best.metrics:
+            skipped.append({**combo, "reason": f"best epoch "
+                            f"{result.best.epoch} computed no metrics"})
+            continue
+        rows.append({**combo, **result.best.metrics, "ep": result.best.epoch})
     return rows, skipped
 
 

@@ -84,6 +84,17 @@ def devanagari_checkpoint(tmp_path_factory):
     return ckpt
 
 
+@pytest.fixture(scope="module")
+def wx_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("wx")
+    data = tmp / "wx.tsv"
+    data.write_text("".join(f"{wx_encode(w)}\t{wx_encode(w)}\n"
+                            for w in HINDI), encoding="utf-8")
+    ckpt = tmp / "wx.ckpt"
+    _train_tiny(data, ckpt, "--script", "wx")
+    return ckpt
+
+
 class TestParser:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -752,6 +763,16 @@ class TestModelScript:
         assert out == "kaZ\n"
         assert "warning:" in err and "'Z'" in err
 
+    def test_transduce_wx_model_unreadable_word_exit_1(self, wx_checkpoint,
+                                                       capsys):
+        """A ``wx`` model reads only WX the codec reads, as its
+        ``evaluate`` does."""
+        assert run_cli(["transduce", "--model", str(wx_checkpoint),
+                        "--word", "k#q"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: unmapped symbol '#'" in err
+
     @staticmethod
     def _oov_correct(ckpt, tmp_path, source, target):
         """The corrected target of one sentence whose words all but "और"
@@ -807,6 +828,22 @@ class TestModelScript:
         assert corrected == ["t1", "t2", "नाम", "t4"]
         assert sorted(seen) == sorted(outputs)
 
+    def test_oov_correct_wx_model_keeps_mt_token_for_unreadable_wx(
+            self, wx_checkpoint, tmp_path, monkeypatch):
+        """A flagged word that is WX the codec cannot read never reaches a
+        ``wx`` model and keeps the MT token."""
+        seen = []
+
+        def fake(model, words):
+            seen.extend(words)
+            return [Transduction(w + "a", None) for w in words]
+
+        monkeypatch.setattr(cli, "transduce_batch", fake)
+        corrected = self._oov_correct(wx_checkpoint, tmp_path,
+                                      ["k#q", "nAma"], ["t1", "t2"])
+        assert corrected == ["t1", "nAmaa"]
+        assert seen == ["nAma"]
+
     def test_evaluate_raw_and_wx_checkpoints_in_one_call(self, tmp_path,
                                                          capsys):
         """Both models read the WX file as it is; only the ``wx`` model's
@@ -842,6 +879,48 @@ class TestModelScript:
                         "--axis", "learning_rate=0.1"]) == 1
         err = capsys.readouterr().err
         assert "learning_rate" in err and "missing" not in err
+
+    def test_tune_repeated_axis_exit_1_before_reading(self, tmp_path,
+                                                      capsys):
+        """A name given by two ``--axis`` flags is an error before the data
+        is read, not a grid over the last one only."""
+        missing = str(tmp_path / "missing.tsv")
+        assert run_cli(["tune", "--data", missing, "--arch", "am",
+                        "--axis", "lr=0.1,0.01", "--axis", "lr=0.2"]) == 1
+        err = capsys.readouterr().err
+        assert "--axis lr given twice" in err and "missing" not in err
+
+    def test_tune_without_metrics_prints_no_nan_row(self, corpus, capsys):
+        assert run_cli(["tune", "--data", str(corpus), "--arch", "am",
+                        "--axis", "hidden_dim=4", "--metrics-every", "0",
+                        "--metric", "ss"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "hidden_dim\tSS\tep\n"
+        assert err == ("skipped {'hidden_dim': 4}: "
+                       "metrics_every 0 computes no metrics\n")
+
+    @pytest.mark.parametrize("width, code", [(16, 0), (8, 1)],
+                             ids=["d_model", "embed_dim"])
+    def test_tn_embed_vectors_are_d_model_wide(self, tmp_path, capsys, width,
+                                               code):
+        """``tn`` embeds into d_model: d_model-wide vectors train, and
+        embed_dim-wide ones are an error that names both widths."""
+        data = tmp_path / "wx.tsv"
+        data.write_text("kamala\tkamala\nnAma\tnAma\nrAma\trAma\n"
+                        "xAma\txAma\n", encoding="utf-8")
+        vec = tmp_path / "chars.vec"
+        vec.write_text("".join(f"{c} " + " ".join(["0.1"] * width) + "\n"
+                               for c in "kamlnArx"), encoding="utf-8")
+        out = tmp_path / "tn.ckpt"
+        assert run_cli(["train", "--data", str(data), "--arch", "tn",
+                        "--d-model", "16", "--embed-dim", "8", "--num-heads",
+                        "2", "--ffn-dim", "16", "--num-layers", "1",
+                        "--epochs", "1", "--metrics-every", "0",
+                        "--embed-vectors", str(vec), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            err = capsys.readouterr().err
+            assert re.search(r"error: .*\(\d+, 8\) != \(\d+, 16\)", err)
 
     def test_tune_script_axis_exit_1(self, corpus, capsys):
         assert run_cli(["tune", "--data", str(corpus), "--arch", "am",

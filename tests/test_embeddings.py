@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cogtrans.devanagari import CharVocab
 from cogtrans.embeddings import (
+    HOLDOUT_FRACTION,
     CharLM,
     CharLMConfig,
     WordVectorStore,
@@ -205,6 +206,28 @@ class TestCharLM:
         r2 = train_char_lm(self.CORPUS, self._cfg(max_epochs=2))
         assert r1[2] == r2[2]
         assert np.array_equal(r1[1].data, r2[1].data)
+
+    def test_held_out_tail_scored_in_bounded_batches(self, monkeypatch):
+        """No ``nll`` call scores more than batch_size held-out windows,
+        each epoch scores every window once, and the perplexity is the
+        whole tail's NLL scored at once."""
+        sizes = []
+        nll = CharLM.nll
+
+        def spy(self, ids, targets):
+            sizes.append(len(targets))
+            return nll(self, ids, targets)
+
+        monkeypatch.setattr(CharLM, "nll", spy)
+        cfg = self._cfg(max_epochs=2, batch_size=4)
+        lm, _, ppl = train_char_lm(self.CORPUS, cfg)
+        cut = int(len(self.CORPUS) * (1.0 - HOLDOUT_FRACTION))
+        held_x, held_y = _windows([lm.vocab.index[c]
+                                   for c in self.CORPUS[cut - 3:]], 4)
+        assert max(sizes) == cfg.batch_size
+        assert sum(sizes) == 2 * len(held_y)
+        assert math.log(ppl) * len(held_y) == pytest.approx(
+            nll(lm, held_x, held_y), rel=1e-12)
 
     def test_bidirectional_direction(self):
         cfg = self._cfg(direction="bidirectional", max_epochs=1)

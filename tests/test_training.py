@@ -156,11 +156,11 @@ def _toy_split(n=60, seed=0):
     return DatasetSplit(train=pairs[:cut], validation=pairs[cut:], test=[])
 
 
-def _small_cfgs(max_epochs=3, **train_kw):
+def _small_cfgs(max_epochs=3, metrics_every=0, **train_kw):
     mc = ModelConfig(architecture="am", hidden_dim=8, embed_dim=6,
                      max_decode_len=8)
     tc = TrainConfig(batch_size=16, max_epochs=max_epochs, seed=1,
-                     metrics_every=0, **train_kw)
+                     metrics_every=metrics_every, **train_kw)
     return mc, tc
 
 
@@ -493,13 +493,13 @@ class TestGridSearch:
         assert {"lr", "bleu", "ss", "wa", "ep"} <= set(rows[0])
 
     def test_axis_cardinality(self):
-        mc, tc = _small_cfgs(max_epochs=1)
+        mc, tc = _small_cfgs(max_epochs=1, metrics_every=1)
         rows, _ = grid_search({"batch_size": [1, 4, 8, 16, 20]}, mc, tc,
                               OptimizerSpec("adam"), _toy_split(n=24))
         assert len(rows) == 5
 
     def test_invalid_combination_skipped_with_reason(self):
-        mc, tc = _small_cfgs(max_epochs=1)
+        mc, tc = _small_cfgs(max_epochs=1, metrics_every=1)
         mc = dataclasses.replace(mc, architecture="tn", d_model=8,
                                  num_heads=2, ffn_dim=8, num_layers=1)
         rows, skipped = grid_search({"num_heads": [2, 3]}, mc, tc,
@@ -508,7 +508,7 @@ class TestGridSearch:
         assert len(skipped) == 1 and "reason" in skipped[0]
 
     def test_out_of_range_rate_skipped_with_reason(self):
-        mc, tc = _small_cfgs(max_epochs=1)
+        mc, tc = _small_cfgs(max_epochs=1, metrics_every=1)
         rows, skipped = grid_search({"decay": [0.5, 1.5]}, mc, tc,
                                     OptimizerSpec("sgd"), _toy_split(n=24))
         assert [row["decay"] for row in rows] == [0.5]
@@ -538,11 +538,12 @@ class TestGridSearch:
         def fake_train(mc, tc, op, data):
             seeds.append(tc.seed)
             best = Checkpoint(params={}, epoch=0, train_loss=0.0,
-                              val_loss=0.0)
+                              val_loss=0.0,
+                              metrics={"bleu": 0.0, "ss": 0.0, "wa": 0.0})
             return TrainResult([best], best, None)
 
         monkeypatch.setattr(training, "train", fake_train)
-        mc, tc = _small_cfgs()
+        mc, tc = _small_cfgs(metrics_every=1)
         rows, _ = grid_search(space, mc, tc, OptimizerSpec("adam"),
                               _toy_split(), base_seed=base_seed)
         return seeds, rows
@@ -557,3 +558,25 @@ class TestGridSearch:
         seeds, _ = self._seeds_run({"lr": [1e-3, 1e-2]}, monkeypatch,
                                    base_seed=2)
         assert seeds == [2 * 100003, 2 * 100003 + 1]
+
+    def test_metrics_every_0_skipped_before_training(self, monkeypatch):
+        """A run that computes no metrics has nothing to compare: it is
+        skipped with a reason, and nothing trains."""
+        monkeypatch.setattr(training, "train", lambda *a: pytest.fail(
+            "a run without metrics trained"))
+        mc, tc = _small_cfgs(max_epochs=1)
+        rows, skipped = grid_search({"metrics_every": [0]}, mc, tc,
+                                    OptimizerSpec("adam"), _toy_split(n=24))
+        assert rows == []
+        assert skipped == [{"metrics_every": 0,
+                            "reason": "metrics_every 0 computes no metrics"}]
+
+    def test_best_epoch_without_metrics_skipped(self):
+        """metrics_every 2 over one epoch: the best epoch has no metrics,
+        so the run is skipped with a reason, not given NaN scores."""
+        mc, tc = _small_cfgs(max_epochs=1, metrics_every=2)
+        rows, skipped = grid_search({"lr": [1e-3]}, mc, tc,
+                                    OptimizerSpec("adam"), _toy_split(n=24))
+        assert rows == []
+        assert skipped == [{"lr": 1e-3,
+                            "reason": "best epoch 0 computed no metrics"}]
